@@ -40,7 +40,9 @@ from .ctc import (
 )
 from .decoding import (
     DecodeConfig,
+    DecodedLine,
     Segment,
+    decode_line,
     decode_to_cn,
     greedy_decode,
     prefix_beam_search,
@@ -54,6 +56,7 @@ from .types import (
     LossResult,
     NBestList,
     NegativeEntry,
+    NonFiniteEntry,
     PosteriorMatrix,
     RowNotNormalized,
     ShapeMismatch,

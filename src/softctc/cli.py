@@ -26,20 +26,11 @@ from .confusion import (
     smooth,
 )
 from .ctc import ctc_loss, multi_ctc
-from .decoding import (
-    DecodeConfig,
-    Segment,
-    decode_to_cn,
-    greedy_decode,
-    prefix_beam_search,
-    segment_line,
-)
+from .decoding import DecodeConfig, decode_line
 from .loss import soft_ctc_loss
 from .oracle import enumerate_cn_strings, enumerate_ctc, oracle_softctc
 from .types import (
     InfeasibleTarget,
-    NBestList,
-    PosteriorMatrix,
     ValidationError,
     Vocabulary,
     validate_posteriors,
@@ -130,7 +121,7 @@ def _load_posteriors(path):
 def cmd_decode(args) -> int:
     m, v = _load_posteriors(args.posteriors)
     cfg = DecodeConfig(beam_size=args.beam, strategy=args.strategy, confidence=args.confidence)
-    cn = decode_to_cn(m, v, cfg, normalize=not args.raw)
+    decoded = decode_line(m, v, cfg, normalize=not args.raw)
 
     out_cn = args.out_cn or args.posteriors + ".cn"
     out_nbest = args.out_nbest or args.posteriors + ".nbest"
@@ -139,20 +130,8 @@ def cmd_decode(args) -> int:
         "beam": cfg.beam_size,
         "confidence": repr(cfg.confidence),
     }
-    formats.write_cn(out_cn, cn, v, meta)
-
-    groups = []
-    if cfg.strategy == "full":
-        groups.append((Segment(0, m.num_frames, False), prefix_beam_search(m, v, cfg.beam_size)))
-    else:
-        for seg in segment_line(m, v, cfg.confidence):
-            y_slice = PosteriorMatrix(m.frames[seg.start : seg.end])
-            if seg.confident:
-                labeling = greedy_decode(y_slice, v)
-                groups.append((seg, NBestList(((labeling, 1.0),))))
-            else:
-                groups.append((seg, prefix_beam_search(y_slice, v, cfg.beam_size)))
-    formats.write_nbest(out_nbest, groups, v)
+    formats.write_cn(out_cn, decoded.network, v, meta)
+    formats.write_nbest(out_nbest, zip(decoded.segments, decoded.nbests), v)
     print(f"wrote {out_cn} and {out_nbest}")
     return EXIT_OK
 

@@ -231,7 +231,7 @@ def build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
 
     Hypotheses are folded in descending weight order: the top one seeds a
     singleton-set network, each following one is aligned against the current
-    best path and accумulated, and per-set normalization runs once at the end
+    best path and accumulated, and per-set normalization runs once at the end
     (skipped when ``normalize`` is false so networks can still be merged).
     """
     entries = sorted(nbest.entries, key=lambda e: (-e[1], e[0].symbols))

@@ -9,12 +9,11 @@ of the labeling.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .confusion import ConfusionNetwork, ConfusionSet, build_cn, normalize_cn
+from .confusion import ConfusionNetwork, ConfusionSet, build_cn
 from .types import Labeling, NBestList, PosteriorMatrix, ValidationError, Vocabulary
 
 NEG_INF = float("-inf")
@@ -79,42 +78,70 @@ def prefix_beam_search(y: PosteriorMatrix, v: Vocabulary, beam_size: int) -> NBe
     without a blank keeps the prefix unchanged.  Returned weights are the
     total collected mass per prefix, sorted descending; ties break on the
     symbol tuple so the output is reproducible.
+
+    Each frame scores the whole (beam, vocabulary) extension grid at once.
+    A prefix collects at most two terms per frame (its own stay and the one
+    extension of its parent), and logaddexp is commutative bit for bit, so
+    the masses equal those of the one-candidate-at-a-time loop kept as
+    :func:`softctc.oracle.reference_prefix_beam_search`.
     """
     if beam_size < 1:
         raise ValidationError("beam size must be at least 1")
-    frames = y.frames
     with np.errstate(divide="ignore"):
-        log_y = np.log(frames)
+        log_y = np.log(y.frames)
     blank = v.blank
-    letters = [k for k in range(len(v)) if k != blank]
+    vocab = log_y.shape[1]
 
-    beams: dict[tuple[int, ...], tuple[float, float]] = {(): (0.0, NEG_INF)}
-    for t in range(frames.shape[0]):
-        row = log_y[t]
-        grown: dict[tuple[int, ...], list[float]] = defaultdict(lambda: [NEG_INF, NEG_INF])
-        for prefix, (lp_b, lp_nb) in beams.items():
-            total = np.logaddexp(lp_b, lp_nb)
-            entry = grown[prefix]
-            entry[0] = np.logaddexp(entry[0], total + row[blank])
-            if prefix:
-                entry[1] = np.logaddexp(entry[1], lp_nb + row[prefix[-1]])
-            for k in letters:
-                lp = row[k]
-                if lp == NEG_INF:
-                    continue
-                extended = grown[prefix + (k,)]
-                if prefix and k == prefix[-1]:
-                    extended[1] = np.logaddexp(extended[1], lp_b + lp)
-                else:
-                    extended[1] = np.logaddexp(extended[1], total + lp)
-        ranked = sorted(
-            grown.items(),
-            key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]),
-        )
-        beams = {p: (m[0], m[1]) for p, m in ranked[:beam_size]}
+    prefixes: list[tuple[int, ...]] = [()]
+    lp_b = np.zeros(1)
+    lp_nb = np.full(1, NEG_INF)
+    last = np.full(1, -1)  # -1 marks the empty prefix
+    for row in log_y:
+        width = len(prefixes)
+        total = np.logaddexp(lp_b, lp_nb)
+        stay_b = total + row[blank]
+        # the empty prefix has lp_nb = -inf, so its row[-1] pick stays -inf
+        stay_nb = lp_nb + row[last]
+        ext = total[:, None] + row[None, :]
+        rep = np.flatnonzero(last >= 0)
+        ext[rep, last[rep]] = lp_b[rep] + row[last[rep]]
+
+        # NaN marks grid cells that are no candidate of their own: extensions
+        # folded into a beam prefix, the blank, and impossible symbols
+        index = {p: i for i, p in enumerate(prefixes)}
+        for j, p in enumerate(prefixes):
+            i = index.get(p[:-1]) if p else None
+            if i is not None:  # the extension of p's parent lands on p
+                stay_nb[j] = np.logaddexp(stay_nb[j], ext[i, p[-1]])
+                ext[i, p[-1]] = np.nan
+        ext[:, row == NEG_INF] = np.nan
+        ext[:, blank] = np.nan
+
+        # candidate c < width stays prefix c; c >= width extends a prefix by a symbol
+        def prefix_of(c: int) -> tuple[int, ...]:
+            if c < width:
+                return prefixes[c]
+            i, k = divmod(c - width, vocab)
+            return prefixes[i] + (k,)
+
+        cost = -np.concatenate((np.logaddexp(stay_b, stay_nb), ext.ravel()))
+        kth = np.nan
+        if beam_size < cost.size:
+            # partition sorts NaN last: kth is NaN when the beam holds every candidate
+            kth = np.partition(cost, beam_size - 1)[beam_size - 1]
+        if np.isnan(kth):
+            chosen = np.flatnonzero(~np.isnan(cost)).tolist()
+        else:
+            chosen = np.flatnonzero(cost < kth).tolist()
+            tied = sorted(np.flatnonzero(cost == kth).tolist(), key=prefix_of)
+            chosen += tied[: beam_size - len(chosen)]
+        prefixes = [prefix_of(c) for c in chosen]
+        lp_b = np.concatenate((stay_b, np.full(ext.size, NEG_INF)))[chosen]
+        lp_nb = np.concatenate((stay_nb, ext.ravel()))[chosen]
+        last = np.concatenate((last, np.arange(ext.size) % vocab))[chosen]
 
     scored = sorted(
-        ((p, float(np.logaddexp(b, nb))) for p, (b, nb) in beams.items()),
+        ((p, float(np.logaddexp(b, nb))) for p, b, nb in zip(prefixes, lp_b, lp_nb)),
         key=lambda kv: (-kv[1], kv[0]),
     )
     entries = [
@@ -155,26 +182,39 @@ def segment_line(y: PosteriorMatrix, v: Vocabulary, threshold: float = 0.99) -> 
     return segments
 
 
-def _segment_nbest(y_slice: np.ndarray, v: Vocabulary, beam_size: int) -> NBestList:
+def _segment_nbest(part: PosteriorMatrix, v: Vocabulary, beam_size: int) -> NBestList:
     """Beam search a slice, guaranteeing the greedy labeling is represented.
 
     The beam can prune the greedy prefix mid-line; when that happens the
     greedy labeling is appended with its argmax-path mass, a valid
     under-estimate of its posterior.
     """
-    sliced = PosteriorMatrix(y_slice)
-    nbest = prefix_beam_search(sliced, v, beam_size)
-    greedy = greedy_decode(sliced, v)
+    nbest = prefix_beam_search(part, v, beam_size)
+    greedy = greedy_decode(part, v)
     if not any(lab.symbols == greedy.symbols for lab, _ in nbest):
-        mass = max(_greedy_path_mass(y_slice), 5e-324)
+        mass = max(_greedy_path_mass(part.frames), 5e-324)
         nbest = NBestList(tuple(nbest.entries) + ((greedy, mass),))
     return nbest
 
 
-def decode_to_cn(
+@dataclass(frozen=True)
+class DecodedLine:
+    """A decoded line: its segments, each segment's n-best list, and the network.
+
+    ``nbests[i]`` belongs to ``segments[i]`` and is exactly what the network
+    was built from: unconfident segments carry the beam (greedy fallback
+    included), confident ones their greedy labeling with weight 1.
+    """
+
+    segments: tuple[Segment, ...]
+    nbests: tuple[NBestList, ...]
+    network: ConfusionNetwork
+
+
+def decode_line(
     y: PosteriorMatrix, v: Vocabulary, cfg: DecodeConfig, normalize: bool = True
-) -> ConfusionNetwork:
-    """Decode a line into a confusion network.
+) -> DecodedLine:
+    """Decode a line into per-segment n-best lists and a confusion network.
 
     Full strategy: one beam search over the line.  Partial strategy: beam
     search only the unconfident segments, transcribe confident ones greedily
@@ -184,33 +224,39 @@ def decode_to_cn(
     confidence score that later merging can weight by.
     """
     if cfg.strategy == "full":
-        parts: list[tuple[NBestList | None, Labeling | None]] = [
-            (_segment_nbest(y.frames, v, cfg.beam_size), None)
-        ]
+        segments = (Segment(0, y.num_frames, confident=False),)
     else:
-        parts = []
-        for seg in segment_line(y, v, cfg.confidence):
-            y_slice = y.frames[seg.start : seg.end]
-            if seg.confident:
-                parts.append((None, greedy_decode(PosteriorMatrix(y_slice), v)))
-            else:
-                parts.append((_segment_nbest(y_slice, v, cfg.beam_size), None))
+        segments = tuple(segment_line(y, v, cfg.confidence))
+    nbests = []
+    for seg in segments:
+        part = PosteriorMatrix(y.frames[seg.start : seg.end])
+        if seg.confident:
+            nbests.append(NBestList(((greedy_decode(part, v), 1.0),)))
+        else:
+            nbests.append(_segment_nbest(part, v, cfg.beam_size))
+    network = _build_network(list(zip(segments, nbests)), normalize)
+    return DecodedLine(segments, tuple(nbests), network)
 
+
+def _build_network(
+    parts: list[tuple[Segment, NBestList]], normalize: bool
+) -> ConfusionNetwork:
+    """Concatenate the segments' networks in frame order."""
     if normalize:
         sets: list[ConfusionSet] = []
-        for nbest, labeling in parts:
-            if nbest is None:
-                sets.extend(ConfusionSet({s: 1.0}) for s in labeling)
+        for seg, nbest in parts:
+            if seg.confident:
+                sets.extend(ConfusionSet({s: 1.0}) for s in nbest.entries[0][0])
             else:
                 sets.extend(build_cn(nbest, normalize=True).sets)
         return ConfusionNetwork(tuple(sets), normalized=True)
 
-    masses = [nb.total_weight for nb, _ in parts if nb is not None]
+    masses = [nb.total_weight for seg, nb in parts if not seg.confident]
     line_confidence = max(float(np.prod(masses)) if masses else 1.0, 5e-324)
     sets = []
-    for nbest, labeling in parts:
-        if nbest is None:
-            sets.extend(ConfusionSet({s: line_confidence}) for s in labeling)
+    for seg, nbest in parts:
+        if seg.confident:
+            sets.extend(ConfusionSet({s: line_confidence}) for s in nbest.entries[0][0])
             continue
         cn = build_cn(nbest, normalize=False)
         factor = line_confidence / cn.total_score
@@ -218,3 +264,10 @@ def decode_to_cn(
             scaled = {k: max(val * factor, 5e-324) for k, val in s.alternatives.items()}
             sets.append(ConfusionSet(scaled, s.null * factor))
     return ConfusionNetwork(tuple(sets), normalized=False, total_score=line_confidence)
+
+
+def decode_to_cn(
+    y: PosteriorMatrix, v: Vocabulary, cfg: DecodeConfig, normalize: bool = True
+) -> ConfusionNetwork:
+    """Decode a line into a confusion network; see :func:`decode_line`."""
+    return decode_line(y, v, cfg, normalize).network

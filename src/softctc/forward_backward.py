@@ -50,7 +50,8 @@ def run_passes(
 ) -> tuple[float, ForwardBackwardWorkspace]:
     """Run both passes; returns (negative log probability, workspace).
 
-    Raises InfeasibleTarget when no alignment carries probability mass.  The
+    Raises InfeasibleTarget when no alignment carries probability mass, or
+    when a scale is not a finite positive number (non-finite posteriors).  The
     loss is read off the last forward vector against the final weights, which
     keeps it independent of the backward pass.
     """
@@ -64,15 +65,17 @@ def run_passes(
         if t > 0:
             vec = (vec @ transition) * q[t]
         scale = vec.sum()
-        if scale <= 0.0:
-            raise InfeasibleTarget("forward mass vanished; target admits no alignment")
+        if not 0.0 < scale < np.inf:  # also catches NaN
+            raise InfeasibleTarget(
+                f"forward mass {scale!r} at frame {t}; target admits no alignment"
+            )
         vec = vec / scale
         alphas[t] = vec
         alpha_scales[t] = scale
 
     final = float(alphas[-1] @ beta_final)
-    if final <= 0.0:
-        raise InfeasibleTarget("no admissible final state reachable")
+    if not 0.0 < final < np.inf:
+        raise InfeasibleTarget(f"final mass {final!r}; no admissible final state reachable")
     loss = -(np.log(alpha_scales).sum() + np.log(final))
 
     betas = np.empty_like(q)
@@ -82,9 +85,9 @@ def run_passes(
         if t < frames - 1:
             vec = (vec @ transition_t) * q[t]
         scale = vec.sum()
-        if scale <= 0.0:
+        if not 0.0 < scale < np.inf:
             # cannot happen when the forward pass found mass, but fail loudly
-            raise InfeasibleTarget("backward mass vanished")
+            raise InfeasibleTarget(f"backward mass {scale!r} at frame {t}")
         vec = vec / scale
         betas[t] = vec
         beta_scales[t] = scale

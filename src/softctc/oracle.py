@@ -1,23 +1,34 @@
 """Brute-force reference implementations used to pin down expected values.
 
 Everything here works by exhaustive enumeration over alignment paths or
-per-set choices.  None of it shares logic with the recursive fast paths; the
-only common ground is the data containers.  Sizes are guarded so a misuse
-fails loudly instead of grinding.
+per-set choices, or, for the beam search, by the plain one-candidate-at-a-time
+loop.  None of it shares logic with the fast paths; the only common ground is
+the data containers.  Sizes are guarded so a misuse fails loudly instead of
+grinding.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import defaultdict
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .confusion import ConfusionNetwork
-from .types import Labeling, PosteriorMatrix, TooLarge, ValidationError, Vocabulary
+from .types import (
+    Labeling,
+    NBestList,
+    PosteriorMatrix,
+    TooLarge,
+    ValidationError,
+    Vocabulary,
+)
 
 MAX_CTC_PATHS = 10**7
 MAX_CN_PATHS = 10**6
+NEG_INF = float("-inf")
 
 
 def kahan_sum(values: Iterable[float]) -> float:
@@ -132,6 +143,61 @@ def oracle_softctc(y: PosteriorMatrix, cn: ConfusionNetwork, v: Vocabulary) -> f
             cache[key] = enumerate_ctc(y, labeling, v)
         terms.append(weight * cache[key])
     return kahan_sum(terms)
+
+
+def reference_prefix_beam_search(
+    y: PosteriorMatrix, v: Vocabulary, beam_size: int
+) -> NBestList:
+    """Prefix beam search as a plain loop over every (prefix, symbol) pair.
+
+    The reference for :func:`softctc.decoding.prefix_beam_search`: same
+    candidate set, merge rule, ranking (mass, then symbol tuple) and
+    underflow fallback, one scalar logaddexp at a time.
+    """
+    if beam_size < 1:
+        raise ValidationError("beam size must be at least 1")
+    frames = y.frames
+    with np.errstate(divide="ignore"):
+        log_y = np.log(frames)
+    blank = v.blank
+    letters = [k for k in range(len(v)) if k != blank]
+
+    beams: dict[tuple[int, ...], tuple[float, float]] = {(): (0.0, NEG_INF)}
+    for t in range(frames.shape[0]):
+        row = log_y[t]
+        grown: dict[tuple[int, ...], list[float]] = defaultdict(lambda: [NEG_INF, NEG_INF])
+        for prefix, (lp_b, lp_nb) in beams.items():
+            total = np.logaddexp(lp_b, lp_nb)
+            entry = grown[prefix]
+            entry[0] = np.logaddexp(entry[0], total + row[blank])
+            if prefix:
+                entry[1] = np.logaddexp(entry[1], lp_nb + row[prefix[-1]])
+            for k in letters:
+                lp = row[k]
+                if lp == NEG_INF:
+                    continue
+                extended = grown[prefix + (k,)]
+                if prefix and k == prefix[-1]:
+                    extended[1] = np.logaddexp(extended[1], lp_b + lp)
+                else:
+                    extended[1] = np.logaddexp(extended[1], total + lp)
+        ranked = sorted(
+            grown.items(),
+            key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]),
+        )
+        beams = {p: (m[0], m[1]) for p, m in ranked[:beam_size]}
+
+    scored = sorted(
+        ((p, float(np.logaddexp(b, nb))) for p, (b, nb) in beams.items()),
+        key=lambda kv: (-kv[1], kv[0]),
+    )
+    entries = [
+        (Labeling(p), math.exp(lm)) for p, lm in scored if math.exp(lm) > 0.0
+    ]
+    if not entries:
+        # all mass underflowed; keep the top prefix with a representable weight
+        entries = [(Labeling(scored[0][0]), 5e-324)]
+    return NBestList(tuple(entries))
 
 
 def finite_difference_grad(

@@ -28,6 +28,13 @@ class NegativeEntry(ValidationError):
         self.k = k
 
 
+class NonFiniteEntry(ValidationError):
+    def __init__(self, t: int, k: int, value: float):
+        super().__init__(f"non-finite posterior {value!r} at frame {t}, symbol {k}")
+        self.t = t
+        self.k = k
+
+
 class RowNotNormalized(ValidationError):
     def __init__(self, t: int, total: float):
         super().__init__(f"frame {t} sums to {total!r}, expected 1")
@@ -195,13 +202,17 @@ class LossResult:
 def validate_posteriors(m: PosteriorMatrix, v: Vocabulary, tol: float = 1e-6) -> None:
     """Check that ``m`` is a proper per-frame distribution over ``v``.
 
-    Raises ShapeMismatch, NegativeEntry, or RowNotNormalized; returns None when
-    the matrix is well formed.
+    Raises ShapeMismatch, NonFiniteEntry, NegativeEntry, or RowNotNormalized;
+    returns None when the matrix is well formed.
     """
     if m.vocab_size != len(v):
         raise ShapeMismatch(
             f"posterior has {m.vocab_size} columns but vocabulary has {len(v)} symbols"
         )
+    nonfinite = np.argwhere(~np.isfinite(m.frames))
+    if nonfinite.size:
+        t, k = (int(x) for x in nonfinite[0])
+        raise NonFiniteEntry(t, k, float(m.frames[t, k]))
     neg = np.argwhere(m.frames < 0.0)
     if neg.size:
         t, k = (int(x) for x in neg[0])

@@ -7,6 +7,7 @@ import pytest
 from softctc import (
     ConfusionNetwork,
     ConfusionSet,
+    DecodeConfig,
     Labeling,
     NBestList,
     PosteriorMatrix,
@@ -15,6 +16,8 @@ from softctc import (
     compile_cn,
     compile_nbest,
     ctc_loss,
+    decode_line,
+    greedy_decode,
     merge_cns,
     multi_ctc,
     prune,
@@ -35,6 +38,11 @@ AMBIGUOUS_LINE = np.array(
         [0.0025, 0.0025, 0.995],
     ]
 )
+
+
+# argmax path b, a collapses to "ba"; a beam of one keeps only "b", so the
+# listing must carry the greedy fallback entry the network was built with
+GREEDY_PRUNED_LINE = np.array([[0.1, 0.7, 0.2], [0.5, 0.3, 0.2]])
 
 
 @pytest.fixture
@@ -104,6 +112,29 @@ class TestDecodeCommand:
         assert rc == 0
         cn, _, _ = formats.read_cn(out_cn, V)
         assert not cn.normalized
+
+    @pytest.mark.parametrize("strategy", ["partial", "full"])
+    @pytest.mark.parametrize("frames, beam", [(AMBIGUOUS_LINE, 16), (GREEDY_PRUNED_LINE, 1)])
+    def test_nbest_listing_is_the_networks_source(self, tmp_path, frames, beam, strategy):
+        y = PosteriorMatrix(frames)
+        path = str(tmp_path / "line.post")
+        formats.write_posteriors(path, y, V)
+        out_cn = str(tmp_path / "line.cn")
+        out_nbest = str(tmp_path / "line.nbest")
+        rc = main(
+            ["decode", path, "--beam", str(beam), "--strategy", strategy,
+             "--out-cn", out_cn, "--out-nbest", out_nbest]
+        )
+        assert rc == 0
+        decoded = decode_line(y, V, DecodeConfig(beam_size=beam, strategy=strategy))
+        groups = formats.read_nbest(out_nbest, V)
+        assert tuple(seg for seg, _ in groups) == decoded.segments
+        assert tuple(nbest for _, nbest in groups) == decoded.nbests
+        for seg, nbest in groups:
+            greedy = greedy_decode(PosteriorMatrix(frames[seg.start : seg.end]), V)
+            assert greedy in [lab for lab, _ in nbest]
+        cn, _, _ = formats.read_cn(out_cn, V)
+        assert cn.sets == decoded.network.sets
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["decode", str(tmp_path / "absent.post")]) == 3
@@ -175,6 +206,14 @@ class TestLossCommand:
 
     def test_naive_requires_nbest(self, posterior_file):
         assert main(["loss", posterior_file, "--transcript", "a", "--naive"]) == 1
+
+    def test_nan_posterior_is_validation_error(self, tmp_path, capsys):
+        frames = AMBIGUOUS_LINE.copy()
+        frames[3, 0] = float("nan")
+        path = tmp_path / "nan.post"
+        formats.write_posteriors(path, PosteriorMatrix(frames), V)
+        assert main(["loss", str(path), "--transcript", "a"]) == 1
+        assert "non-finite posterior nan at frame 3, symbol 0" in capsys.readouterr().err
 
 
 class TestTransformCommand:

@@ -165,6 +165,16 @@ def test_gradient_zero_where_posterior_zero():
     assert np.all(result.grad[:, 1] == 0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_posterior_raises_instead_of_returning_nan(value):
+    # the kernel is reached without validation; a NaN or inf scale must not
+    # turn into a NaN loss with a silently zeroed gradient row
+    y = PosteriorMatrix(np.array([[0.7, 0.0, 0.3], [value, 0.2, 0.3], [0.5, 0.0, 0.5]]))
+    v = Vocabulary.from_characters("ab")
+    with pytest.raises(InfeasibleTarget):
+        ctc_loss(y, Labeling((0,)), v)
+
+
 def test_long_line_rescaling_stays_finite():
     rng = np.random.default_rng(19)
     v = Vocabulary.from_characters("ab")

@@ -6,17 +6,20 @@ import pytest
 from softctc import (
     ConfusionNetwork,
     DecodeConfig,
+    NBestList,
     Labeling,
     PosteriorMatrix,
     Segment,
     ValidationError,
     Vocabulary,
     ctc_forward_backward,
+    decode_line,
     decode_to_cn,
     greedy_decode,
     prefix_beam_search,
     segment_line,
 )
+from softctc.oracle import reference_prefix_beam_search
 
 VA = Vocabulary.from_characters("a")  # a=0, blank=1
 VAB = Vocabulary.from_characters("ab")  # a=0, b=1, blank=2
@@ -105,6 +108,68 @@ class TestPrefixBeamSearch:
         y = PosteriorMatrix(np.tile(row(3), (2, 1)))
         with pytest.raises(ValidationError):
             prefix_beam_search(y, VAB, 0)
+
+
+def beam_instances(rng, count):
+    """Random (posteriors, vocabulary, beam) triples for the reference check.
+
+    Cycles through plain random rows, rows with exact zeros, uniform rows
+    (every candidate ties, so only the symbol-tuple order decides), long runs
+    of one symbol, and unbounded beams (short lines, since the beam then holds
+    every prefix).  The blank sits
+    at a random index; the other beams range from 1 to 8.
+    """
+    for n in range(count):
+        kind = n % 5
+        vocab = int(rng.integers(2, 5 if kind == 4 else 7))
+        frames = int(rng.integers(1, 7 if kind == 4 else 13))
+        if kind == 2:
+            y = np.full((frames, vocab), 1.0 / vocab)
+        elif kind == 3:
+            y = np.full((frames, vocab), 0.02)
+            y[:, int(rng.integers(0, vocab))] = 1.0
+            y[rng.random(frames) < 0.2] = 1.0
+        else:
+            y = rng.dirichlet(np.full(vocab, 0.5), size=frames)
+        if kind == 1:
+            y[rng.random(y.shape) < 0.3] = 0.0
+            y[y.sum(axis=1) == 0.0, int(rng.integers(0, vocab))] = 1.0
+        y = y / y.sum(axis=1, keepdims=True)
+        beam = 10_000 if kind == 4 else int(rng.choice([1, 2, 3, 5, 8]))
+        v = Vocabulary(tuple(str(k) for k in range(vocab)), int(rng.integers(0, vocab)))
+        yield PosteriorMatrix(y), v, beam
+
+
+def assert_same_nbest(got: NBestList, want: NBestList):
+    assert [lab.symbols for lab, _ in got] == [lab.symbols for lab, _ in want]
+    for (_, w_got), (_, w_want) in zip(got, want):
+        assert w_got == pytest.approx(w_want, rel=1e-12, abs=0.0)
+
+
+class TestAgainstReferenceBeamSearch:
+    def test_random_instances(self):
+        rng = np.random.default_rng(101)
+        for y, v, beam in beam_instances(rng, 400):
+            assert_same_nbest(
+                prefix_beam_search(y, v, beam), reference_prefix_beam_search(y, v, beam)
+            )
+
+    def test_wide_vocabulary_ranks_many_candidates(self):
+        rng = np.random.default_rng(103)
+        v = Vocabulary(tuple(str(k) for k in range(40)), 39)
+        for _ in range(3):
+            y = PosteriorMatrix(rng.dirichlet(np.full(40, 0.2), size=30))
+            assert_same_nbest(
+                prefix_beam_search(y, v, 16), reference_prefix_beam_search(y, v, 16)
+            )
+
+    def test_underflowed_line_keeps_the_top_prefix(self):
+        rng = np.random.default_rng(107)
+        v = Vocabulary(tuple(str(k) for k in range(6)), 5)
+        y = PosteriorMatrix(rng.dirichlet(np.ones(6), size=1000))
+        nbest = prefix_beam_search(y, v, 3)
+        assert [w for _, w in nbest] == [5e-324]
+        assert_same_nbest(nbest, reference_prefix_beam_search(y, v, 3))
 
 
 class TestSegmentLine:
@@ -296,6 +361,41 @@ class TestDecodeToCn:
         assert recoverable(cn, greedy_decode(y, VAB).symbols)
         for s in cn.sets:
             assert s.total() == pytest.approx(1.0, rel=1e-9)
+
+
+# argmax path b, a collapses to "ba"; a beam of one keeps only "b"
+GREEDY_PRUNED_LINE = np.array([[0.1, 0.7, 0.2], [0.5, 0.3, 0.2]])
+
+
+class TestDecodeLine:
+    def test_network_is_decode_to_cn(self):
+        rng = np.random.default_rng(109)
+        for strategy in ("full", "partial"):
+            for normalize in (True, False):
+                y = rand_posteriors(rng, int(rng.integers(2, 9)))
+                cfg = DecodeConfig(beam_size=3, strategy=strategy)
+                decoded = decode_line(y, VAB, cfg, normalize)
+                assert decoded.network == decode_to_cn(y, VAB, cfg, normalize)
+
+    def test_each_segment_carries_its_source_nbest(self):
+        y = PosteriorMatrix(AMBIGUOUS_LINE)
+        decoded = decode_line(y, VAB, DecodeConfig())
+        assert decoded.segments == tuple(segment_line(y, VAB))
+        for seg, nbest in zip(decoded.segments, decoded.nbests):
+            part = PosteriorMatrix(y.frames[seg.start : seg.end])
+            if seg.confident:
+                assert nbest.entries == ((greedy_decode(part, VAB), 1.0),)
+            else:
+                assert nbest == prefix_beam_search(part, VAB, 16)
+
+    def test_pruned_greedy_labeling_is_listed_with_its_path_mass(self):
+        y = PosteriorMatrix(GREEDY_PRUNED_LINE)
+        decoded = decode_line(y, VAB, DecodeConfig(beam_size=1, strategy="full"))
+        assert decoded.segments == (Segment(0, 2, confident=False),)
+        (top, _), (greedy, mass) = decoded.nbests[0].entries
+        assert top.symbols == (1,)
+        assert greedy.symbols == (1, 0)
+        assert mass == pytest.approx(0.7 * 0.5, rel=1e-12)
 
 
 class TestDecodeConfig:

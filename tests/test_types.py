@@ -10,7 +10,7 @@ from softctc import (
     Vocabulary,
     validate_posteriors,
 )
-from softctc.types import NegativeEntry, RowNotNormalized
+from softctc.types import NegativeEntry, NonFiniteEntry, RowNotNormalized
 
 
 def test_vocabulary_from_characters():
@@ -86,6 +86,16 @@ def test_validate_posteriors_flags_negative_entry():
     with pytest.raises(NegativeEntry) as exc:
         validate_posteriors(m, v)
     assert exc.value.t == 0
+    assert exc.value.k == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_validate_posteriors_flags_non_finite_entry(value):
+    v = Vocabulary.from_characters("ab")
+    m = PosteriorMatrix(np.array([[0.5, 0.25, 0.25], [0.5, value, 0.5]]))
+    with pytest.raises(NonFiniteEntry) as exc:
+        validate_posteriors(m, v)
+    assert exc.value.t == 1
     assert exc.value.k == 1
 
 
