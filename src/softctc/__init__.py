@@ -31,7 +31,6 @@ from .confusion import (
     trivial_cn,
 )
 from .ctc import (
-    ForwardBackwardWorkspace,
     LinearTarget,
     build_linear_transition_matrix,
     ctc_forward_backward,
@@ -48,6 +47,7 @@ from .decoding import (
     prefix_beam_search,
     segment_line,
 )
+from .forward_backward import ForwardBackwardWorkspace
 from .loss import soft_ctc, soft_ctc_batch, soft_ctc_loss, soft_ctc_value_at
 from .types import (
     DegenerateSet,
@@ -66,6 +66,59 @@ from .types import (
     validate_posteriors,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CharacterConfusionGroup",
+    "CompiledTarget",
+    "TranscriptionConfusionModel",
+    "build_tcm",
+    "compile_cn",
+    "compile_nbest",
+    "compile_tcm",
+    "initial_vectors",
+    "ConfusionNetwork",
+    "ConfusionSet",
+    "best_path",
+    "build_cn",
+    "count_variant_paths",
+    "levenshtein_align",
+    "merge_cns",
+    "normalize_cn",
+    "outlier_metric",
+    "prune",
+    "smooth",
+    "trivial_cn",
+    "LinearTarget",
+    "build_linear_transition_matrix",
+    "ctc_forward_backward",
+    "ctc_loss",
+    "multi_ctc",
+    "DecodeConfig",
+    "DecodedLine",
+    "Segment",
+    "decode_line",
+    "decode_to_cn",
+    "greedy_decode",
+    "prefix_beam_search",
+    "segment_line",
+    "ForwardBackwardWorkspace",
+    "soft_ctc",
+    "soft_ctc_batch",
+    "soft_ctc_loss",
+    "soft_ctc_value_at",
+    "DegenerateSet",
+    "InfeasibleTarget",
+    "Labeling",
+    "LossResult",
+    "NBestList",
+    "NegativeEntry",
+    "NonFiniteEntry",
+    "PosteriorMatrix",
+    "RowNotNormalized",
+    "ShapeMismatch",
+    "TooLarge",
+    "ValidationError",
+    "Vocabulary",
+    "validate_posteriors",
+]
 
 __version__ = "0.1.0"

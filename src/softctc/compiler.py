@@ -59,12 +59,10 @@ class TranscriptionConfusionModel:
 class CompiledTarget:
     """Sparse transition matrix plus boundary vectors, ready for the kernel.
 
-    ``group_index`` and ``is_blank`` describe each state for diagnostics; the
-    transpose is cached because the backward pass runs it every frame.
+    ``group_index`` and ``is_blank`` describe each state for diagnostics.
     """
 
     transition: sp.csr_matrix
-    transition_t: sp.csr_matrix
     state_symbols: np.ndarray
     group_index: np.ndarray
     is_blank: np.ndarray
@@ -197,13 +195,7 @@ def compile_tcm(tcm: TranscriptionConfusionModel, v: Vocabulary) -> CompiledTarg
     transition.sort_indices()
     alpha_hat, beta_hat = initial_vectors(tcm)
     return CompiledTarget(
-        transition,
-        transition.T.tocsr(),
-        state_symbols,
-        group_index,
-        is_blank,
-        alpha_hat,
-        beta_hat,
+        transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat
     )
 
 
@@ -284,13 +276,7 @@ def compile_nbest(nbest: NBestList, v: Vocabulary) -> CompiledTarget:
     )
     transition.sort_indices()
     return CompiledTarget(
-        transition,
-        transition.T.tocsr(),
-        state_symbols,
-        group_index,
-        is_blank,
-        alpha_hat,
-        beta_hat,
+        transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat
     )
 
 

@@ -17,6 +17,16 @@ from typing import Iterable, Sequence
 from .types import Labeling, NBestList, ValidationError
 
 
+def _best_choice(alternatives: dict[int, float], null: float) -> tuple[int | None, float]:
+    """Highest-scoring choice; ties between symbols go to the smaller id,
+    and a tie between null and a symbol keeps the symbol."""
+    sym = min(alternatives, key=lambda k: (-alternatives[k], k))
+    score = alternatives[sym]
+    if null > score:
+        return None, null
+    return sym, score
+
+
 @dataclass(frozen=True, eq=True)
 class ConfusionSet:
     """One position of a confusion network.
@@ -50,13 +60,7 @@ class ConfusionSet:
         return len(self.alternatives) + (1 if self.null > 0.0 else 0)
 
     def best(self) -> tuple[int | None, float]:
-        """Highest-scoring choice; ties between symbols go to the smaller id,
-        and a tie between null and a symbol keeps the symbol."""
-        sym = min(self.alternatives, key=lambda k: (-self.alternatives[k], k))
-        score = self.alternatives[sym]
-        if self.null > score:
-            return None, self.null
-        return sym, score
+        return _best_choice(self.alternatives, self.null)
 
     def scaled(self, factor: float) -> "ConfusionSet":
         return ConfusionSet(
@@ -108,7 +112,7 @@ def normalize_cn(cn: ConfusionNetwork) -> ConfusionNetwork:
     return ConfusionNetwork(tuple(s.normalized() for s in cn.sets), normalized=True)
 
 
-def _best_positions(sets: Sequence[ConfusionSet]) -> tuple[list[int], list[int]]:
+def _best_positions(sets: Sequence[ConfusionSet | _RawSet]) -> tuple[list[int], list[int]]:
     """Best-path symbols and the indices of the sets they come from."""
     symbols: list[int] = []
     positions: list[int] = []
@@ -186,6 +190,9 @@ class _RawSet:
     def freeze(self) -> ConfusionSet:
         return ConfusionSet(self.alts, self.null)
 
+    def best(self) -> tuple[int | None, float]:
+        return _best_choice(self.alts, self.null)
+
 
 def _fold_hypothesis(
     sets: list[_RawSet], labeling: Sequence[int], weight: float, prior_mass: float
@@ -196,7 +203,7 @@ def _fold_hypothesis(
     opens a new set carrying ``prior_mass`` on null so per-set totals stay
     equal to the mass folded so far.
     """
-    pivot, positions = _best_positions([s.freeze() for s in sets])
+    pivot, positions = _best_positions(sets)
     ops = levenshtein_align(pivot, list(labeling))
     out: list[_RawSet] = []
     cursor = 0
@@ -271,8 +278,8 @@ def _merge_pair(
 ) -> list[_RawSet]:
     b_sets = [_RawSet(s.alternatives, s.null) for s in b.sets]
     b_total = b.total_score
-    pa, posa = _best_positions([s.freeze() for s in a_sets])
-    pb, posb = _best_positions([s.freeze() for s in b_sets])
+    pa, posa = _best_positions(a_sets)
+    pb, posb = _best_positions(b_sets)
     ops = levenshtein_align(pa, pb)
     out: list[_RawSet] = []
     ca = cb = 0
@@ -358,13 +365,8 @@ def prune(cn: ConfusionNetwork, cutoff: float = 0.01) -> ConfusionNetwork:
         probs = s.normalized()
         kept = {k: v for k, v in probs.alternatives.items() if v > cutoff}
         if not kept:
-            sym, _ = probs.best()
-            if sym is None:
-                sym = min(
-                    probs.alternatives,
-                    key=lambda k: (-probs.alternatives[k], k),
-                )
-            kept = {sym: probs.alternatives[sym]}
+            sym, score = _best_choice(probs.alternatives, 0.0)
+            kept = {sym: score}
         out.append(ConfusionSet(kept, probs.null).normalized())
     return ConfusionNetwork(tuple(out), normalized=True)
 

@@ -23,9 +23,8 @@ from .types import (
     ShapeMismatch,
     ValidationError,
     Vocabulary,
+    check_finite,
 )
-
-ForwardBackwardWorkspace = fb.ForwardBackwardWorkspace
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,18 +102,19 @@ def _check_posteriors(y: PosteriorMatrix, v: Vocabulary) -> None:
 
 def ctc_forward_backward(
     y: PosteriorMatrix, l: Labeling, v: Vocabulary
-) -> tuple[LossResult, ForwardBackwardWorkspace]:
+) -> tuple[LossResult, fb.ForwardBackwardWorkspace]:
     """Negative log probability of ``l`` and its gradient.
 
     Raises InfeasibleTarget when ``l`` cannot be aligned, e.g. when the frame
-    count is too small for the required states.
+    count is too small for the required states, and NonFiniteEntry on a NaN
+    or infinite posterior anywhere in ``y``.
     """
     _check_posteriors(y, v)
+    check_finite(y)
     target = build_linear_transition_matrix(l, v)
     loss, ws = fb.run_passes(
         y.frames,
         target.transition,
-        target.transition.T.tocsr(),
         target.state_symbols,
         target.initial_mask.astype(np.float64),
         target.final_mask.astype(np.float64),

@@ -4,6 +4,12 @@ Both the plain chain targets and compiled confusion-network targets run
 through this kernel.  Recursions stay in the linear domain; each frame's
 vectors are divided by their sum and the log scale factors are accumulated,
 so the matrix products never touch the log semiring.
+
+Each frame is one CSR matrix-vector product: the forward pass multiplies by
+the transpose (built once per call), the backward pass by the matrix itself.
+The workspace keeps the forward vectors from before the emission multiply,
+so a state's posterior term is the plain product of its forward and
+backward entries.
 """
 
 from __future__ import annotations
@@ -20,9 +26,11 @@ from .types import InfeasibleTarget
 class ForwardBackwardWorkspace:
     """Scaled passes plus the per-frame scale factors needed to undo them.
 
-    ``alphas[t]`` is the forward vector after dividing by ``alpha_scales[t]``;
-    the unscaled vector is ``alphas[t] * prod(alpha_scales[:t+1])`` and
-    symmetrically for the backward side.
+    ``alphas[t]`` is the forward vector at frame ``t`` before the emission
+    multiply, divided by ``alpha_scales[t]``: the unscaled forward vector is
+    ``alphas[t] * q[t] * prod(alpha_scales[:t+1])`` with ``q[t]`` the
+    emission of each state.  ``betas[t]`` includes the emission at ``t``; the
+    unscaled backward vector is ``betas[t] * prod(beta_scales[t:])``.
     """
 
     alphas: np.ndarray
@@ -43,7 +51,6 @@ class ForwardBackwardWorkspace:
 def run_passes(
     y: np.ndarray,
     transition: sp.csr_matrix,
-    transition_t: sp.csr_matrix,
     state_symbols: np.ndarray,
     alpha_init: np.ndarray,
     beta_final: np.ndarray,
@@ -57,23 +64,26 @@ def run_passes(
     """
     frames = y.shape[0]
     q = y[:, state_symbols]  # (T, S) emission slice per state
+    transition_t = transition.T.tocsr()
 
     alphas = np.empty_like(q)
     alpha_scales = np.empty(frames)
-    vec = alpha_init * q[0]
+    pre = alpha_init
     for t in range(frames):
         if t > 0:
-            vec = (vec @ transition) * q[t]
+            pre = transition_t @ vec
+        vec = pre * q[t]
         scale = vec.sum()
         if not 0.0 < scale < np.inf:  # also catches NaN
             raise InfeasibleTarget(
                 f"forward mass {scale!r} at frame {t}; target admits no alignment"
             )
-        vec = vec / scale
-        alphas[t] = vec
+        vec /= scale
+        alphas[t] = pre
         alpha_scales[t] = scale
+    alphas /= alpha_scales[:, None]
 
-    final = float(alphas[-1] @ beta_final)
+    final = float(vec @ beta_final)
     if not 0.0 < final < np.inf:
         raise InfeasibleTarget(f"final mass {final!r}; no admissible final state reachable")
     loss = -(np.log(alpha_scales).sum() + np.log(final))
@@ -83,12 +93,12 @@ def run_passes(
     vec = beta_final * q[-1]
     for t in range(frames - 1, -1, -1):
         if t < frames - 1:
-            vec = (vec @ transition_t) * q[t]
+            vec = (transition @ vec) * q[t]
         scale = vec.sum()
         if not 0.0 < scale < np.inf:
             # cannot happen when the forward pass found mass, but fail loudly
             raise InfeasibleTarget(f"backward mass {scale!r} at frame {t}")
-        vec = vec / scale
+        vec /= scale
         betas[t] = vec
         beta_scales[t] = scale
 
@@ -96,38 +106,42 @@ def run_passes(
     return float(loss), ws
 
 
-def state_posterior_terms(y: np.ndarray, ws: ForwardBackwardWorkspace) -> np.ndarray:
-    """Scaled alpha*beta/q per frame and state, with 0/0 read as 0.
+def state_posterior_terms(ws: ForwardBackwardWorkspace) -> np.ndarray:
+    """Scaled alpha*beta/q per frame and state.
 
-    Summed over states and unscaled, this is the target probability at any
-    frame; the invariance over frames is the standard consistency check.
+    The stored forward vectors predate the emission multiply, so this is
+    the plain product of the two passes; a state with zero emission has a
+    zero backward entry and gets 0.  Summed over states and unscaled, this
+    is the target probability at any frame; the invariance over frames is
+    the standard consistency check.
     """
-    q = y[:, ws.state_symbols]
-    terms = np.zeros_like(q)
-    np.divide(ws.alphas * ws.betas, q, out=terms, where=q > 0.0)
-    return terms
+    return ws.alphas * ws.betas
 
 
 def gradient(y: np.ndarray, ws: ForwardBackwardWorkspace) -> np.ndarray:
     """Gradient of the negative log probability with respect to ``y``.
 
-    Accumulates the state posterior terms into vocabulary bins and divides by
-    the emission once more; the per-frame normalizer is the term row sum, so
-    no global scale factors are needed.  Entries with zero emission get zero.
+    Accumulates the state posterior terms into vocabulary bins (one sparse
+    product with the state-to-symbol one-hot matrix) and divides by the
+    emission once more; the per-frame normalizer is the term row sum, so no
+    global scale factors are needed.  Entries with zero emission get zero.
     """
-    terms = state_posterior_terms(y, ws)
+    terms = state_posterior_terms(ws)
     row_totals = terms.sum(axis=1)
-    binned = np.zeros_like(y)
-    for s in range(ws.num_states):
-        binned[:, ws.state_symbols[s]] += terms[:, s]
+    states = ws.num_states
+    onehot = sp.csr_matrix(
+        (np.ones(states), ws.state_symbols, np.arange(states + 1)),
+        shape=(states, y.shape[1]),
+    )
+    binned = terms @ onehot
     grad = np.zeros_like(y)
     denom = row_totals[:, None] * y
     np.divide(-binned, denom, out=grad, where=denom > 0.0)
     return grad
 
 
-def posterior_mass_at(y: np.ndarray, ws: ForwardBackwardWorkspace, t: int) -> float:
+def posterior_mass_at(ws: ForwardBackwardWorkspace, t: int) -> float:
     """Unscaled total probability evaluated at frame ``t``."""
-    terms = state_posterior_terms(y, ws)
+    terms = state_posterior_terms(ws)
     log_scale = np.log(ws.alpha_scales[: t + 1]).sum() + np.log(ws.beta_scales[t:]).sum()
     return float(terms[t].sum() * np.exp(log_scale))

@@ -1,9 +1,9 @@
 """Brute-force reference implementations used to pin down expected values.
 
 Everything here works by exhaustive enumeration over alignment paths or
-per-set choices, or, for the beam search, by the plain one-candidate-at-a-time
-loop.  None of it shares logic with the fast paths; the only common ground is
-the data containers.  Sizes are guarded so a misuse fails loudly instead of
+per-set choices, or, for the beam search and the forward-backward kernel, by
+the plain loops the fast paths replaced.  None of it shares logic with the
+fast paths; the only common ground is the data containers.  Sizes are guarded so a misuse fails loudly instead of
 grinding.
 """
 
@@ -15,9 +15,11 @@ from collections import defaultdict
 from typing import Callable, Iterable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .confusion import ConfusionNetwork
 from .types import (
+    InfeasibleTarget,
     Labeling,
     NBestList,
     PosteriorMatrix,
@@ -198,6 +200,80 @@ def reference_prefix_beam_search(
         # all mass underflowed; keep the top prefix with a representable weight
         entries = [(Labeling(scored[0][0]), 5e-324)]
     return NBestList(tuple(entries))
+
+
+def reference_run_passes(
+    y: np.ndarray,
+    transition: sp.csr_matrix,
+    state_symbols: np.ndarray,
+    alpha_init: np.ndarray,
+    beta_final: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Rescaled forward-backward with row-vector products, one frame at a time.
+
+    The reference for :func:`softctc.forward_backward.run_passes`: same
+    recursions, scale checks and raises.  Returns (negative log probability,
+    alphas, betas), where ``alphas[t]`` is the scaled forward vector after
+    the emission multiply, unlike the kernel's workspace.
+    """
+    transition_t = transition.T.tocsr()
+    frames = y.shape[0]
+    q = y[:, state_symbols]  # (T, S) emission slice per state
+
+    alphas = np.empty_like(q)
+    alpha_scales = np.empty(frames)
+    vec = alpha_init * q[0]
+    for t in range(frames):
+        if t > 0:
+            vec = (vec @ transition) * q[t]
+        scale = vec.sum()
+        if not 0.0 < scale < np.inf:  # also catches NaN
+            raise InfeasibleTarget(
+                f"forward mass {scale!r} at frame {t}; target admits no alignment"
+            )
+        vec = vec / scale
+        alphas[t] = vec
+        alpha_scales[t] = scale
+
+    final = float(alphas[-1] @ beta_final)
+    if not 0.0 < final < np.inf:
+        raise InfeasibleTarget(f"final mass {final!r}; no admissible final state reachable")
+    loss = -(np.log(alpha_scales).sum() + np.log(final))
+
+    betas = np.empty_like(q)
+    beta_scales = np.empty(frames)
+    vec = beta_final * q[-1]
+    for t in range(frames - 1, -1, -1):
+        if t < frames - 1:
+            vec = (vec @ transition_t) * q[t]
+        scale = vec.sum()
+        if not 0.0 < scale < np.inf:
+            raise InfeasibleTarget(f"backward mass {scale!r} at frame {t}")
+        vec = vec / scale
+        betas[t] = vec
+        beta_scales[t] = scale
+    return float(loss), alphas, betas
+
+
+def reference_gradient(
+    y: np.ndarray, state_symbols: np.ndarray, alphas: np.ndarray, betas: np.ndarray
+) -> np.ndarray:
+    """Gradient from :func:`reference_run_passes`, binned one state at a time.
+
+    The terms are alpha*beta/q with 0/0 read as 0; the reference for
+    :func:`softctc.forward_backward.gradient`.
+    """
+    q = y[:, state_symbols]
+    terms = np.zeros_like(q)
+    np.divide(alphas * betas, q, out=terms, where=q > 0.0)
+    row_totals = terms.sum(axis=1)
+    binned = np.zeros_like(y)
+    for s in range(state_symbols.shape[0]):
+        binned[:, state_symbols[s]] += terms[:, s]
+    grad = np.zeros_like(y)
+    denom = row_totals[:, None] * y
+    np.divide(-binned, denom, out=grad, where=denom > 0.0)
+    return grad
 
 
 def finite_difference_grad(

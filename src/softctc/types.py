@@ -199,6 +199,18 @@ class LossResult:
         return -self.loss
 
 
+def check_finite(m: PosteriorMatrix) -> None:
+    """Raise NonFiniteEntry at the first NaN or infinite entry of ``m``.
+
+    The losses run this on every call: the kernel reads only the columns a
+    target uses, so without it a NaN elsewhere would pass unnoticed.
+    """
+    finite = np.isfinite(m.frames)
+    if not finite.all():
+        t, k = (int(x) for x in np.argwhere(~finite)[0])
+        raise NonFiniteEntry(t, k, float(m.frames[t, k]))
+
+
 def validate_posteriors(m: PosteriorMatrix, v: Vocabulary, tol: float = 1e-6) -> None:
     """Check that ``m`` is a proper per-frame distribution over ``v``.
 
@@ -209,10 +221,7 @@ def validate_posteriors(m: PosteriorMatrix, v: Vocabulary, tol: float = 1e-6) ->
         raise ShapeMismatch(
             f"posterior has {m.vocab_size} columns but vocabulary has {len(v)} symbols"
         )
-    nonfinite = np.argwhere(~np.isfinite(m.frames))
-    if nonfinite.size:
-        t, k = (int(x) for x in nonfinite[0])
-        raise NonFiniteEntry(t, k, float(m.frames[t, k]))
+    check_finite(m)
     neg = np.argwhere(m.frames < 0.0)
     if neg.size:
         t, k = (int(x) for x in neg[0])

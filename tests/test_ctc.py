@@ -7,6 +7,7 @@ from softctc import (
     InfeasibleTarget,
     Labeling,
     NBestList,
+    NonFiniteEntry,
     PosteriorMatrix,
     Vocabulary,
     ctc_forward_backward,
@@ -125,7 +126,7 @@ def test_posterior_mass_invariant_in_t():
             continue
         p = math.exp(result.log_likelihood)
         for t in range(frames):
-            assert posterior_mass_at(y.frames, ws, t) == pytest.approx(p, rel=1e-10)
+            assert posterior_mass_at(ws, t) == pytest.approx(p, rel=1e-10)
 
 
 def test_loss_permutation_invariant_under_relabeling():
@@ -167,12 +168,22 @@ def test_gradient_zero_where_posterior_zero():
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_posterior_raises_instead_of_returning_nan(value):
-    # the kernel is reached without validation; a NaN or inf scale must not
+    # the loss is reached without validation; a NaN or inf entry must not
     # turn into a NaN loss with a silently zeroed gradient row
     y = PosteriorMatrix(np.array([[0.7, 0.0, 0.3], [value, 0.2, 0.3], [0.5, 0.0, 0.5]]))
     v = Vocabulary.from_characters("ab")
-    with pytest.raises(InfeasibleTarget):
+    with pytest.raises(NonFiniteEntry) as exc:
         ctc_loss(y, Labeling((0,)), v)
+    assert (exc.value.t, exc.value.k) == (1, 0)
+
+
+def test_non_finite_entry_in_unused_column_raises():
+    # target "a" never reads column 1, so the kernel alone would not see it
+    y = PosteriorMatrix(np.array([[0.7, float("nan"), 0.3], [0.5, 0.0, 0.5]]))
+    v = Vocabulary.from_characters("ab")
+    with pytest.raises(NonFiniteEntry) as exc:
+        ctc_loss(y, Labeling((0,)), v)
+    assert (exc.value.t, exc.value.k) == (0, 1)
 
 
 def test_long_line_rescaling_stays_finite():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softctc import (
     ConfusionNetwork,
@@ -9,6 +11,7 @@ from softctc import (
     InfeasibleTarget,
     Labeling,
     NBestList,
+    NonFiniteEntry,
     PosteriorMatrix,
     ValidationError,
     Vocabulary,
@@ -88,6 +91,41 @@ def test_matches_enumeration_oracle_on_random_cns():
             continue
         assert math.exp(result.log_likelihood) == pytest.approx(expected, rel=1e-6)
         checked += 1
+
+
+PROBS = st.floats(0.05, 1.0)
+
+
+@st.composite
+def small_cns(draw):
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        syms = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2, unique=True))
+        raw = [draw(PROBS) for _ in syms]
+        null = draw(st.one_of(st.just(0.0), PROBS))
+        tot = sum(raw) + null
+        sets.append(ConfusionSet({s: p / tot for s, p in zip(syms, raw)}, null / tot))
+    return ConfusionNetwork(tuple(sets))
+
+
+@st.composite
+def small_posteriors(draw):
+    frames = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(PROBS, min_size=3, max_size=3), min_size=frames, max_size=frames))
+    y = np.array(rows)
+    return PosteriorMatrix(y / y.sum(axis=1, keepdims=True))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(cn=small_cns(), y=small_posteriors())
+def test_property_compiled_loss_matches_enumeration_oracle(cn, y):
+    expected = oracle_softctc(y, cn, V)
+    try:
+        result = soft_ctc_loss(y, compile_cn(cn, V))
+    except InfeasibleTarget:
+        assert expected == 0.0
+        return
+    assert math.exp(result.log_likelihood) == pytest.approx(expected, rel=1e-6)
 
 
 def test_infeasible_when_line_shorter_than_mandatory_groups():
@@ -188,3 +226,27 @@ def test_batch_maps_in_order():
     for (y, target), got in zip(items, batched):
         expected, _ = soft_ctc(y, target)
         assert got.loss == expected.loss
+
+
+class TestNonFiniteEntry:
+    # target "a" never reads column 1, so the kernel alone would not see it
+    Y = PosteriorMatrix(np.array([[0.7, float("nan"), 0.3], [0.5, 0.0, 0.5]]))
+    TARGET = compile_cn(trivial_cn(Labeling((0,))), V)
+
+    def test_loss_raises(self):
+        with pytest.raises(NonFiniteEntry) as exc:
+            soft_ctc_loss(self.Y, self.TARGET)
+        assert (exc.value.t, exc.value.k) == (0, 1)
+
+    def test_batch_raises(self):
+        rng = np.random.default_rng(71)
+        good = (rand_posteriors(rng, 2), self.TARGET)
+        with pytest.raises(NonFiniteEntry):
+            soft_ctc_batch([good, (self.Y, self.TARGET)])
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_value_at_raises_instead_of_reading_zero(self, value):
+        frames = np.array(self.Y.frames)
+        frames[0, 1] = value
+        with pytest.raises(NonFiniteEntry):
+            soft_ctc_value_at(PosteriorMatrix(frames), self.TARGET, 0)
