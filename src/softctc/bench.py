@@ -5,6 +5,7 @@ ambiguous bursts (roughly 15% of frames), mirroring the segment statistics
 the partial-line decoder expects.  Timings are wall clock, single threaded,
 warmup excluded; the n-best baseline is measured as beam-many sequential
 plain evaluations per line, the lower bound a per-variant loss cannot beat.
+The ``compile`` row times ``compile_cn`` on the batch's decoded networks.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compiler import CompiledTarget, compile_cn
+from .confusion import ConfusionNetwork
 from .ctc import ctc_forward_backward
 from .decoding import DecodeConfig, decode_to_cn, greedy_decode, segment_line
 from .loss import soft_ctc_loss
 from .types import Labeling, PosteriorMatrix, ValidationError, Vocabulary
 
-METHODS = ("ctc", "multictc", "softctc")
+METHODS = ("ctc", "multictc", "softctc", "compile")
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,7 @@ def synthetic_line(rng: np.random.Generator, frames: int, vocab: int) -> Posteri
 class _Prepared:
     posteriors: list[PosteriorMatrix] = field(default_factory=list)
     transcripts: list[Labeling] = field(default_factory=list)
+    networks: list[ConfusionNetwork] = field(default_factory=list)
     targets: list[CompiledTarget] = field(default_factory=list)
 
 
@@ -161,6 +164,7 @@ def _prepare(cfg: BenchConfig, batch: int, v: Vocabulary, rng: np.random.Generat
         cn = decode_to_cn(y, v, decode_cfg)
         prepared.posteriors.append(y)
         prepared.transcripts.append(greedy_decode(y, v))
+        prepared.networks.append(cn)
         prepared.targets.append(compile_cn(cn, v))
         sets += len(cn)
         for seg in segment_line(y, v, decode_cfg.confidence):
@@ -207,7 +211,11 @@ def run_bench(cfg: BenchConfig, v: Vocabulary | None = None) -> BenchReport:
             for y, target in zip(prepared.posteriors, prepared.targets):
                 soft_ctc_loss(y, target)
 
-        for method, fn in (("ctc", eval_ctc), ("multictc", eval_multictc), ("softctc", eval_softctc)):
+        def eval_compile():
+            for cn in prepared.networks:
+                compile_cn(cn, v)
+
+        for method, fn in zip(METHODS, (eval_ctc, eval_multictc, eval_softctc, eval_compile)):
             repeats = cfg.multictc_repeats if method == "multictc" else cfg.repeats
             warmup = min(cfg.warmup, 1) if method == "multictc" else cfg.warmup
             mean, std = _time(fn, repeats, warmup)
@@ -231,6 +239,7 @@ def render_report(report: BenchReport) -> str:
         f"unconfident fraction {report.unconfident_fraction:.3f}, "
         f"mean sets per network {report.mean_cn_sets:.1f}",
         "# multictc is measured as beam sequential plain evaluations per line",
+        "# compile is compile_cn on the decoded networks, not part of the loss rows",
         f"{'method':<10} {'batch':>5} {'mean_ms':>12} {'std_ms':>10} {'per_line_ms':>12}",
     ]
     for r in report.rows:

@@ -16,7 +16,6 @@ import scipy.sparse as sp
 from .confusion import ConfusionNetwork
 from .types import (
     DegenerateSet,
-    Labeling,
     NBestList,
     ValidationError,
     Vocabulary,
@@ -99,6 +98,54 @@ def build_tcm(cn: ConfusionNetwork) -> TranscriptionConfusionModel:
     return TranscriptionConfusionModel(tuple(groups))
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """Compiled state order of a confusion model, as flat per-state arrays.
+
+    Each group occupies ``offsets[g]`` (its blank) up to ``offsets[g + 1]``;
+    ``entry`` is a state's entry mass: the blank weight or the letter
+    probability.
+    """
+
+    epsilon: np.ndarray
+    letter_counts: np.ndarray
+    offsets: np.ndarray
+    group_index: np.ndarray
+    is_blank: np.ndarray
+    entry: np.ndarray
+
+
+def _layout(tcm: TranscriptionConfusionModel) -> _Layout:
+    groups = tcm.groups
+    epsilon = np.array([g.epsilon for g in groups], dtype=np.float64)
+    letter_counts = np.array([len(g.letters) for g in groups], dtype=np.int64)
+    offsets = np.zeros(len(groups) + 1, dtype=np.int64)
+    np.cumsum(letter_counts + 1, out=offsets[1:])
+    total_states = int(offsets[-1])
+    group_index = np.repeat(np.arange(len(groups), dtype=np.int64), letter_counts + 1)
+    is_blank = np.zeros(total_states, dtype=bool)
+    is_blank[offsets[:-1]] = True
+    entry = np.empty(total_states)
+    entry[offsets[:-1]] = [g.blank_weight for g in groups]
+    entry[~is_blank] = [p for g in groups for _, p in g.letters]
+    return _Layout(epsilon, letter_counts, offsets, group_index, is_blank, entry)
+
+
+def _boundary(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    eps = layout.epsilon
+    real = eps.shape[0] - 1  # the terminal group is never skipped over
+    # prefix_eps[g]: product of the epsilons before g, front to back;
+    # suffix_eps[g]: product over the real groups after g, back to front
+    prefix_eps = np.cumprod(np.concatenate(([1.0], eps[:-1])))
+    suffix_eps = np.zeros(eps.shape[0])
+    if real:
+        suffix_eps[:real] = np.cumprod(np.concatenate(([1.0], eps[real - 1 : 0 : -1])))[::-1]
+    alpha = prefix_eps[layout.group_index] * layout.entry
+    beta = np.where(layout.is_blank, 0.0, suffix_eps[layout.group_index])
+    beta[-1] = 1.0  # terminal blank accepts endings freely
+    return alpha, beta
+
+
 def initial_vectors(tcm: TranscriptionConfusionModel) -> tuple[np.ndarray, np.ndarray]:
     """Boundary weights per state, in compiled state order.
 
@@ -107,29 +154,35 @@ def initial_vectors(tcm: TranscriptionConfusionModel) -> tuple[np.ndarray, np.nd
     terminal blank always accepts endings at full weight, which is what makes
     a network of singleton sets behave exactly like the plain chain.
     """
-    sizes = [1 + len(g.letters) for g in tcm.groups]
-    total_states = sum(sizes)
-    alpha = np.zeros(total_states)
-    beta = np.zeros(total_states)
+    return _boundary(_layout(tcm))
 
-    suffix_eps = [0.0] * len(tcm.groups)
-    # product of epsilons over the real groups after g; terminal group excluded
-    acc = 1.0
-    for g in range(len(tcm.groups) - 2, -1, -1):
-        suffix_eps[g] = acc
-        acc *= tcm.groups[g].epsilon
 
-    state = 0
-    prefix_eps = 1.0
-    for g, group in enumerate(tcm.groups):
-        alpha[state] = prefix_eps * group.blank_weight
-        for j, (_, p) in enumerate(group.letters):
-            alpha[state + 1 + j] = prefix_eps * p
-            beta[state + 1 + j] = suffix_eps[g]
-        state += sizes[g]
-        prefix_eps *= group.epsilon
-    beta[total_states - 1] = 1.0  # terminal blank accepts endings freely
-    return alpha, beta
+def _skip_pairs(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source group, destination group, hop) for every cross-group jump.
+
+    ``hop`` is the skip mass of the groups strictly between the two.  All
+    source groups advance together one destination at a time, so each hop is
+    the same left-to-right product a per-source loop forms; a source stops
+    after the first destination that drives its hop to zero or at the last
+    group.
+    """
+    eps = layout.epsilon
+    last = eps.shape[0] - 1
+    src = np.flatnonzero(layout.letter_counts[:-1] > 0)
+    hop = np.ones(src.shape[0])
+    parts = []
+    hops = 1
+    while src.size:
+        dst = src + hops
+        parts.append((src, dst, hop))
+        hop = hop * eps[dst]
+        live = np.flatnonzero((hop != 0.0) & (dst < last))
+        src, hop = src[live], hop[live]
+        hops += 1
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0)
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
 def compile_tcm(tcm: TranscriptionConfusionModel, v: Vocabulary) -> CompiledTarget:
@@ -140,62 +193,62 @@ def compile_tcm(tcm: TranscriptionConfusionModel, v: Vocabulary) -> CompiledTarg
     pays the skip mass of the groups it hops over and the entry mass of its
     destination, stopping at the first unskippable group.  Same-symbol jumps
     are dropped so repeated letters must pass through a blank, exactly as in
-    the plain chain.
+    the plain chain.  Arcs of zero weight are left out.
     """
-    sizes = [1 + len(g.letters) for g in tcm.groups]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    total_states = int(offsets[-1])
-
+    layout = _layout(tcm)
+    total_states = layout.entry.shape[0]
+    letters = np.flatnonzero(~layout.is_blank)
+    letter_group = layout.group_index[letters]
+    raw_symbols = [sym for g in tcm.groups for sym, _ in g.letters]
+    symbols = np.array(raw_symbols, dtype=np.int64)
+    invalid = np.flatnonzero((symbols < 0) | (symbols >= len(v)) | (symbols == v.blank))
+    if invalid.size:
+        first = invalid[0]
+        raise ValidationError(
+            f"set {letter_group[first]} contains an invalid symbol {raw_symbols[first]}"
+        )
     state_symbols = np.full(total_states, v.blank, dtype=np.int64)
-    group_index = np.zeros(total_states, dtype=np.int64)
-    is_blank = np.ones(total_states, dtype=bool)
-    for g, group in enumerate(tcm.groups):
-        base = offsets[g]
-        group_index[base : base + sizes[g]] = g
-        for j, (sym, _) in enumerate(group.letters):
-            if not 0 <= sym < len(v) or sym == v.blank:
-                raise ValidationError(f"set {g} contains an invalid symbol {sym}")
-            state_symbols[base + 1 + j] = sym
-            is_blank[base + 1 + j] = False
+    state_symbols[letters] = symbols
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    # blank to letter within a group
+    inner_src = layout.offsets[letter_group]
+    blank_weight = layout.entry[inner_src]
+    unweighted = np.flatnonzero(blank_weight == 0.0)
+    if unweighted.size:
+        # the division below would give an infinite arc weight
+        raise ValidationError(
+            f"set {letter_group[unweighted[0]]} has letters but zero blank weight"
+        )
+    inner_w = layout.entry[letters] / blank_weight
 
-    def add(i: int, j: int, w: float):
-        if w != 0.0:
-            rows.append(i)
-            cols.append(j)
-            vals.append(w)
-
-    for s in range(total_states):
-        add(s, s, 1.0)
-    for g, group in enumerate(tcm.groups):
-        base = offsets[g]
-        for j, (_, p) in enumerate(group.letters):
-            add(base, base + 1 + j, p / group.blank_weight)
-        for j, (sym, _) in enumerate(group.letters):
-            src = base + 1 + j
-            hop = 1.0
-            for h in range(g + 1, len(tcm.groups)):
-                dst_base = offsets[h]
-                dest = tcm.groups[h]
-                add(src, dst_base, hop * dest.blank_weight)
-                for k, (dsym, dp) in enumerate(dest.letters):
-                    if dsym != sym:
-                        add(src, dst_base + 1 + k, hop * dp)
-                hop *= dest.epsilon
-                if hop == 0.0:
-                    break
-
-    transition = sp.csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))),
-        shape=(total_states, total_states),
+    # letter to every state of a later group: each (source, destination)
+    # group pair expands to source letters x destination states
+    src_group, dst_group, hop = _skip_pairs(layout)
+    dst_sizes = layout.letter_counts[dst_group] + 1
+    arcs = layout.letter_counts[src_group] * dst_sizes
+    pair = np.repeat(np.arange(arcs.shape[0]), arcs)
+    source_letter, dest_state = np.divmod(
+        np.arange(pair.shape[0]) - (np.cumsum(arcs) - arcs)[pair], dst_sizes[pair]
     )
+    cross_src = (layout.offsets[src_group] + 1)[pair] + source_letter
+    cross_dst = layout.offsets[dst_group][pair] + dest_state
+    cross_w = hop[pair] * layout.entry[cross_dst]
+
+    diagonal = np.arange(total_states)
+    rows = np.concatenate((diagonal, inner_src, cross_src))
+    cols = np.concatenate((diagonal, letters, cross_dst))
+    vals = np.concatenate((np.ones(total_states), inner_w, cross_w))
+    # keep the diagonal and every nonzero arc between different symbols: a
+    # blank never shares a letter's symbol, so this drops exactly the
+    # same-symbol jumps
+    kept = (vals != 0.0) & (state_symbols[rows] != state_symbols[cols])
+    kept[:total_states] = True
+    rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    transition = sp.csr_matrix((vals, (rows, cols)), shape=(total_states, total_states))
     transition.sort_indices()
-    alpha_hat, beta_hat = initial_vectors(tcm)
+    alpha_hat, beta_hat = _boundary(layout)
     return CompiledTarget(
-        transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat
+        transition, state_symbols, layout.group_index, layout.is_blank, alpha_hat, beta_hat
     )
 
 
@@ -278,10 +331,3 @@ def compile_nbest(nbest: NBestList, v: Vocabulary) -> CompiledTarget:
     return CompiledTarget(
         transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat
     )
-
-
-def linear_cn_target(l: Labeling, v: Vocabulary) -> CompiledTarget:
-    """Compile the trivial network of a single labeling (testing convenience)."""
-    from .confusion import trivial_cn
-
-    return compile_cn(trivial_cn(l), v)

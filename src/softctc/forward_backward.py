@@ -7,9 +7,11 @@ so the matrix products never touch the log semiring.
 
 Each frame is one CSR matrix-vector product: the forward pass multiplies by
 the transpose (built once per call), the backward pass by the matrix itself.
-The workspace keeps the forward vectors from before the emission multiply,
-so a state's posterior term is the plain product of its forward and
-backward entries.
+Both call scipy's ``csr_matvec`` routine on the CSR arrays directly and
+write into preallocated rows, so a frame allocates nothing and skips the
+sparse-matrix operator dispatch.  The workspace keeps the forward vectors
+from before the emission multiply, so a state's posterior term is the plain
+product of its forward and backward entries.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .types import InfeasibleTarget
 
@@ -64,22 +67,28 @@ def run_passes(
     """
     frames = y.shape[0]
     q = y[:, state_symbols]  # (T, S) emission slice per state
+    states = q.shape[1]
     transition_t = transition.T.tocsr()
+    # csr_matvec(n_row, n_col, indptr, indices, data, x, out) adds the
+    # product into ``out``: the routine ``csr_matrix @ vector`` ends in,
+    # called here without the per-frame dispatch and result allocation
+    forward = (states, states, transition_t.indptr, transition_t.indices, transition_t.data)
+    backward = (states, states, transition.indptr, transition.indices, transition.data)
 
-    alphas = np.empty_like(q)
+    alphas = np.zeros((frames, states))
     alpha_scales = np.empty(frames)
-    pre = alpha_init
+    vec = np.empty(states)
+    alphas[0] = alpha_init
     for t in range(frames):
         if t > 0:
-            pre = transition_t @ vec
-        vec = pre * q[t]
+            csr_matvec(*forward, vec, alphas[t])
+        np.multiply(alphas[t], q[t], out=vec)
         scale = vec.sum()
         if not 0.0 < scale < np.inf:  # also catches NaN
             raise InfeasibleTarget(
                 f"forward mass {scale!r} at frame {t}; target admits no alignment"
             )
         vec /= scale
-        alphas[t] = pre
         alpha_scales[t] = scale
     alphas /= alpha_scales[:, None]
 
@@ -88,18 +97,21 @@ def run_passes(
         raise InfeasibleTarget(f"final mass {final!r}; no admissible final state reachable")
     loss = -(np.log(alpha_scales).sum() + np.log(final))
 
-    betas = np.empty_like(q)
+    betas = np.empty((frames, states))
     beta_scales = np.empty(frames)
-    vec = beta_final * q[-1]
+    carried = np.empty(states)
+    np.multiply(beta_final, q[-1], out=betas[-1])
     for t in range(frames - 1, -1, -1):
+        vec = betas[t]
         if t < frames - 1:
-            vec = (transition @ vec) * q[t]
+            carried.fill(0.0)
+            csr_matvec(*backward, betas[t + 1], carried)
+            np.multiply(carried, q[t], out=vec)
         scale = vec.sum()
         if not 0.0 < scale < np.inf:
             # cannot happen when the forward pass found mass, but fail loudly
             raise InfeasibleTarget(f"backward mass {scale!r} at frame {t}")
         vec /= scale
-        betas[t] = vec
         beta_scales[t] = scale
 
     ws = ForwardBackwardWorkspace(alphas, betas, alpha_scales, beta_scales, state_symbols)
@@ -115,7 +127,10 @@ def state_posterior_terms(ws: ForwardBackwardWorkspace) -> np.ndarray:
     is the target probability at any frame; the invariance over frames is
     the standard consistency check.
     """
-    return ws.alphas * ws.betas
+    # frame-fastest (Fortran) layout: the binning product and the row totals
+    # run faster on it than on the row-major passes, and it fixes the order
+    # in which both sum
+    return np.multiply(ws.alphas, ws.betas, order="F")
 
 
 def gradient(y: np.ndarray, ws: ForwardBackwardWorkspace) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Brute-force reference implementations used to pin down expected values.
 
 Everything here works by exhaustive enumeration over alignment paths or
-per-set choices, or, for the beam search and the forward-backward kernel, by
-the plain loops the fast paths replaced.  None of it shares logic with the
-fast paths; the only common ground is the data containers.  Sizes are guarded so a misuse fails loudly instead of
-grinding.
+per-set choices, or, for the beam search, the target compiler and the
+forward-backward kernel, by the plain loops the fast paths replaced.  None
+of it shares logic with the fast paths; the only common ground is the data
+containers.  Sizes are guarded so a misuse fails loudly instead of grinding.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 import scipy.sparse as sp
 
+from .compiler import CompiledTarget, TranscriptionConfusionModel
 from .confusion import ConfusionNetwork
 from .types import (
     InfeasibleTarget,
@@ -200,6 +201,98 @@ def reference_prefix_beam_search(
         # all mass underflowed; keep the top prefix with a representable weight
         entries = [(Labeling(scored[0][0]), 5e-324)]
     return NBestList(tuple(entries))
+
+
+def _reference_initial_vectors(
+    tcm: TranscriptionConfusionModel,
+) -> tuple[np.ndarray, np.ndarray]:
+    sizes = [1 + len(g.letters) for g in tcm.groups]
+    total_states = sum(sizes)
+    alpha = np.zeros(total_states)
+    beta = np.zeros(total_states)
+
+    suffix_eps = [0.0] * len(tcm.groups)
+    # product of epsilons over the real groups after g; terminal group excluded
+    acc = 1.0
+    for g in range(len(tcm.groups) - 2, -1, -1):
+        suffix_eps[g] = acc
+        acc *= tcm.groups[g].epsilon
+
+    state = 0
+    prefix_eps = 1.0
+    for g, group in enumerate(tcm.groups):
+        alpha[state] = prefix_eps * group.blank_weight
+        for j, (_, p) in enumerate(group.letters):
+            alpha[state + 1 + j] = prefix_eps * p
+            beta[state + 1 + j] = suffix_eps[g]
+        state += sizes[g]
+        prefix_eps *= group.epsilon
+    beta[total_states - 1] = 1.0  # terminal blank accepts endings freely
+    return alpha, beta
+
+
+def reference_compile_tcm(tcm: TranscriptionConfusionModel, v: Vocabulary) -> CompiledTarget:
+    """Target compiler that appends one arc at a time, walking each jump.
+
+    The reference for :func:`softctc.compiler.compile_tcm`: same states,
+    arcs, weights, boundary vectors and raises, with every product formed in
+    the same order, so the two agree bitwise.
+    """
+    sizes = [1 + len(g.letters) for g in tcm.groups]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    total_states = int(offsets[-1])
+
+    state_symbols = np.full(total_states, v.blank, dtype=np.int64)
+    group_index = np.zeros(total_states, dtype=np.int64)
+    is_blank = np.ones(total_states, dtype=bool)
+    for g, group in enumerate(tcm.groups):
+        base = offsets[g]
+        group_index[base : base + sizes[g]] = g
+        for j, (sym, _) in enumerate(group.letters):
+            if not 0 <= sym < len(v) or sym == v.blank:
+                raise ValidationError(f"set {g} contains an invalid symbol {sym}")
+            state_symbols[base + 1 + j] = sym
+            is_blank[base + 1 + j] = False
+
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+
+    def add(i: int, j: int, w: float):
+        if w != 0.0:
+            rows.append(i)
+            cols.append(j)
+            vals.append(w)
+
+    for s in range(total_states):
+        add(s, s, 1.0)
+    for g, group in enumerate(tcm.groups):
+        base = offsets[g]
+        for j, (_, p) in enumerate(group.letters):
+            add(base, base + 1 + j, p / group.blank_weight)
+        for j, (sym, _) in enumerate(group.letters):
+            src = base + 1 + j
+            hop = 1.0
+            for h in range(g + 1, len(tcm.groups)):
+                dst_base = offsets[h]
+                dest = tcm.groups[h]
+                add(src, dst_base, hop * dest.blank_weight)
+                for k, (dsym, dp) in enumerate(dest.letters):
+                    if dsym != sym:
+                        add(src, dst_base + 1 + k, hop * dp)
+                hop *= dest.epsilon
+                if hop == 0.0:
+                    break
+
+    transition = sp.csr_matrix(
+        (np.array(vals), (np.array(rows), np.array(cols))),
+        shape=(total_states, total_states),
+    )
+    transition.sort_indices()
+    alpha_hat, beta_hat = _reference_initial_vectors(tcm)
+    return CompiledTarget(
+        transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat
+    )
 
 
 def reference_run_passes(

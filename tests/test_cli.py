@@ -403,7 +403,7 @@ class TestBenchCommand:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        for method in ("ctc", "multictc", "softctc"):
+        for method in ("ctc", "multictc", "softctc", "compile"):
             assert f"row method={method} batch=2" in out
         assert "ratio softctc/(beam*ctc)" in out
         assert "ratio softctc/multictc" in out

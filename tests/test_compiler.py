@@ -12,16 +12,25 @@ from softctc import (
     PosteriorMatrix,
     ValidationError,
     Vocabulary,
+    build_cn,
     build_tcm,
     compile_cn,
     compile_nbest,
     ctc_forward_backward,
+    merge_cns,
     multi_ctc,
+    smooth,
     soft_ctc,
     trivial_cn,
 )
-from softctc.compiler import compile_tcm, initial_vectors, linear_cn_target
+from softctc.compiler import (
+    CharacterConfusionGroup,
+    TranscriptionConfusionModel,
+    compile_tcm,
+    initial_vectors,
+)
 from softctc.ctc import build_linear_transition_matrix
+from softctc.oracle import reference_compile_tcm
 
 V3 = Vocabulary.from_characters("abc")
 
@@ -301,7 +310,158 @@ class TestCompileNbest:
             compile_nbest(nb, v)
 
 
-def test_linear_cn_target_convenience():
+def test_trivial_cn_target():
     v = Vocabulary.from_characters("ab")
-    target = linear_cn_target(v.encode("ab"), v)
+    target = compile_cn(trivial_cn(v.encode("ab")), v)
     assert target.num_states == 5
+
+
+class TestMatchesReferenceCompiler:
+    """The array-built compiler against the arc-at-a-time reference loop, bitwise."""
+
+    V = Vocabulary.from_characters("abcd")
+
+    @staticmethod
+    def assert_bitwise(tcm, v):
+        got, want = compile_tcm(tcm, v), reference_compile_tcm(tcm, v)
+        pairs = [
+            (name, getattr(got.transition, name), getattr(want.transition, name))
+            for name in ("indptr", "indices", "data")
+        ] + [
+            (name, getattr(got, name), getattr(want, name))
+            for name in ("state_symbols", "group_index", "is_blank", "alpha_hat", "beta_hat")
+        ]
+        for name, a, b in pairs:
+            assert a.dtype == b.dtype, name
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        assert got.transition.shape == want.transition.shape
+        return got
+
+    @staticmethod
+    def rand_cn(rng, null_rate):
+        sets = []
+        for _ in range(int(rng.integers(1, 25))):
+            # two letters out of four: repeats across skippable sets are common
+            k = int(rng.integers(1, 3))
+            syms = rng.choice(4, size=k, replace=False)
+            raw = rng.uniform(0.05, 1.0, size=k + 1)
+            null = raw[-1] if rng.random() < null_rate else 0.0
+            tot = raw[:k].sum() + null
+            sets.append(
+                ConfusionSet({int(s): float(p / tot) for s, p in zip(syms, raw[:k])}, float(null / tot))
+            )
+        return ConfusionNetwork(tuple(sets))
+
+    def rand_merged(self, rng):
+        raw = []
+        for _ in range(int(rng.integers(2, 5))):
+            entries = {}
+            for _ in range(int(rng.integers(1, 4))):
+                length = int(rng.integers(1, 8))
+                entries[tuple(int(s) for s in rng.integers(0, 4, size=length))] = float(
+                    rng.uniform(0.05, 1.0)
+                )
+            nbest = NBestList(tuple((Labeling(s), w) for s, w in entries.items()))
+            raw.append(build_cn(nbest, normalize=False))
+        return merge_cns(raw)
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(113)
+        null_sets = 0
+        for i in range(240):
+            kind = i % 4
+            if kind == 3:
+                cn = self.rand_merged(rng)
+            else:
+                cn = self.rand_cn(rng, null_rate=(0.0, 0.5, 0.9)[kind])
+            for variant in (cn, smooth(cn, 2.0), smooth(cn, np.inf)):
+                self.assert_bitwise(build_tcm(variant), self.V)
+            null_sets += sum(1 for s in cn.sets if s.null > 0.0)
+        assert null_sets > 500
+
+    def test_empty_network(self):
+        target = self.assert_bitwise(build_tcm(ConfusionNetwork(())), self.V)
+        assert target.num_states == 1
+        assert target.transition.nnz == 1
+
+    def test_exact_zero_epsilon_mid_network(self):
+        cn = cn_of(
+            ({0: 0.5}, 0.5),
+            ({1: 0.25, 2: 0.25}, 0.5),
+            ({0: 1.0}, 0.0),
+            ({0: 0.5, 3: 0.25}, 0.25),
+            ({1: 0.5}, 0.5),
+        )
+        target = self.assert_bitwise(build_tcm(cn), self.V)
+        # no jump from the first two groups reaches past the unskippable third
+        first_letter = 1
+        assert target.group_index[target.transition[first_letter].indices].max() == 2
+
+    def test_long_chain_breaks_where_the_hop_underflows(self):
+        cn = ConfusionNetwork(
+            tuple(ConfusionSet({i % 3: 0.999}, 0.001) for i in range(400))
+        )
+        target = self.assert_bitwise(build_tcm(cn), self.V)
+        # 0.001**k reaches exactly 0.0 after about 108 skipped groups, long
+        # before the chain ends, so the first letter's row stops there
+        reach = target.group_index[target.transition[1].indices].max()
+        assert 100 < reach < 120
+
+    def test_weight_underflowing_to_zero_is_left_out(self):
+        # the hop into the last set is subnormal but nonzero, and times the
+        # rare letter's probability it rounds to exactly 0.0
+        cn = cn_of(
+            ({0: 1.0}, 0.0),
+            ({1: 1.0}, 1e-300),
+            ({2: 1.0}, 1e-20),
+            ({1: 1e-5, 3: 1.0 - 1e-5}, 0.0),
+        )
+        target = self.assert_bitwise(build_tcm(cn), self.V)
+        row = target.transition[1]
+        last_group = np.flatnonzero(target.group_index == 3)
+        reached = set(row.indices[row.data > 0.0]) & set(last_group)
+        assert reached == {last_group[0], last_group[2]}  # blank and symbol 3
+        assert 0 < target.transition[1, last_group[2]] < 1e-300
+
+    def test_letterless_middle_group(self):
+        tcm = TranscriptionConfusionModel(
+            (
+                CharacterConfusionGroup(((0, 0.3), (1, 0.2)), 0.5, 0.5),
+                CharacterConfusionGroup((), 0.25, 0.75),
+                CharacterConfusionGroup(((1, 0.6),), 0.4, 0.6),
+                CharacterConfusionGroup((), 0.0, 1.0),
+            )
+        )
+        target = self.assert_bitwise(tcm, self.V)
+        assert target.num_states == 7
+
+    def test_zero_blank_weight_fails_loudly(self):
+        # the reference loop divides by it; the array build must not turn
+        # that into an infinite arc weight
+        tcm = TranscriptionConfusionModel(
+            (
+                CharacterConfusionGroup(((0, 0.5),), 0.5, 0.5),
+                CharacterConfusionGroup(((1, 1.0),), 1.0, 0.0),
+                CharacterConfusionGroup((), 0.0, 1.0),
+            )
+        )
+        with pytest.raises(ZeroDivisionError):
+            reference_compile_tcm(tcm, self.V)
+        with pytest.raises(ValidationError, match="set 1 has letters but zero blank weight"):
+            compile_tcm(tcm, self.V)
+
+    def test_invalid_symbol_names_the_first_offending_set(self):
+        tcm = TranscriptionConfusionModel(
+            (
+                CharacterConfusionGroup(((0, 1.0),), 0.0, 1.0),
+                CharacterConfusionGroup(((1, 0.5), (self.V.blank, 0.5)), 0.0, 1.0),
+                CharacterConfusionGroup(((9, 1.0),), 0.0, 1.0),
+                CharacterConfusionGroup((), 0.0, 1.0),
+            )
+        )
+        with pytest.raises(ValidationError) as want:
+            reference_compile_tcm(tcm, self.V)
+        with pytest.raises(ValidationError) as got:
+            compile_tcm(tcm, self.V)
+        assert str(got.value) == str(want.value) == "set 1 contains an invalid symbol 4"

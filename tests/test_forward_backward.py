@@ -158,3 +158,24 @@ def test_sparse_objects_per_call_do_not_grow_with_frames(monkeypatch):
         created.clear()
     assert counts[0] == counts[1] <= 2
 
+
+
+def test_frame_loops_make_no_sparse_operator_calls(monkeypatch):
+    # the products go straight to the CSR routine, not through scipy's
+    # operator dispatch, which used to cost more than the products themselves
+    sparse_base = pytest.importorskip("scipy.sparse._base")  # private: defines the operators
+    calls = []
+    for name in ("__matmul__", "__rmatmul__"):
+        original = getattr(sparse_base._spbase, name)
+
+        def counting(self, other, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(sparse_base._spbase, name, counting)
+
+    target = compile_cn(rand_cn(np.random.default_rng(127)), V)
+    args = kernel_inputs(target)
+    for frames in (20, 200):
+        fb.run_passes(rand_posteriors(np.random.default_rng(frames), frames), *args)
+        assert calls == []
