@@ -14,7 +14,6 @@ from .compiler import (
     compile_cn,
     compile_nbest,
     compile_tcm,
-    initial_vectors,
 )
 from .confusion import (
     ConfusionNetwork,
@@ -31,8 +30,6 @@ from .confusion import (
     trivial_cn,
 )
 from .ctc import (
-    LinearTarget,
-    build_linear_transition_matrix,
     ctc_forward_backward,
     ctc_loss,
     multi_ctc,
@@ -74,7 +71,6 @@ __all__ = [
     "compile_cn",
     "compile_nbest",
     "compile_tcm",
-    "initial_vectors",
     "ConfusionNetwork",
     "ConfusionSet",
     "best_path",
@@ -87,8 +83,6 @@ __all__ = [
     "prune",
     "smooth",
     "trivial_cn",
-    "LinearTarget",
-    "build_linear_transition_matrix",
     "ctc_forward_backward",
     "ctc_loss",
     "multi_ctc",

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import io as formats
 from .bench import BenchConfig, render_report, run_bench
@@ -88,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="rank networks by outlier metric and drop the worst")
     p.add_argument("files", nargs="+")
     p.add_argument("--drop-frac", type=float, required=True)
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("SOFTCTC_JOBS", "1")))
 
     p = sub.add_parser("bench", help="time the loss kernels on synthetic lines")
     p.add_argument("--batch", type=int, action="append", default=None)
@@ -221,16 +218,7 @@ def cmd_transform(args) -> int:
 def cmd_filter(args) -> int:
     if not 0.0 <= args.drop_frac < 1.0:
         raise ValidationError("drop fraction must be in [0, 1)")
-
-    def metric(path: str) -> float:
-        cn, _, _ = formats.read_cn(path)
-        return outlier_metric(cn)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            metrics = list(pool.map(metric, args.files))
-    else:
-        metrics = [metric(path) for path in args.files]
+    metrics = [outlier_metric(formats.read_cn(path)[0]) for path in args.files]
     ranked = sorted(zip(args.files, metrics), key=lambda fm: (fm[1], fm[0]))
     dropped = int(len(ranked) * args.drop_frac + 1e-12)
     cut = len(ranked) - dropped

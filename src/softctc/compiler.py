@@ -22,6 +22,7 @@ from .types import (
 )
 
 EPSILON_FLOOR = 1e-9
+WEIGHT_TOLERANCE = 1e-6  # same slack as a normalized network's set totals
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,13 @@ def _layout(tcm: TranscriptionConfusionModel) -> _Layout:
 
 
 def _boundary(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end weights per state, in compiled state order.
+
+    An alignment may start inside group g after skipping everything before it
+    and may end at a letter whose remaining groups are all skippable.  The
+    terminal blank always accepts endings at full weight, which is what makes
+    a network of singleton sets behave exactly like the plain chain.
+    """
     eps = layout.epsilon
     real = eps.shape[0] - 1  # the terminal group is never skipped over
     # prefix_eps[g]: product of the epsilons before g, front to back;
@@ -146,15 +154,29 @@ def _boundary(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-def initial_vectors(tcm: TranscriptionConfusionModel) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary weights per state, in compiled state order.
+def _check_weights(layout: _Layout, letter_group: np.ndarray) -> None:
+    """Reject a group whose weights are not a distribution.
 
-    An alignment may start inside group g after skipping everything before it
-    and may end at a letter whose remaining groups are all skippable.  The
-    terminal blank always accepts endings at full weight, which is what makes
-    a network of singleton sets behave exactly like the plain chain.
+    Epsilon, blank weight and letter probabilities must lie in [0, 1], the
+    letter probabilities above 0; the blank weight must be one minus epsilon
+    and, in a group with letters, their total.  NaN fails every comparison,
+    so it is rejected along with infinities and out-of-range values.
     """
-    return _boundary(_layout(tcm))
+    eps = layout.epsilon
+    blank = layout.entry[layout.offsets[:-1]]
+    letter_p = layout.entry[~layout.is_blank]
+    mass = np.bincount(letter_group, weights=letter_p, minlength=eps.shape[0])
+    bad = np.zeros(eps.shape[0], dtype=bool)
+    bad[letter_group[~((0.0 < letter_p) & (letter_p <= 1.0))]] = True
+    bad |= ~((0.0 <= eps) & (eps <= 1.0)) | ~((0.0 <= blank) & (blank <= 1.0))
+    bad |= np.abs(blank - (1.0 - eps)) > WEIGHT_TOLERANCE
+    bad |= (layout.letter_counts > 0) & (np.abs(mass - blank) > WEIGHT_TOLERANCE)
+    if bad.any():
+        g = int(np.flatnonzero(bad)[0])
+        raise ValidationError(
+            f"set {g} weights are not a distribution: epsilon {eps[g]!r}, "
+            f"blank weight {blank[g]!r}, letter mass {mass[g]!r}"
+        )
 
 
 def _skip_pairs(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,7 +215,9 @@ def compile_tcm(tcm: TranscriptionConfusionModel, v: Vocabulary) -> CompiledTarg
     pays the skip mass of the groups it hops over and the entry mass of its
     destination, stopping at the first unskippable group.  Same-symbol jumps
     are dropped so repeated letters must pass through a blank, exactly as in
-    the plain chain.  Arcs of zero weight are left out.
+    the plain chain.  Arcs of zero weight are left out.  Raises
+    ValidationError on an invalid symbol and on a group whose weights are not
+    a distribution.
     """
     layout = _layout(tcm)
     total_states = layout.entry.shape[0]
@@ -219,6 +243,7 @@ def compile_tcm(tcm: TranscriptionConfusionModel, v: Vocabulary) -> CompiledTarg
         raise ValidationError(
             f"set {letter_group[unweighted[0]]} has letters but zero blank weight"
         )
+    _check_weights(layout, letter_group)
     inner_w = layout.entry[letters] / blank_weight
 
     # letter to every state of a later group: each (source, destination)
@@ -259,75 +284,73 @@ def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
 def compile_nbest(nbest: NBestList, v: Vocabulary) -> CompiledTarget:
     """Encode an n-best list as parallel chains behind shared boundary blanks.
 
+    Each variant becomes the letter, blank, letter, ..., letter chain of plain
+    CTC: every state keeps a unit self-loop and feeds its successor, and a
+    letter may skip the blank after it only when the next letter differs.
     Variant weights are normalized to sum to one, placed on the edges leaving
     the initial blank and mirrored into the start weights so an alignment may
     begin directly at a first letter.  Endings are free at any final letter
     and at the shared final blank.  An empty variant contributes its weight
-    to starting directly in the final blank.
+    to starting directly in the final blank.  A one-entry list is the plain
+    CTC target of its labeling.
     """
-    total = nbest.total_weight
-    entries = [(labeling, weight / total) for labeling, weight in nbest]
+    lengths = np.array([len(labeling) for labeling, _ in nbest], dtype=np.int64)
+    weights = np.array([weight for _, weight in nbest]) / nbest.total_weight
+    symbols = np.array([sym for labeling, _ in nbest for sym in labeling], dtype=np.int64)
+    variant = np.repeat(np.arange(lengths.shape[0]), lengths)
+    invalid = np.flatnonzero((symbols >= len(v)) | (symbols == v.blank))
+    if invalid.size:
+        first = invalid[0]
+        raise ValidationError(
+            f"variant {variant[first]} contains an invalid symbol {symbols[first]}"
+        )
 
-    chain_offsets = []
-    state = 1  # state 0 is the shared initial blank
-    for labeling, _ in entries:
-        chain_offsets.append(state)
-        if len(labeling):
-            state += 2 * len(labeling) - 1
-    final_state = state
-    total_states = state + 1
+    # state 0 is the shared initial blank; variant i's chain of spans[i]
+    # states starts at bases[i], with its letters at even offsets
+    spans = np.maximum(2 * lengths - 1, 0)
+    bases = 1 + np.cumsum(spans) - spans
+    final_state = 1 + int(spans.sum())
+    total_states = final_state + 1
+    position = np.arange(symbols.shape[0]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    letters = bases[variant] + 2 * position
 
     state_symbols = np.full(total_states, v.blank, dtype=np.int64)
-    group_index = np.zeros(total_states, dtype=np.int64)
+    state_symbols[letters] = symbols
     is_blank = np.ones(total_states, dtype=bool)
-    group_index[final_state] = len(entries) + 1
+    is_blank[letters] = False
+    group_index = np.zeros(total_states, dtype=np.int64)
+    group_index[1:final_state] = np.repeat(np.arange(1, lengths.shape[0] + 1), spans)
+    group_index[final_state] = lengths.shape[0] + 1
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    chained = lengths > 0
+    firsts = bases[chained]
+    lasts = firsts + spans[chained] - 1
+    # every chain state but the last of its chain feeds its successor
+    in_chain = np.ones(total_states, dtype=bool)
+    in_chain[[0, final_state]] = False
+    in_chain[lasts] = False
+    successors = np.flatnonzero(in_chain)
+    skips = letters[:-1][(variant[1:] == variant[:-1]) & (symbols[1:] != symbols[:-1])]
 
-    def add(i: int, j: int, w: float):
-        rows.append(i)
-        cols.append(j)
-        vals.append(w)
+    # entry arcs first: they carry the variant weights, every other arc is 1
+    diagonal = np.arange(total_states)
+    rows = np.concatenate((np.zeros_like(firsts), diagonal, successors, skips, lasts))
+    cols = np.concatenate(
+        (firsts, diagonal, successors + 1, skips + 2, np.full_like(lasts, final_state))
+    )
+    vals = np.ones(rows.shape[0])
+    vals[: firsts.shape[0]] = weights[chained]
+    transition = sp.csr_matrix((vals, (rows, cols)), shape=(total_states, total_states))
+    transition.sort_indices()
 
     alpha_hat = np.zeros(total_states)
-    beta_hat = np.zeros(total_states)
     alpha_hat[0] = 1.0
+    alpha_hat[firsts] = weights[chained]
+    # labelings are distinct, so at most one variant is empty
+    alpha_hat[final_state] = weights[~chained].sum()
+    beta_hat = np.zeros(total_states)
+    beta_hat[lasts] = 1.0
     beta_hat[final_state] = 1.0
-
-    add(0, 0, 1.0)
-    add(final_state, final_state, 1.0)
-    for idx, (labeling, weight) in enumerate(entries):
-        symbols = list(labeling)
-        if not symbols:
-            alpha_hat[final_state] += weight
-            continue
-        base = chain_offsets[idx]
-        span = 2 * len(symbols) - 1
-        group_index[base : base + span] = idx + 1
-        for i, sym in enumerate(symbols):
-            if not 0 <= sym < len(v) or sym == v.blank:
-                raise ValidationError(f"variant {idx} contains an invalid symbol {sym}")
-            state_symbols[base + 2 * i] = sym
-            is_blank[base + 2 * i] = False
-        add(0, base, weight)
-        alpha_hat[base] = weight
-        for s in range(base, base + span):
-            add(s, s, 1.0)
-            if s + 1 < base + span:
-                add(s, s + 1, 1.0)
-        for i in range(len(symbols) - 1):
-            if symbols[i] != symbols[i + 1]:
-                add(base + 2 * i, base + 2 * i + 2, 1.0)
-        add(base + span - 1, final_state, 1.0)
-        beta_hat[base + span - 1] = 1.0
-
-    transition = sp.csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))),
-        shape=(total_states, total_states),
-    )
-    transition.sort_indices()
     return CompiledTarget(
         transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat
     )

@@ -31,9 +31,10 @@ def _best_choice(alternatives: dict[int, float], null: float) -> tuple[int | Non
 class ConfusionSet:
     """One position of a confusion network.
 
-    ``alternatives`` maps symbol id to a positive score; ``null`` carries the
-    skip mass.  A set consisting of null alone is forbidden; transformations
-    that would produce one drop the set instead.
+    ``alternatives`` maps symbol id to a positive finite score; ``null``
+    carries the finite, nonnegative skip mass.  A set consisting of null
+    alone is forbidden; transformations that would produce one drop the set
+    instead.
     """
 
     alternatives: dict[int, float]
@@ -45,10 +46,11 @@ class ConfusionSet:
         object.__setattr__(self, "null", float(self.null))
         if not alts:
             raise ValidationError("a confusion set needs at least one alternative")
-        if any(v <= 0.0 for v in alts.values()):
-            raise ValidationError("alternative scores must be positive")
-        if self.null < 0.0:
-            raise ValidationError("null score must be nonnegative")
+        # written so that NaN fails each check
+        if any(not 0.0 < v < math.inf for v in alts.values()):
+            raise ValidationError("alternative scores must be positive and finite")
+        if not 0.0 <= self.null < math.inf:
+            raise ValidationError("null score must be nonnegative and finite")
 
     __hash__ = None
 

@@ -1,8 +1,8 @@
-"""Loss over compiled confusion-network targets.
+"""Loss over compiled targets.
 
-Runs the same rescaled forward-backward kernel as the plain chain loss; the
-only difference is the richer transition matrix and the weighted boundary
-vectors of the compiled target.
+Every target is a :class:`~softctc.compiler.CompiledTarget`: a compiled
+confusion network, an n-best list, or plain CTC's one-entry n-best list,
+which :mod:`softctc.ctc` scores through :func:`soft_ctc` as well.
 """
 
 from __future__ import annotations

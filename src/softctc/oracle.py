@@ -235,8 +235,10 @@ def reference_compile_tcm(tcm: TranscriptionConfusionModel, v: Vocabulary) -> Co
     """Target compiler that appends one arc at a time, walking each jump.
 
     The reference for :func:`softctc.compiler.compile_tcm`: same states,
-    arcs, weights, boundary vectors and raises, with every product formed in
-    the same order, so the two agree bitwise.
+    arcs, weights and boundary vectors, with every product formed in the
+    same order, so the two agree bitwise.  Its one check is the
+    invalid-symbol raise, with the same message; it divides by a zero blank
+    weight and does not check that group weights form a distribution.
     """
     sizes = [1 + len(g.letters) for g in tcm.groups]
     offsets = np.concatenate(([0], np.cumsum(sizes)))

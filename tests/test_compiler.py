@@ -7,6 +7,7 @@ from softctc import (
     ConfusionNetwork,
     ConfusionSet,
     DegenerateSet,
+    InfeasibleTarget,
     Labeling,
     NBestList,
     PosteriorMatrix,
@@ -16,7 +17,6 @@ from softctc import (
     build_tcm,
     compile_cn,
     compile_nbest,
-    ctc_forward_backward,
     merge_cns,
     multi_ctc,
     smooth,
@@ -27,10 +27,8 @@ from softctc.compiler import (
     CharacterConfusionGroup,
     TranscriptionConfusionModel,
     compile_tcm,
-    initial_vectors,
 )
-from softctc.ctc import build_linear_transition_matrix
-from softctc.oracle import reference_compile_tcm
+from softctc.oracle import enumerate_ctc, reference_compile_tcm
 
 V3 = Vocabulary.from_characters("abc")
 
@@ -86,7 +84,8 @@ class TestCompileStructure:
         v = Vocabulary.from_characters("ACT")
         lab = v.encode("CAT")
         compiled = compile_cn(trivial_cn(lab), v)
-        linear = build_linear_transition_matrix(lab, v)
+        # plain CTC's chain, built by the independent n-best builder
+        linear = compile_nbest(NBestList(((lab, 1.0),)), v)
         assert compiled.num_states == 7
         assert np.array_equal(
             compiled.transition.toarray(), linear.transition.toarray()
@@ -203,7 +202,8 @@ class TestCompileStructure:
 class TestInitialVectors:
     def test_skippable_first_group_opens_later_starts(self):
         tcm = build_tcm(cn_of(({0: 0.5}, 0.5), ({1: 1.0}, 0.0)))
-        alpha, beta = initial_vectors(tcm)
+        target = compile_tcm(tcm, V3)
+        alpha, beta = target.alpha_hat, target.beta_hat
         # states: [#, a], [#, b], [#]
         assert alpha[0] == pytest.approx(0.5)  # blank entry 1 - eps
         assert alpha[1] == pytest.approx(0.5)  # p(a)
@@ -213,7 +213,7 @@ class TestInitialVectors:
 
     def test_beta_counts_remaining_skip_mass(self):
         tcm = build_tcm(cn_of(({0: 1.0}, 0.0), ({1: 0.3}, 0.7)))
-        _, beta = initial_vectors(tcm)
+        beta = compile_tcm(tcm, V3).beta_hat
         # states: [#, a], [#, b], [#]
         assert beta[1] == pytest.approx(0.7)  # 'a' may end if group 1 is skipped
         assert beta[3] == pytest.approx(1.0)  # 'b' is last real letter
@@ -222,7 +222,8 @@ class TestInitialVectors:
 
     def test_all_epsilon_zero_pattern(self):
         tcm = build_tcm(cn_of(({0: 1.0}, 0.0), ({1: 1.0}, 0.0)))
-        alpha, beta = initial_vectors(tcm)
+        target = compile_tcm(tcm, V3)
+        alpha, beta = target.alpha_hat, target.beta_hat
         assert np.array_equal(np.flatnonzero(alpha), [0, 1])
         assert np.array_equal(np.flatnonzero(beta), [3, 4])
 
@@ -236,7 +237,8 @@ class TestCompileNbest:
         rng = np.random.default_rng(37)
         y = rng.uniform(0.05, 1.0, size=(6, 4))
         y = PosteriorMatrix(y / y.sum(axis=1, keepdims=True))
-        plain, _ = ctc_forward_backward(y, lab, v)
+        # the same chain from the network compiler, which shares no code
+        plain, _ = soft_ctc(y, compile_cn(trivial_cn(lab), v))
         soft, _ = soft_ctc(y, target)
         assert soft.loss == pytest.approx(plain.loss, abs=1e-12)
 
@@ -298,10 +300,44 @@ class TestCompileNbest:
             nb = NBestList(tuple((Labeling(t), float(x)) for t, x in zip(sorted(labs), w)))
             try:
                 naive = multi_ctc(y, nb, v)
-            except Exception:
+            except InfeasibleTarget:
                 continue
             soft, _ = soft_ctc(y, compile_nbest(nb, v))
             assert abs(soft.loss - naive.loss) < 1e-8
+
+    def test_matches_enumeration_on_random_lists(self):
+        # the judge shares no code with the compiler: sum_i (w_i / W) times
+        # the enumerated probability of each variant; a one-entry list is
+        # plain CTC
+        rng = np.random.default_rng(43)
+        v = Vocabulary.from_characters("ab")
+        seen = dict.fromkeys(("one_entry", "empty", "repeat", "infeasible"), 0)
+        for _ in range(400):
+            frames = int(rng.integers(1, 6))
+            y = rng.uniform(0.05, 1.0, size=(frames, 3))
+            y[rng.random(y.shape) < 0.1] = 0.0
+            y[:, 2] += 1e-3  # rows stay positive
+            y = PosteriorMatrix(y / y.sum(axis=1, keepdims=True))
+            labs = set()
+            while len(labs) < rng.integers(1, 5):
+                labs.add(tuple(int(x) for x in rng.integers(0, 2, size=rng.integers(0, 5))))
+            nb = NBestList(
+                tuple((Labeling(t), float(rng.uniform(0.05, 1.0))) for t in sorted(labs))
+            )
+            expected = sum(
+                w / nb.total_weight * enumerate_ctc(y, lab, v) for lab, w in nb
+            )
+            seen["one_entry"] += len(nb) == 1
+            seen["empty"] += () in labs
+            seen["repeat"] += any(a == b for t in labs for a, b in zip(t, t[1:]))
+            try:
+                soft, _ = soft_ctc(y, compile_nbest(nb, v))
+            except InfeasibleTarget:
+                assert expected == 0.0
+                seen["infeasible"] += 1
+                continue
+            assert math.exp(-soft.loss) == pytest.approx(expected, rel=1e-9)
+        assert min(seen.values()) >= 20, seen
 
     def test_rejects_blank_in_variant(self):
         v = Vocabulary.from_characters("a")
@@ -449,6 +485,31 @@ class TestMatchesReferenceCompiler:
         with pytest.raises(ZeroDivisionError):
             reference_compile_tcm(tcm, self.V)
         with pytest.raises(ValidationError, match="set 1 has letters but zero blank weight"):
+            compile_tcm(tcm, self.V)
+
+    @pytest.mark.parametrize(
+        "letters, epsilon, blank_weight",
+        [
+            (((1, 0.5),), 0.7, 0.3),  # mass 1.2
+            (((1, 1.5),), -0.5, 1.5),
+            (((1, 1.0),), float("nan"), 1.0),
+            (((1, float("nan")),), 0.0, 1.0),
+            (((1, float("inf")),), 0.0, 1.0),
+            (((1, 0.0), (2, 1.0)), 0.0, 1.0),  # a letter of probability 0
+            (((1, 0.4), (2, 0.4)), 0.2, 0.7),  # blank weight is not 1 - epsilon
+            ((), 0.5, 0.7),  # letterless, same
+        ],
+    )
+    def test_inconsistent_group_weights_are_rejected(self, letters, epsilon, blank_weight):
+        # the reference compiles these silently into out-of-range weights
+        tcm = TranscriptionConfusionModel(
+            (
+                CharacterConfusionGroup(((0, 0.5),), 0.5, 0.5),
+                CharacterConfusionGroup(letters, epsilon, blank_weight),
+                CharacterConfusionGroup((), 0.0, 1.0),
+            )
+        )
+        with pytest.raises(ValidationError, match="set 1 weights are not a distribution"):
             compile_tcm(tcm, self.V)
 
     def test_invalid_symbol_names_the_first_offending_set(self):

@@ -51,6 +51,13 @@ class TestConfusionSet:
         with pytest.raises(ValidationError):
             ConfusionSet({0: 1.0}, -0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_scores(self, value):
+        with pytest.raises(ValidationError, match="alternative scores"):
+            ConfusionSet({0: value, 1: 0.5})
+        with pytest.raises(ValidationError, match="null score"):
+            ConfusionSet({0: 0.5}, value)
+
     def test_size_counts_null_only_when_present(self):
         assert ConfusionSet({0: 0.5, 1: 0.5}).size() == 2
         assert ConfusionSet({0: 0.5, 1: 0.3}, 0.2).size() == 3

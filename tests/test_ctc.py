@@ -9,12 +9,14 @@ from softctc import (
     NBestList,
     NonFiniteEntry,
     PosteriorMatrix,
+    ValidationError,
     Vocabulary,
+    compile_nbest,
     ctc_forward_backward,
     ctc_loss,
     multi_ctc,
+    soft_ctc,
 )
-from softctc.ctc import build_linear_transition_matrix
 from softctc.forward_backward import posterior_mass_at
 from softctc.oracle import enumerate_ctc, finite_difference_grad
 
@@ -65,14 +67,22 @@ def test_zero_posterior_on_only_path_is_infeasible():
         ctc_forward_backward(y, Labeling((0,)), VA)
 
 
+def plain_target(l, v):
+    """The target plain CTC scores: the one-entry n-best list of ``l``."""
+    return compile_nbest(NBestList(((l, 1.0),)), v)
+
+
 class TestLinearTransitionMatrix:
     def test_cat_structure(self):
         v = Vocabulary.from_characters("ACT")
-        target = build_linear_transition_matrix(v.encode("CAT"), v)
+        target = plain_target(v.encode("CAT"), v)
         a = target.transition.toarray()
         assert a.shape == (7, 7)
-        assert np.array_equal(np.flatnonzero(target.initial_mask), [0, 1])
-        assert np.array_equal(np.flatnonzero(target.final_mask), [5, 6])
+        # starts at the first blank or letter, ends at the last letter or blank
+        assert np.array_equal(np.flatnonzero(target.alpha_hat), [0, 1])
+        assert np.all(target.alpha_hat[[0, 1]] == 1.0)
+        assert np.array_equal(np.flatnonzero(target.beta_hat), [5, 6])
+        assert np.all(target.beta_hat[[5, 6]] == 1.0)
         # states: # C # A # T #
         assert list(target.state_symbols[1::2]) == list(v.encode("CAT").symbols)
         assert all(target.state_symbols[i] == v.blank_index for i in range(0, 7, 2))
@@ -85,14 +95,28 @@ class TestLinearTransitionMatrix:
         assert np.allclose(a, np.triu(a))
 
     def test_repeated_letter_has_no_skip(self):
-        target = build_linear_transition_matrix(Labeling((0, 0)), VA)
+        target = plain_target(Labeling((0, 0)), VA)
         a = target.transition.toarray()
         assert a[1, 3] == 0.0
 
     def test_empty_labeling_single_blank_state(self):
-        target = build_linear_transition_matrix(Labeling(()), VA)
-        assert target.transition.toarray().tolist() == [[1.0]]
-        assert list(target.state_symbols) == [VA.blank_index]
+        # the two boundary blanks; every alignment stays in the final one,
+        # since the initial blank has no exit and accepts no ending
+        target = plain_target(Labeling(()), VA)
+        assert target.transition.toarray().tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert list(target.state_symbols) == [VA.blank_index] * 2
+        assert list(target.alpha_hat) == [1.0, 1.0]
+        assert list(target.beta_hat) == [0.0, 1.0]
+        y = PosteriorMatrix(np.array([[0.6, 0.4], [0.5, 0.5], [0.1, 0.9]]))
+        result, _ = soft_ctc(y, target)
+        assert math.exp(-result.loss) == pytest.approx(0.4 * 0.5 * 0.9, rel=1e-12)
+
+
+@pytest.mark.parametrize("symbol", [1, 2])
+def test_invalid_symbol_is_rejected(symbol):
+    # 1 is the blank of VA, 2 lies outside it
+    with pytest.raises(ValidationError, match=f"variant 0 contains an invalid symbol {symbol}"):
+        ctc_loss(PosteriorMatrix(np.full((3, 2), 0.5)), Labeling((0, symbol)), VA)
 
 
 def test_matches_oracle_on_small_random_instances():

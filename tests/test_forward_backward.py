@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from softctc import (
-    CompiledTarget,
     ConfusionNetwork,
     ConfusionSet,
     InfeasibleTarget,
@@ -10,7 +9,6 @@ from softctc import (
     NBestList,
     Vocabulary,
     build_cn,
-    build_linear_transition_matrix,
     compile_cn,
     compile_nbest,
     merge_cns,
@@ -58,14 +56,7 @@ def rand_cn(rng, num_sets=None):
 
 
 def kernel_inputs(target):
-    if isinstance(target, CompiledTarget):
-        return target.transition, target.state_symbols, target.alpha_hat, target.beta_hat
-    return (
-        target.transition,
-        target.state_symbols,
-        target.initial_mask.astype(np.float64),
-        target.final_mask.astype(np.float64),
-    )
+    return target.transition, target.state_symbols, target.alpha_hat, target.beta_hat
 
 
 def rand_target(rng, kind):
@@ -79,7 +70,8 @@ def rand_target(rng, kind):
         return compile_cn(smooth(rand_cn(rng), float(rng.choice([2.0, np.inf]))), V)
     if kind == "nbest":
         return compile_nbest(rand_nbest(rng), V)
-    return build_linear_transition_matrix(rand_labeling(rng, max_len=5), V)
+    # the plain CTC target: a one-entry list
+    return compile_nbest(NBestList(((rand_labeling(rng, max_len=5), 1.0),)), V)
 
 
 def pinned(y, target):

@@ -181,6 +181,13 @@ class TestCnRoundTrip:
         with pytest.raises(ValidationError):
             read_cn(io.StringIO(text), V)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_non_finite_value(self, value):
+        # float() parses both; a NaN score also passes the normalized check
+        text = f"# confusion-network v1\nsets 1\nset a {value} b 0.5\n"
+        with pytest.raises(ValidationError):
+            read_cn(io.StringIO(text), V)
+
 
 class TestNbestRoundTrip:
     def test_segment_groups_round_trip(self):
