@@ -7,13 +7,9 @@ at a cost independent of the number of variants.
 """
 
 from .compiler import (
-    CharacterConfusionGroup,
     CompiledTarget,
-    TranscriptionConfusionModel,
-    build_tcm,
     compile_cn,
     compile_nbest,
-    compile_tcm,
 )
 from .confusion import (
     ConfusionNetwork,
@@ -64,13 +60,9 @@ from .types import (
 )
 
 __all__ = [
-    "CharacterConfusionGroup",
     "CompiledTarget",
-    "TranscriptionConfusionModel",
-    "build_tcm",
     "compile_cn",
     "compile_nbest",
-    "compile_tcm",
     "ConfusionNetwork",
     "ConfusionSet",
     "best_path",

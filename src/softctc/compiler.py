@@ -1,9 +1,9 @@
 """Compile confusion networks and n-best lists into sparse alignment targets.
 
-Each confusion set becomes a character confusion group: one blank state plus
-one state per letter alternative, with the skip (null) mass folded into the
-transition weights.  A terminal blank-only group is appended so alignments
-may end on trailing blanks exactly like the plain chain targets.
+Each set of a normalized confusion network becomes a group: one blank state
+plus one state per letter alternative, with the skip (null) mass folded into
+the transition weights.  A terminal blank-only group is appended so
+alignments may end on trailing blanks exactly like the plain chain targets.
 """
 
 from __future__ import annotations
@@ -22,37 +22,6 @@ from .types import (
 )
 
 EPSILON_FLOOR = 1e-9
-WEIGHT_TOLERANCE = 1e-6  # same slack as a normalized network's set totals
-
-
-@dataclass(frozen=True)
-class CharacterConfusionGroup:
-    """Letter alternatives of one network position, plus skip and blank mass.
-
-    ``letters`` holds (symbol, probability) sorted by symbol id; ``epsilon``
-    is the probability of skipping the group entirely and ``blank_weight``
-    the entry mass of its blank state (one minus epsilon).  The terminal
-    group has no letters, epsilon 0 and blank weight 1.
-    """
-
-    letters: tuple[tuple[int, float], ...]
-    epsilon: float
-    blank_weight: float
-
-    @property
-    def is_terminal(self) -> bool:
-        return not self.letters
-
-
-@dataclass(frozen=True)
-class TranscriptionConfusionModel:
-    """Ordered confusion groups, terminal group included as the last entry."""
-
-    groups: tuple[CharacterConfusionGroup, ...]
-
-    def __post_init__(self):
-        if not self.groups or not self.groups[-1].is_terminal:
-            raise ValidationError("model must end with the terminal blank group")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,39 +42,17 @@ class CompiledTarget:
     def num_states(self) -> int:
         return self.state_symbols.shape[0]
 
-    @property
-    def num_groups(self) -> int:
-        return int(self.group_index.max()) + 1 if self.num_states else 0
-
-
-def build_tcm(cn: ConfusionNetwork) -> TranscriptionConfusionModel:
-    """Turn a normalized network into confusion groups.
-
-    Each set is renormalized exactly so later telescoping sums close to
-    machine precision.  A set whose null mass reaches 1 has no usable letter
-    and is rejected.
-    """
-    if not cn.normalized:
-        raise ValidationError("compile targets require a normalized network")
-    groups = []
-    for i, s in enumerate(cn.sets):
-        total = s.total()
-        epsilon = s.null / total
-        if epsilon >= 1.0 - EPSILON_FLOOR:
-            raise DegenerateSet(f"set {i} is null with probability {epsilon!r}")
-        letters = tuple((sym, p / total) for sym, p in sorted(s.alternatives.items()))
-        groups.append(CharacterConfusionGroup(letters, epsilon, 1.0 - epsilon))
-    groups.append(CharacterConfusionGroup((), 0.0, 1.0))
-    return TranscriptionConfusionModel(tuple(groups))
-
 
 @dataclass(frozen=True)
 class _Layout:
-    """Compiled state order of a confusion model, as flat per-state arrays.
+    """Compiled state order of a network, as flat per-group and per-state arrays.
 
-    Each group occupies ``offsets[g]`` (its blank) up to ``offsets[g + 1]``;
-    ``entry`` is a state's entry mass: the blank weight or the letter
-    probability.
+    Each set becomes a group: its blank at ``offsets[g]``, then one state per
+    letter, sorted by symbol, up to ``offsets[g + 1]``; a letterless terminal
+    group of epsilon 0 comes last.  ``epsilon`` is a group's skip mass,
+    ``entry`` a state's entry mass: one minus epsilon for a blank, the letter
+    probability for a letter.  ``symbols`` lists the letters' symbols in
+    state order.
     """
 
     epsilon: np.ndarray
@@ -114,22 +61,40 @@ class _Layout:
     group_index: np.ndarray
     is_blank: np.ndarray
     entry: np.ndarray
+    symbols: np.ndarray
 
 
-def _layout(tcm: TranscriptionConfusionModel) -> _Layout:
-    groups = tcm.groups
-    epsilon = np.array([g.epsilon for g in groups], dtype=np.float64)
-    letter_counts = np.array([len(g.letters) for g in groups], dtype=np.int64)
-    offsets = np.zeros(len(groups) + 1, dtype=np.int64)
+def _layout(cn: ConfusionNetwork) -> _Layout:
+    if not cn.normalized:
+        raise ValidationError("compile targets require a normalized network")
+    # each set is renormalized exactly so later telescoping sums close to
+    # machine precision
+    epsilon, letter_counts, symbols, letter_p = [], [], [], []
+    for i, s in enumerate(cn.sets):
+        total = s.total()
+        eps = s.null / total
+        if eps >= 1.0 - EPSILON_FLOOR:
+            raise DegenerateSet(f"set {i} is null with probability {eps!r}")
+        epsilon.append(eps)
+        letter_counts.append(len(s.alternatives))
+        for sym, p in sorted(s.alternatives.items()):
+            symbols.append(sym)
+            letter_p.append(p / total)
+    epsilon.append(0.0)  # the terminal group
+    letter_counts.append(0)
+    epsilon = np.array(epsilon, dtype=np.float64)
+    letter_counts = np.array(letter_counts, dtype=np.int64)
+    offsets = np.zeros(epsilon.shape[0] + 1, dtype=np.int64)
     np.cumsum(letter_counts + 1, out=offsets[1:])
     total_states = int(offsets[-1])
-    group_index = np.repeat(np.arange(len(groups), dtype=np.int64), letter_counts + 1)
+    group_index = np.repeat(np.arange(epsilon.shape[0], dtype=np.int64), letter_counts + 1)
     is_blank = np.zeros(total_states, dtype=bool)
     is_blank[offsets[:-1]] = True
     entry = np.empty(total_states)
-    entry[offsets[:-1]] = [g.blank_weight for g in groups]
-    entry[~is_blank] = [p for g in groups for _, p in g.letters]
-    return _Layout(epsilon, letter_counts, offsets, group_index, is_blank, entry)
+    entry[offsets[:-1]] = 1.0 - epsilon
+    entry[~is_blank] = letter_p
+    symbols = np.array(symbols, dtype=np.int64)
+    return _Layout(epsilon, letter_counts, offsets, group_index, is_blank, entry, symbols)
 
 
 def _boundary(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
@@ -152,31 +117,6 @@ def _boundary(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
     beta = np.where(layout.is_blank, 0.0, suffix_eps[layout.group_index])
     beta[-1] = 1.0  # terminal blank accepts endings freely
     return alpha, beta
-
-
-def _check_weights(layout: _Layout, letter_group: np.ndarray) -> None:
-    """Reject a group whose weights are not a distribution.
-
-    Epsilon, blank weight and letter probabilities must lie in [0, 1], the
-    letter probabilities above 0; the blank weight must be one minus epsilon
-    and, in a group with letters, their total.  NaN fails every comparison,
-    so it is rejected along with infinities and out-of-range values.
-    """
-    eps = layout.epsilon
-    blank = layout.entry[layout.offsets[:-1]]
-    letter_p = layout.entry[~layout.is_blank]
-    mass = np.bincount(letter_group, weights=letter_p, minlength=eps.shape[0])
-    bad = np.zeros(eps.shape[0], dtype=bool)
-    bad[letter_group[~((0.0 < letter_p) & (letter_p <= 1.0))]] = True
-    bad |= ~((0.0 <= eps) & (eps <= 1.0)) | ~((0.0 <= blank) & (blank <= 1.0))
-    bad |= np.abs(blank - (1.0 - eps)) > WEIGHT_TOLERANCE
-    bad |= (layout.letter_counts > 0) & (np.abs(mass - blank) > WEIGHT_TOLERANCE)
-    if bad.any():
-        g = int(np.flatnonzero(bad)[0])
-        raise ValidationError(
-            f"set {g} weights are not a distribution: epsilon {eps[g]!r}, "
-            f"blank weight {blank[g]!r}, letter mass {mass[g]!r}"
-        )
 
 
 def _skip_pairs(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,44 +147,39 @@ def _skip_pairs(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
-def compile_tcm(tcm: TranscriptionConfusionModel, v: Vocabulary) -> CompiledTarget:
-    """Materialize the sparse transition matrix for a confusion model.
+def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
+    """Materialize the sparse transition matrix for a normalized network.
 
-    Within a group the blank feeds each letter with the letter's conditional
-    probability.  Across groups only letters have outgoing edges; each jump
-    pays the skip mass of the groups it hops over and the entry mass of its
-    destination, stopping at the first unskippable group.  Same-symbol jumps
-    are dropped so repeated letters must pass through a blank, exactly as in
-    the plain chain.  Arcs of zero weight are left out.  Raises
-    ValidationError on an invalid symbol and on a group whose weights are not
-    a distribution.
+    Each set becomes a group of one blank state and one state per letter;
+    the set's null mass is the group's skip mass epsilon and its blank's
+    entry weight is one minus epsilon.  Within a group the blank feeds each
+    letter with the letter's conditional probability.  Across groups only
+    letters have outgoing edges; each jump pays the skip mass of the groups
+    it hops over and the entry mass of its destination, stopping at the
+    first unskippable group.  Same-symbol jumps are dropped so repeated
+    letters must pass through a blank, exactly as in the plain chain.  Arcs
+    of zero weight are left out.  Raises ValidationError on a raw network
+    and on an invalid symbol, and DegenerateSet on a set whose null mass
+    reaches one.
     """
-    layout = _layout(tcm)
+    layout = _layout(cn)
     total_states = layout.entry.shape[0]
     letters = np.flatnonzero(~layout.is_blank)
     letter_group = layout.group_index[letters]
-    raw_symbols = [sym for g in tcm.groups for sym, _ in g.letters]
-    symbols = np.array(raw_symbols, dtype=np.int64)
+    symbols = layout.symbols
     invalid = np.flatnonzero((symbols < 0) | (symbols >= len(v)) | (symbols == v.blank))
     if invalid.size:
         first = invalid[0]
         raise ValidationError(
-            f"set {letter_group[first]} contains an invalid symbol {raw_symbols[first]}"
+            f"set {letter_group[first]} contains an invalid symbol {symbols[first]}"
         )
     state_symbols = np.full(total_states, v.blank, dtype=np.int64)
     state_symbols[letters] = symbols
 
-    # blank to letter within a group
+    # blank to letter within a group; DegenerateSet keeps every blank
+    # weight at least EPSILON_FLOOR
     inner_src = layout.offsets[letter_group]
-    blank_weight = layout.entry[inner_src]
-    unweighted = np.flatnonzero(blank_weight == 0.0)
-    if unweighted.size:
-        # the division below would give an infinite arc weight
-        raise ValidationError(
-            f"set {letter_group[unweighted[0]]} has letters but zero blank weight"
-        )
-    _check_weights(layout, letter_group)
-    inner_w = layout.entry[letters] / blank_weight
+    inner_w = layout.entry[letters] / layout.entry[inner_src]
 
     # letter to every state of a later group: each (source, destination)
     # group pair expands to source letters x destination states
@@ -275,10 +210,6 @@ def compile_tcm(tcm: TranscriptionConfusionModel, v: Vocabulary) -> CompiledTarg
     return CompiledTarget(
         transition, state_symbols, layout.group_index, layout.is_blank, alpha_hat, beta_hat
     )
-
-
-def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
-    return compile_tcm(build_tcm(cn), v)
 
 
 def compile_nbest(nbest: NBestList, v: Vocabulary) -> CompiledTarget:

@@ -64,11 +64,6 @@ class ConfusionSet:
     def best(self) -> tuple[int | None, float]:
         return _best_choice(self.alternatives, self.null)
 
-    def scaled(self, factor: float) -> "ConfusionSet":
-        return ConfusionSet(
-            {k: v * factor for k, v in self.alternatives.items()}, self.null * factor
-        )
-
     def normalized(self) -> "ConfusionSet":
         # Divide rather than multiply by the reciprocal: one rounding per
         # entry keeps renormalization of an already-normal set bit-stable.
@@ -91,8 +86,10 @@ class ConfusionNetwork:
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
         object.__setattr__(self, "total_score", float(self.total_score))
-        if self.total_score <= 0.0:
-            raise ValidationError("total score must be positive")
+        if not 0.0 < self.total_score < math.inf:  # also catches NaN
+            raise ValidationError(
+                f"total score must be positive and finite, got {self.total_score!r}"
+            )
         if self.normalized:
             for i, s in enumerate(self.sets):
                 if abs(s.total() - 1.0) > 1e-6:
@@ -382,11 +379,8 @@ def outlier_metric(cn: ConfusionNetwork) -> float:
     """
     if not cn.sets:
         return 0.0
-    product = 1
-    for s in cn.sets:
-        product *= s.size()
     try:
-        return product / len(cn.sets)
+        return count_variant_paths(cn) / len(cn.sets)
     except OverflowError:
         return math.inf
 

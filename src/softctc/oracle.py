@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .compiler import CompiledTarget, TranscriptionConfusionModel
+from .compiler import CompiledTarget
 from .confusion import ConfusionNetwork
 from .types import (
     InfeasibleTarget,
@@ -203,54 +203,69 @@ def reference_prefix_beam_search(
     return NBestList(tuple(entries))
 
 
-def _reference_initial_vectors(
-    tcm: TranscriptionConfusionModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    sizes = [1 + len(g.letters) for g in tcm.groups]
+# (letters, epsilon, blank weight) of one compiled group
+_Group = tuple[list[tuple[int, float]], float, float]
+
+
+def _reference_groups(cn: ConfusionNetwork) -> list[_Group]:
+    """(letters, epsilon, blank weight) per set, then the terminal group."""
+    groups = []
+    for s in cn.sets:
+        total = s.total()
+        epsilon = s.null / total
+        letters = [(sym, p / total) for sym, p in sorted(s.alternatives.items())]
+        groups.append((letters, epsilon, 1.0 - epsilon))
+    groups.append(([], 0.0, 1.0))
+    return groups
+
+
+def _reference_initial_vectors(groups: list[_Group]) -> tuple[np.ndarray, np.ndarray]:
+    sizes = [1 + len(letters) for letters, _, _ in groups]
     total_states = sum(sizes)
     alpha = np.zeros(total_states)
     beta = np.zeros(total_states)
 
-    suffix_eps = [0.0] * len(tcm.groups)
+    suffix_eps = [0.0] * len(groups)
     # product of epsilons over the real groups after g; terminal group excluded
     acc = 1.0
-    for g in range(len(tcm.groups) - 2, -1, -1):
+    for g in range(len(groups) - 2, -1, -1):
         suffix_eps[g] = acc
-        acc *= tcm.groups[g].epsilon
+        acc *= groups[g][1]
 
     state = 0
     prefix_eps = 1.0
-    for g, group in enumerate(tcm.groups):
-        alpha[state] = prefix_eps * group.blank_weight
-        for j, (_, p) in enumerate(group.letters):
+    for g, (letters, epsilon, blank_weight) in enumerate(groups):
+        alpha[state] = prefix_eps * blank_weight
+        for j, (_, p) in enumerate(letters):
             alpha[state + 1 + j] = prefix_eps * p
             beta[state + 1 + j] = suffix_eps[g]
         state += sizes[g]
-        prefix_eps *= group.epsilon
+        prefix_eps *= epsilon
     beta[total_states - 1] = 1.0  # terminal blank accepts endings freely
     return alpha, beta
 
 
-def reference_compile_tcm(tcm: TranscriptionConfusionModel, v: Vocabulary) -> CompiledTarget:
+def reference_compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
     """Target compiler that appends one arc at a time, walking each jump.
 
-    The reference for :func:`softctc.compiler.compile_tcm`: same states,
-    arcs, weights and boundary vectors, with every product formed in the
-    same order, so the two agree bitwise.  Its one check is the
-    invalid-symbol raise, with the same message; it divides by a zero blank
-    weight and does not check that group weights form a distribution.
+    The reference for :func:`softctc.compiler.compile_cn`: same groups,
+    states, arcs, weights and boundary vectors, with every product formed in
+    the same order, so the two agree bitwise.  Its one check is the
+    invalid-symbol raise, with the same message; it does not check that the
+    network is normalized or that a set keeps some letter mass.
     """
-    sizes = [1 + len(g.letters) for g in tcm.groups]
+    groups = _reference_groups(cn)
+    sizes = [1 + len(letters) for letters, _, _ in groups]
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     total_states = int(offsets[-1])
 
     state_symbols = np.full(total_states, v.blank, dtype=np.int64)
     group_index = np.zeros(total_states, dtype=np.int64)
     is_blank = np.ones(total_states, dtype=bool)
-    for g, group in enumerate(tcm.groups):
+    for g, (letters, _, _) in enumerate(groups):
         base = offsets[g]
         group_index[base : base + sizes[g]] = g
-        for j, (sym, _) in enumerate(group.letters):
+        for j, (sym, _) in enumerate(letters):
             if not 0 <= sym < len(v) or sym == v.blank:
                 raise ValidationError(f"set {g} contains an invalid symbol {sym}")
             state_symbols[base + 1 + j] = sym
@@ -268,21 +283,21 @@ def reference_compile_tcm(tcm: TranscriptionConfusionModel, v: Vocabulary) -> Co
 
     for s in range(total_states):
         add(s, s, 1.0)
-    for g, group in enumerate(tcm.groups):
+    for g, (letters, _, blank_weight) in enumerate(groups):
         base = offsets[g]
-        for j, (_, p) in enumerate(group.letters):
-            add(base, base + 1 + j, p / group.blank_weight)
-        for j, (sym, _) in enumerate(group.letters):
+        for j, (_, p) in enumerate(letters):
+            add(base, base + 1 + j, p / blank_weight)
+        for j, (sym, _) in enumerate(letters):
             src = base + 1 + j
             hop = 1.0
-            for h in range(g + 1, len(tcm.groups)):
+            for h in range(g + 1, len(groups)):
                 dst_base = offsets[h]
-                dest = tcm.groups[h]
-                add(src, dst_base, hop * dest.blank_weight)
-                for k, (dsym, dp) in enumerate(dest.letters):
+                dest_letters, dest_epsilon, dest_blank = groups[h]
+                add(src, dst_base, hop * dest_blank)
+                for k, (dsym, dp) in enumerate(dest_letters):
                     if dsym != sym:
                         add(src, dst_base + 1 + k, hop * dp)
-                hop *= dest.epsilon
+                hop *= dest_epsilon
                 if hop == 0.0:
                     break
 
@@ -291,7 +306,7 @@ def reference_compile_tcm(tcm: TranscriptionConfusionModel, v: Vocabulary) -> Co
         shape=(total_states, total_states),
     )
     transition.sort_indices()
-    alpha_hat, beta_hat = _reference_initial_vectors(tcm)
+    alpha_hat, beta_hat = _reference_initial_vectors(groups)
     return CompiledTarget(
         transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat
     )

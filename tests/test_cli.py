@@ -210,6 +210,17 @@ class TestLossCommand:
         assert main(["loss", posterior_file, "--cn", str(path)]) == 1
         assert "alternative scores must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_network_total_is_validation_error(
+        self, posterior_file, tmp_path, capsys, value
+    ):
+        path = tmp_path / "total.cn"
+        path.write_text(
+            f"# confusion-network v1\nnormalized false\ntotal {value}\nsets 1\nset a 0.5\n"
+        )
+        assert main(["loss", posterior_file, "--cn", str(path)]) == 1
+        assert "total score must be positive and finite" in capsys.readouterr().err
+
     def test_naive_requires_nbest(self, posterior_file):
         assert main(["loss", posterior_file, "--transcript", "a", "--naive"]) == 1
 

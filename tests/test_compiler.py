@@ -14,7 +14,6 @@ from softctc import (
     ValidationError,
     Vocabulary,
     build_cn,
-    build_tcm,
     compile_cn,
     compile_nbest,
     merge_cns,
@@ -23,12 +22,7 @@ from softctc import (
     soft_ctc,
     trivial_cn,
 )
-from softctc.compiler import (
-    CharacterConfusionGroup,
-    TranscriptionConfusionModel,
-    compile_tcm,
-)
-from softctc.oracle import enumerate_ctc, reference_compile_tcm
+from softctc.oracle import enumerate_ctc, reference_compile_cn
 
 V3 = Vocabulary.from_characters("abc")
 
@@ -37,46 +31,50 @@ def cn_of(*sets):
     return ConfusionNetwork(tuple(ConfusionSet(a, n) for a, n in sets))
 
 
-class TestBuildTcm:
+class TestSetWeights:
     def test_trivial_set(self):
-        tcm = build_tcm(cn_of(({0: 1.0}, 0.0)))
-        assert len(tcm.groups) == 2
-        first, terminal = tcm.groups
-        assert first.epsilon == 0.0
-        assert first.blank_weight == 1.0
-        assert first.letters == ((0, 1.0),)
-        assert terminal.is_terminal
-        assert terminal.epsilon == 0.0 and terminal.blank_weight == 1.0
+        target = compile_cn(cn_of(({0: 1.0}, 0.0)), V3)
+        # states: [#, a], [#]
+        assert list(target.state_symbols) == [3, 0, 3]
+        assert list(target.group_index) == [0, 0, 1]
+        assert list(target.alpha_hat) == [1.0, 1.0, 0.0]  # epsilon 0, blank weight 1
+        assert target.transition[0, 1] == 1.0
+        assert target.is_blank[-1] and target.beta_hat[-1] == 1.0  # the terminal group
 
     def test_null_becomes_epsilon(self):
-        tcm = build_tcm(cn_of(({0: 0.9}, 0.1)))
-        g = tcm.groups[0]
-        assert g.epsilon == pytest.approx(0.1, abs=1e-15)
-        assert g.blank_weight == pytest.approx(0.9, abs=1e-15)
-        assert dict(g.letters)[0] == pytest.approx(0.9, abs=1e-15)
+        alpha = compile_cn(cn_of(({0: 0.9}, 0.1)), V3).alpha_hat
+        assert alpha[0] == pytest.approx(0.9, abs=1e-15)  # blank weight 1 - epsilon
+        assert alpha[1] == pytest.approx(0.9, abs=1e-15)
+        assert alpha[2] == pytest.approx(0.1, abs=1e-15)  # skip into the terminal
+
+    def test_terminal_start_weight_is_the_skip_mass(self):
+        target = compile_cn(cn_of(({0: 0.5}, 0.5)), V3)
+        assert target.alpha_hat[-1] == 0.5
 
     def test_letters_sorted_by_symbol(self):
-        tcm = build_tcm(cn_of(({2: 0.5, 0: 0.3, 1: 0.2}, 0.0)))
-        assert [sym for sym, _ in tcm.groups[0].letters] == [0, 1, 2]
+        target = compile_cn(cn_of(({2: 0.5, 0: 0.3, 1: 0.2}, 0.0)), V3)
+        assert list(target.state_symbols[1:4]) == [0, 1, 2]
 
     def test_group_weights_renormalized_exactly(self):
         # a set that is normalized within tolerance but not exactly
-        s = ConfusionSet({0: 0.6 + 1e-8, 1: 0.4}, 0.0)
-        tcm = build_tcm(ConfusionNetwork((s,)))
-        g = tcm.groups[0]
-        assert math.fsum(p for _, p in g.letters) + g.epsilon == pytest.approx(1.0, abs=1e-15)
+        s = ConfusionSet({0: 0.5 + 1e-8, 1: 0.3}, 0.2)
+        target = compile_cn(ConfusionNetwork((s,)), V3)
+        # states: [#, a, b], [#]; alpha holds the letters and the epsilon
+        assert math.fsum(target.alpha_hat[1:]) == pytest.approx(1.0, abs=1e-15)
+        blank_row = target.transition[0]
+        assert math.fsum(blank_row.data) - 1.0 == pytest.approx(1.0, abs=1e-15)
 
     def test_degenerate_null_set_rejected(self):
         cn = ConfusionNetwork(
             (ConfusionSet({0: 1e-12}, 1.0 - 1e-12),), normalized=True
         )
-        with pytest.raises(DegenerateSet):
-            build_tcm(cn)
+        with pytest.raises(DegenerateSet, match="set 0 is null"):
+            compile_cn(cn, V3)
 
     def test_raw_network_rejected(self):
         raw = ConfusionNetwork((ConfusionSet({0: 2.0}),), normalized=False, total_score=2.0)
-        with pytest.raises(ValidationError):
-            build_tcm(raw)
+        with pytest.raises(ValidationError, match="normalized network"):
+            compile_cn(raw, V3)
 
 
 class TestCompileStructure:
@@ -201,8 +199,7 @@ class TestCompileStructure:
 
 class TestInitialVectors:
     def test_skippable_first_group_opens_later_starts(self):
-        tcm = build_tcm(cn_of(({0: 0.5}, 0.5), ({1: 1.0}, 0.0)))
-        target = compile_tcm(tcm, V3)
+        target = compile_cn(cn_of(({0: 0.5}, 0.5), ({1: 1.0}, 0.0)), V3)
         alpha, beta = target.alpha_hat, target.beta_hat
         # states: [#, a], [#, b], [#]
         assert alpha[0] == pytest.approx(0.5)  # blank entry 1 - eps
@@ -212,8 +209,7 @@ class TestInitialVectors:
         assert alpha[4] == 0.0  # group 1 unskippable, terminal unreachable
 
     def test_beta_counts_remaining_skip_mass(self):
-        tcm = build_tcm(cn_of(({0: 1.0}, 0.0), ({1: 0.3}, 0.7)))
-        beta = compile_tcm(tcm, V3).beta_hat
+        beta = compile_cn(cn_of(({0: 1.0}, 0.0), ({1: 0.3}, 0.7)), V3).beta_hat
         # states: [#, a], [#, b], [#]
         assert beta[1] == pytest.approx(0.7)  # 'a' may end if group 1 is skipped
         assert beta[3] == pytest.approx(1.0)  # 'b' is last real letter
@@ -221,8 +217,7 @@ class TestInitialVectors:
         assert beta[4] == 1.0  # terminal blank accepts endings
 
     def test_all_epsilon_zero_pattern(self):
-        tcm = build_tcm(cn_of(({0: 1.0}, 0.0), ({1: 1.0}, 0.0)))
-        target = compile_tcm(tcm, V3)
+        target = compile_cn(cn_of(({0: 1.0}, 0.0), ({1: 1.0}, 0.0)), V3)
         alpha, beta = target.alpha_hat, target.beta_hat
         assert np.array_equal(np.flatnonzero(alpha), [0, 1])
         assert np.array_equal(np.flatnonzero(beta), [3, 4])
@@ -358,8 +353,8 @@ class TestMatchesReferenceCompiler:
     V = Vocabulary.from_characters("abcd")
 
     @staticmethod
-    def assert_bitwise(tcm, v):
-        got, want = compile_tcm(tcm, v), reference_compile_tcm(tcm, v)
+    def assert_bitwise(cn, v):
+        got, want = compile_cn(cn, v), reference_compile_cn(cn, v)
         pairs = [
             (name, getattr(got.transition, name), getattr(want.transition, name))
             for name in ("indptr", "indices", "data")
@@ -412,12 +407,12 @@ class TestMatchesReferenceCompiler:
             else:
                 cn = self.rand_cn(rng, null_rate=(0.0, 0.5, 0.9)[kind])
             for variant in (cn, smooth(cn, 2.0), smooth(cn, np.inf)):
-                self.assert_bitwise(build_tcm(variant), self.V)
+                self.assert_bitwise(variant, self.V)
             null_sets += sum(1 for s in cn.sets if s.null > 0.0)
         assert null_sets > 500
 
     def test_empty_network(self):
-        target = self.assert_bitwise(build_tcm(ConfusionNetwork(())), self.V)
+        target = self.assert_bitwise(ConfusionNetwork(()), self.V)
         assert target.num_states == 1
         assert target.transition.nnz == 1
 
@@ -429,7 +424,7 @@ class TestMatchesReferenceCompiler:
             ({0: 0.5, 3: 0.25}, 0.25),
             ({1: 0.5}, 0.5),
         )
-        target = self.assert_bitwise(build_tcm(cn), self.V)
+        target = self.assert_bitwise(cn, self.V)
         # no jump from the first two groups reaches past the unskippable third
         first_letter = 1
         assert target.group_index[target.transition[first_letter].indices].max() == 2
@@ -438,7 +433,7 @@ class TestMatchesReferenceCompiler:
         cn = ConfusionNetwork(
             tuple(ConfusionSet({i % 3: 0.999}, 0.001) for i in range(400))
         )
-        target = self.assert_bitwise(build_tcm(cn), self.V)
+        target = self.assert_bitwise(cn, self.V)
         # 0.001**k reaches exactly 0.0 after about 108 skipped groups, long
         # before the chain ends, so the first letter's row stops there
         reach = target.group_index[target.transition[1].indices].max()
@@ -453,76 +448,21 @@ class TestMatchesReferenceCompiler:
             ({2: 1.0}, 1e-20),
             ({1: 1e-5, 3: 1.0 - 1e-5}, 0.0),
         )
-        target = self.assert_bitwise(build_tcm(cn), self.V)
+        target = self.assert_bitwise(cn, self.V)
         row = target.transition[1]
         last_group = np.flatnonzero(target.group_index == 3)
         reached = set(row.indices[row.data > 0.0]) & set(last_group)
         assert reached == {last_group[0], last_group[2]}  # blank and symbol 3
         assert 0 < target.transition[1, last_group[2]] < 1e-300
 
-    def test_letterless_middle_group(self):
-        tcm = TranscriptionConfusionModel(
-            (
-                CharacterConfusionGroup(((0, 0.3), (1, 0.2)), 0.5, 0.5),
-                CharacterConfusionGroup((), 0.25, 0.75),
-                CharacterConfusionGroup(((1, 0.6),), 0.4, 0.6),
-                CharacterConfusionGroup((), 0.0, 1.0),
-            )
-        )
-        target = self.assert_bitwise(tcm, self.V)
-        assert target.num_states == 7
-
-    def test_zero_blank_weight_fails_loudly(self):
-        # the reference loop divides by it; the array build must not turn
-        # that into an infinite arc weight
-        tcm = TranscriptionConfusionModel(
-            (
-                CharacterConfusionGroup(((0, 0.5),), 0.5, 0.5),
-                CharacterConfusionGroup(((1, 1.0),), 1.0, 0.0),
-                CharacterConfusionGroup((), 0.0, 1.0),
-            )
-        )
-        with pytest.raises(ZeroDivisionError):
-            reference_compile_tcm(tcm, self.V)
-        with pytest.raises(ValidationError, match="set 1 has letters but zero blank weight"):
-            compile_tcm(tcm, self.V)
-
-    @pytest.mark.parametrize(
-        "letters, epsilon, blank_weight",
-        [
-            (((1, 0.5),), 0.7, 0.3),  # mass 1.2
-            (((1, 1.5),), -0.5, 1.5),
-            (((1, 1.0),), float("nan"), 1.0),
-            (((1, float("nan")),), 0.0, 1.0),
-            (((1, float("inf")),), 0.0, 1.0),
-            (((1, 0.0), (2, 1.0)), 0.0, 1.0),  # a letter of probability 0
-            (((1, 0.4), (2, 0.4)), 0.2, 0.7),  # blank weight is not 1 - epsilon
-            ((), 0.5, 0.7),  # letterless, same
-        ],
-    )
-    def test_inconsistent_group_weights_are_rejected(self, letters, epsilon, blank_weight):
-        # the reference compiles these silently into out-of-range weights
-        tcm = TranscriptionConfusionModel(
-            (
-                CharacterConfusionGroup(((0, 0.5),), 0.5, 0.5),
-                CharacterConfusionGroup(letters, epsilon, blank_weight),
-                CharacterConfusionGroup((), 0.0, 1.0),
-            )
-        )
-        with pytest.raises(ValidationError, match="set 1 weights are not a distribution"):
-            compile_tcm(tcm, self.V)
-
     def test_invalid_symbol_names_the_first_offending_set(self):
-        tcm = TranscriptionConfusionModel(
-            (
-                CharacterConfusionGroup(((0, 1.0),), 0.0, 1.0),
-                CharacterConfusionGroup(((1, 0.5), (self.V.blank, 0.5)), 0.0, 1.0),
-                CharacterConfusionGroup(((9, 1.0),), 0.0, 1.0),
-                CharacterConfusionGroup((), 0.0, 1.0),
-            )
+        cn = cn_of(
+            ({0: 1.0}, 0.0),
+            ({1: 0.5, self.V.blank: 0.5}, 0.0),
+            ({9: 1.0}, 0.0),
         )
         with pytest.raises(ValidationError) as want:
-            reference_compile_tcm(tcm, self.V)
+            reference_compile_cn(cn, self.V)
         with pytest.raises(ValidationError) as got:
-            compile_tcm(tcm, self.V)
+            compile_cn(cn, self.V)
         assert str(got.value) == str(want.value) == "set 1 contains an invalid symbol 4"

@@ -89,6 +89,11 @@ class TestNetworkValidation:
         )
         assert cn.total_score == 2.5
 
+    @pytest.mark.parametrize("total", [0.0, -1.0, math.nan, math.inf])
+    def test_total_score_must_be_positive_and_finite(self, total):
+        with pytest.raises(ValidationError, match=f"got {total!r}"):
+            ConfusionNetwork((ConfusionSet({0: 0.5}),), normalized=False, total_score=total)
+
     def test_trivial_cn(self):
         cn = trivial_cn(lab("cat"))
         assert len(cn) == 3
@@ -367,6 +372,11 @@ class TestOutlierMetric:
     def test_empty_network(self):
         cn = trivial_cn(Labeling(()))
         assert outlier_metric(cn) == 0.0
+
+    def test_overflowing_product_is_infinite(self):
+        # 2**1100 / 1100 exceeds the float range
+        cn = ConfusionNetwork(tuple(ConfusionSet({0: 0.5, 1: 0.5}) for _ in range(1100)))
+        assert outlier_metric(cn) == math.inf
 
 
 class TestCountVariantPaths:

@@ -188,6 +188,12 @@ class TestCnRoundTrip:
         with pytest.raises(ValidationError):
             read_cn(io.StringIO(text), V)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_non_finite_total(self, value):
+        text = f"# confusion-network v1\nnormalized false\ntotal {value}\nsets 1\nset a 0.5\n"
+        with pytest.raises(ValidationError, match=f"positive and finite, got {value}"):
+            read_cn(io.StringIO(text), V)
+
 
 class TestNbestRoundTrip:
     def test_segment_groups_round_trip(self):
