@@ -11,7 +11,7 @@ All operations are pure; networks are never mutated in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .types import Labeling, NBestList, ValidationError
@@ -20,8 +20,11 @@ from .types import Labeling, NBestList, ValidationError
 def _best_choice(alternatives: dict[int, float], null: float) -> tuple[int | None, float]:
     """Highest-scoring choice; ties between symbols go to the smaller id,
     and a tie between null and a symbol keeps the symbol."""
-    sym = min(alternatives, key=lambda k: (-alternatives[k], k))
-    score = alternatives[sym]
+    if len(alternatives) == 1:
+        ((sym, score),) = alternatives.items()
+    else:
+        score = max(alternatives.values())
+        sym = min(k for k, v in alternatives.items() if v == score)
     if null > score:
         return None, null
     return sym, score
@@ -76,7 +79,9 @@ class ConfusionNetwork:
     """Ordered confusion sets plus bookkeeping for raw-score networks.
 
     ``total_score`` is the per-set mass a raw network conserves (the sum of
-    folded hypothesis weights); it is 1.0 for normalized networks.
+    folded hypothesis weights); it is 1.0 for normalized networks.  Every set
+    must total 1.0 (normalized) or ``total_score`` (raw) to within 1e-6
+    relative.
     """
 
     sets: tuple[ConfusionSet, ...]
@@ -90,10 +95,14 @@ class ConfusionNetwork:
             raise ValidationError(
                 f"total score must be positive and finite, got {self.total_score!r}"
             )
-        if self.normalized:
-            for i, s in enumerate(self.sets):
-                if abs(s.total() - 1.0) > 1e-6:
-                    raise ValidationError(f"set {i} of a normalized network sums to {s.total()!r}")
+        expected = 1.0 if self.normalized else self.total_score
+        for i, s in enumerate(self.sets):
+            total = s.total()
+            if not abs(total - expected) <= 1e-6 * expected:
+                kind = "normalized" if self.normalized else "raw"
+                raise ValidationError(
+                    f"set {i} of a {kind} network sums to {total!r}, expected {expected!r}"
+                )
 
     __hash__ = None
 
@@ -116,7 +125,7 @@ def _best_positions(sets: Sequence[ConfusionSet | _RawSet]) -> tuple[list[int], 
     symbols: list[int] = []
     positions: list[int] = []
     for i, s in enumerate(sets):
-        sym, _ = s.best()
+        sym, _ = _best_choice(s.alternatives, s.null)
         if sym is not None:
             symbols.append(sym)
             positions.append(i)
@@ -180,103 +189,28 @@ def levenshtein_align(a: Sequence[int], b: Sequence[int]) -> list[tuple[str, int
 
 
 class _RawSet:
-    __slots__ = ("alts", "null")
+    """A mutable confusion set that takes ownership of ``alternatives``."""
 
-    def __init__(self, alts: dict[int, float] | None = None, null: float = 0.0):
-        self.alts = dict(alts or {})
+    __slots__ = ("alternatives", "null")
+
+    def __init__(self, alternatives: dict[int, float], null: float = 0.0):
+        self.alternatives = alternatives
         self.null = null
 
     def freeze(self) -> ConfusionSet:
-        return ConfusionSet(self.alts, self.null)
-
-    def best(self) -> tuple[int | None, float]:
-        return _best_choice(self.alts, self.null)
-
-
-def _fold_hypothesis(
-    sets: list[_RawSet], labeling: Sequence[int], weight: float, prior_mass: float
-) -> list[_RawSet]:
-    """Fold one hypothesis into raw sets, aligning it against the best path.
-
-    Sets the best path skips absorb the weight on null; an inserted symbol
-    opens a new set carrying ``prior_mass`` on null so per-set totals stay
-    equal to the mass folded so far.
-    """
-    pivot, positions = _best_positions(sets)
-    ops = levenshtein_align(pivot, list(labeling))
-    out: list[_RawSet] = []
-    cursor = 0
-
-    def consume_until(target: int):
-        nonlocal cursor
-        while cursor < target:
-            skipped = sets[cursor]
-            skipped.null += weight
-            out.append(skipped)
-            cursor += 1
-
-    for kind, i, j in ops:
-        if kind == INSERT:
-            out.append(_RawSet({labeling[j]: weight}, prior_mass))
-            continue
-        consume_until(positions[i])
-        s = sets[cursor]
-        cursor += 1
-        if kind == DELETE:
-            s.null += weight
-        else:
-            sym = labeling[j]
-            s.alts[sym] = s.alts.get(sym, 0.0) + weight
-        out.append(s)
-    consume_until(len(sets))
-    return out
-
-
-def build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
-    """Fold an n-best list into a confusion network.
-
-    Hypotheses are folded in descending weight order: the top one seeds a
-    singleton-set network, each following one is aligned against the current
-    best path and accumulated, and per-set normalization runs once at the end
-    (skipped when ``normalize`` is false so networks can still be merged).
-    """
-    entries = sorted(nbest.entries, key=lambda e: (-e[1], e[0].symbols))
-    top, w0 = entries[0]
-    sets = [_RawSet({s: w0}) for s in top]
-    folded = w0
-    for labeling, weight in entries[1:]:
-        sets = _fold_hypothesis(sets, list(labeling), weight, folded)
-        folded += weight
-    frozen = tuple(s.freeze() for s in sets)
-    cn = ConfusionNetwork(frozen, normalized=False, total_score=folded)
-    return normalize_cn(cn) if normalize else cn
-
-
-def merge_cns(cns: Sequence[ConfusionNetwork]) -> ConfusionNetwork:
-    """Merge networks for the same line by aligning their best paths.
-
-    Scores are treated as raw accumulations (each input's total mass weights
-    its contribution) and corresponding sets are summed; normalization happens
-    once at the very end.
-    """
-    if not cns:
-        raise ValidationError("nothing to merge")
-    if any(cn.normalized for cn in cns):
-        raise ValidationError("merge expects raw networks; normalization is final")
-    acc = [_RawSet(s.alternatives, s.null) for s in cns[0].sets]
-    acc_total = cns[0].total_score
-    for other in cns[1:]:
-        acc = _merge_pair(acc, acc_total, other)
-        acc_total += other.total_score
-    raw = ConfusionNetwork(tuple(s.freeze() for s in acc), normalized=False, total_score=acc_total)
-    return normalize_cn(raw)
+        return ConfusionSet(self.alternatives, self.null)
 
 
 def _merge_pair(
-    a_sets: list[_RawSet], a_total: float, b: ConfusionNetwork
+    a_sets: list[_RawSet], a_total: float, b_sets: list[_RawSet], b_total: float
 ) -> list[_RawSet]:
-    b_sets = [_RawSet(s.alternatives, s.null) for s in b.sets]
-    b_total = b.total_score
+    """Align ``b``'s best path against ``a``'s and sum the paired sets.
+
+    ``a_total`` and ``b_total`` are the per-set masses of the two sides.  A
+    set the other side has no counterpart for (skipped by its own best path,
+    deleted or inserted) absorbs the other side's total on null, so every
+    output set totals ``a_total + b_total``.  The input sets are reused.
+    """
     pa, posa = _best_positions(a_sets)
     pb, posb = _best_positions(b_sets)
     ops = levenshtein_align(pa, pb)
@@ -300,32 +234,63 @@ def _merge_pair(
             cb += 1
 
     for kind, i, j in ops:
-        if kind in (MATCH, SUBSTITUTE):
+        if kind == DELETE:
+            flush_a(posa[i] + 1)
+        elif kind == INSERT:
+            flush_b(posb[j] + 1)
+        else:  # MATCH or SUBSTITUTE
             flush_a(posa[i])
             flush_b(posb[j])
             sa = a_sets[ca]
             sb = b_sets[cb]
             ca += 1
             cb += 1
-            for sym, v in sb.alts.items():
-                sa.alts[sym] = sa.alts.get(sym, 0.0) + v
+            alts = sa.alternatives
+            for sym, v in sb.alternatives.items():
+                alts[sym] = alts.get(sym, 0.0) + v
             sa.null += sb.null
             out.append(sa)
-        elif kind == DELETE:
-            flush_a(posa[i])
-            s = a_sets[ca]
-            ca += 1
-            s.null += b_total
-            out.append(s)
-        else:  # INSERT
-            flush_b(posb[j])
-            s = b_sets[cb]
-            cb += 1
-            s.null += a_total
-            out.append(s)
     flush_a(len(a_sets))
     flush_b(len(b_sets))
     return out
+
+
+def _accumulate(parts: Iterable[tuple[list[_RawSet], float]]) -> ConfusionNetwork:
+    """Merge ``(raw sets, per-set total)`` parts left to right into a raw network."""
+    parts = iter(parts)
+    acc, acc_total = next(parts)
+    for sets, total in parts:
+        acc = _merge_pair(acc, acc_total, sets, total)
+        acc_total += total
+    return ConfusionNetwork(tuple(s.freeze() for s in acc), normalized=False, total_score=acc_total)
+
+
+def build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
+    """Fold an n-best list into a confusion network.
+
+    Hypotheses are folded in descending weight order: the top one seeds a
+    singleton-set network, each following one is aligned against the current
+    best path and accumulated, and per-set normalization runs once at the end
+    (skipped when ``normalize`` is false so networks can still be merged).
+    """
+    entries = sorted(nbest.entries, key=lambda e: (-e[1], e[0].symbols))
+    cn = _accumulate(([_RawSet({s: w}) for s in labeling], w) for labeling, w in entries)
+    return normalize_cn(cn) if normalize else cn
+
+
+def merge_cns(cns: Sequence[ConfusionNetwork]) -> ConfusionNetwork:
+    """Merge networks for the same line by aligning their best paths.
+
+    Scores are treated as raw accumulations (each input's total mass weights
+    its contribution) and corresponding sets are summed; normalization happens
+    once at the very end.
+    """
+    if not cns:
+        raise ValidationError("nothing to merge")
+    if any(cn.normalized for cn in cns):
+        raise ValidationError("merge expects raw networks; normalization is final")
+    parts = (([_RawSet(dict(s.alternatives), s.null) for s in cn.sets], cn.total_score) for cn in cns)
+    return normalize_cn(_accumulate(parts))
 
 
 def smooth(cn: ConfusionNetwork, n: float) -> ConfusionNetwork:

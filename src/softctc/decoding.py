@@ -221,7 +221,9 @@ def decode_line(
     into singleton sets, and concatenate in frame order.  With ``normalize``
     off, the per-set totals of every segment are scaled to the product of the
     segment beam masses, so the raw network conserves one line-level
-    confidence score that later merging can weight by.
+    confidence score that later merging can weight by.  That product is
+    floored at the smallest normal double, so a line whose confidence
+    underflows keeps its per-set proportions.
     """
     if cfg.strategy == "full":
         segments = (Segment(0, y.num_frames, confident=False),)
@@ -252,7 +254,7 @@ def _build_network(
         return ConfusionNetwork(tuple(sets), normalized=True)
 
     masses = [nb.total_weight for seg, nb in parts if not seg.confident]
-    line_confidence = max(float(np.prod(masses)) if masses else 1.0, 5e-324)
+    line_confidence = max(float(np.prod(masses)) if masses else 1.0, np.finfo(float).tiny)
     sets = []
     for seg, nbest in parts:
         if seg.confident:

@@ -38,6 +38,15 @@ def set_by_name(s):
     return {V.symbols[k]: p for k, p in sorted(s.alternatives.items())}
 
 
+def bits(cn):
+    """Every float of a network as hex, in dict order."""
+    return (
+        cn.normalized,
+        cn.total_score.hex(),
+        [([(k, v.hex()) for k, v in s.alternatives.items()], s.null.hex()) for s in cn.sets],
+    )
+
+
 class TestConfusionSet:
     def test_rejects_empty_alternatives(self):
         with pytest.raises(ValidationError):
@@ -83,11 +92,22 @@ class TestNetworkValidation:
         with pytest.raises(ValidationError):
             ConfusionNetwork((ConfusionSet({0: 0.5}),), normalized=True)
 
-    def test_raw_network_allows_any_totals(self):
+    def test_raw_network_accepts_sets_that_total_its_score(self):
         cn = ConfusionNetwork(
-            (ConfusionSet({0: 2.5}),), normalized=False, total_score=2.5
+            (ConfusionSet({0: 2.5}), ConfusionSet({0: 2.0, 1: 0.5 + 1e-6})),
+            normalized=False,
+            total_score=2.5,
         )
         assert cn.total_score == 2.5
+
+    def test_raw_network_checks_set_totals_against_its_score(self):
+        message = "set 1 of a raw network sums to 3.0, expected 0.5"
+        with pytest.raises(ValidationError, match=message):
+            ConfusionNetwork(
+                (ConfusionSet({0: 0.5}), ConfusionSet({0: 3.0})),
+                normalized=False,
+                total_score=0.5,
+            )
 
     @pytest.mark.parametrize("total", [0.0, -1.0, math.nan, math.inf])
     def test_total_score_must_be_positive_and_finite(self, total):
@@ -196,6 +216,20 @@ class TestBuildCn:
             cn = build_cn(nb)
             total = sum(w for _, w in enumerate_cn_strings(cn))
             assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_equals_the_merge_of_its_hypotheses(self):
+        # build_cn is merge_cns over one-path networks, bit for bit
+        rng = np.random.default_rng(7)
+        texts = ["cat", "cut", "ct", "at", "cata", "ca", "tau", "c", "", "tact"]
+        for _ in range(60):
+            chosen = rng.choice(len(texts), size=rng.integers(1, 7), replace=False)
+            weights = rng.uniform(0.01, 1.0, size=len(chosen)) * rng.uniform(0.2, 0.99)
+            nb = NBestList(
+                tuple((lab(texts[i]), float(w)) for i, w in zip(chosen, weights))
+            )
+            ordered = sorted(nb.entries, key=lambda e: (-e[1], e[0].symbols))
+            merged = merge_cns([trivial_cn(l, w) for l, w in ordered])
+            assert bits(build_cn(nb)) == bits(merged)
 
     def test_every_hypothesis_recoverable_as_path(self):
         nb = nbest(("cat", 0.5), ("cut", 0.2), ("at", 0.2), ("ca", 0.1))

@@ -6,7 +6,6 @@ import pytest
 from softctc import (
     ConfusionNetwork,
     DecodeConfig,
-    Labeling,
     NBestList,
     PosteriorMatrix,
     Segment,
@@ -16,6 +15,7 @@ from softctc import (
     decode_line,
     decode_to_cn,
     greedy_decode,
+    normalize_cn,
     prefix_beam_search,
     segment_line,
 )
@@ -354,6 +354,26 @@ class TestDecodeToCn:
         assert cn.total_score == pytest.approx(0.99, rel=1e-9)
         for s in cn.sets:
             assert s.total() == pytest.approx(cn.total_score, rel=1e-9)
+
+    def test_raw_decode_survives_an_underflowing_line_confidence(self):
+        # 200 ambiguous bursts: the product of their beam masses underflows
+        v = Vocabulary.from_characters("abcdefghij")
+        rng = np.random.default_rng(11)
+        blank = np.eye(11)[v.blank]
+        rows = [blank]
+        for _ in range(200):
+            rows.extend(rng.dirichlet(np.ones(11), size=5))
+            rows.append(blank)
+        y = PosteriorMatrix(np.array(rows))
+        cfg = DecodeConfig(beam_size=4)
+        raw = decode_to_cn(y, v, cfg, normalize=False)
+        ref = decode_to_cn(y, v, cfg)
+        assert raw.total_score == np.finfo(float).tiny
+        got = normalize_cn(raw)
+        assert len(got) == len(ref)
+        for g, r in zip(got.sets, ref.sets):
+            assert g.alternatives == pytest.approx(r.alternatives, rel=0, abs=1e-6)
+            assert g.null == pytest.approx(r.null, rel=0, abs=1e-6)
 
     def test_full_strategy_spans_whole_line(self):
         y = PosteriorMatrix(AMBIGUOUS_LINE)

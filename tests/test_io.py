@@ -194,6 +194,11 @@ class TestCnRoundTrip:
         with pytest.raises(ValidationError, match=f"positive and finite, got {value}"):
             read_cn(io.StringIO(text), V)
 
+    def test_rejects_raw_set_that_misses_the_total(self):
+        text = "# confusion-network v1\nnormalized false\ntotal 0.5\nsets 1\nset a 3.0\n"
+        with pytest.raises(ValidationError, match="sums to 3.0, expected 0.5"):
+            read_cn(io.StringIO(text), V)
+
 
 class TestNbestRoundTrip:
     def test_segment_groups_round_trip(self):
