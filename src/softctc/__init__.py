@@ -25,11 +25,6 @@ from .confusion import (
     smooth,
     trivial_cn,
 )
-from .ctc import (
-    ctc_forward_backward,
-    ctc_loss,
-    multi_ctc,
-)
 from .decoding import (
     DecodeConfig,
     DecodedLine,
@@ -40,8 +35,13 @@ from .decoding import (
     prefix_beam_search,
     segment_line,
 )
-from .forward_backward import ForwardBackwardWorkspace
-from .loss import soft_ctc, soft_ctc_batch, soft_ctc_loss, soft_ctc_value_at
+from .loss import (
+    ctc_loss,
+    multi_ctc,
+    soft_ctc_batch,
+    soft_ctc_loss,
+    soft_ctc_value_at,
+)
 from .types import (
     DegenerateSet,
     InfeasibleTarget,
@@ -75,9 +75,6 @@ __all__ = [
     "prune",
     "smooth",
     "trivial_cn",
-    "ctc_forward_backward",
-    "ctc_loss",
-    "multi_ctc",
     "DecodeConfig",
     "DecodedLine",
     "Segment",
@@ -86,8 +83,8 @@ __all__ = [
     "greedy_decode",
     "prefix_beam_search",
     "segment_line",
-    "ForwardBackwardWorkspace",
-    "soft_ctc",
+    "ctc_loss",
+    "multi_ctc",
     "soft_ctc_batch",
     "soft_ctc_loss",
     "soft_ctc_value_at",

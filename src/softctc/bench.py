@@ -18,9 +18,8 @@ import numpy as np
 
 from .compiler import CompiledTarget, compile_cn
 from .confusion import ConfusionNetwork
-from .ctc import ctc_forward_backward
 from .decoding import DecodeConfig, decode_to_cn, greedy_decode, segment_line
-from .loss import soft_ctc_loss
+from .loss import ctc_loss, soft_ctc_loss
 from .types import Labeling, PosteriorMatrix, ValidationError, Vocabulary
 
 METHODS = ("ctc", "multictc", "softctc", "compile")
@@ -200,12 +199,12 @@ def run_bench(cfg: BenchConfig, v: Vocabulary | None = None) -> BenchReport:
 
         def eval_ctc():
             for y, l in zip(prepared.posteriors, prepared.transcripts):
-                ctc_forward_backward(y, l, v)
+                ctc_loss(y, l, v)
 
         def eval_multictc():
             for y, l in zip(prepared.posteriors, prepared.transcripts):
                 for _ in range(cfg.beam):
-                    ctc_forward_backward(y, l, v)
+                    ctc_loss(y, l, v)
 
         def eval_softctc():
             for y, target in zip(prepared.posteriors, prepared.targets):

@@ -10,22 +10,21 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from io import StringIO
 
 from . import io as formats
 from .bench import BenchConfig, render_report, run_bench
 from .compiler import compile_cn, compile_nbest
 from .confusion import (
     ConfusionNetwork,
-    ConfusionSet,
     merge_cns,
     normalize_cn,
     outlier_metric,
     prune,
     smooth,
 )
-from .ctc import ctc_loss, multi_ctc
 from .decoding import DecodeConfig, decode_line
-from .loss import soft_ctc_loss
+from .loss import ctc_loss, multi_ctc, soft_ctc_loss
 from .oracle import enumerate_cn_strings, enumerate_ctc, oracle_softctc
 from .types import (
     InfeasibleTarget,
@@ -162,34 +161,21 @@ def cmd_loss(args) -> int:
 
 
 def _read_cns_union(paths: list[str]) -> tuple[list[ConfusionNetwork], Vocabulary]:
-    """Read networks symbol-opaquely and remap them onto one shared vocabulary.
+    """Read networks onto one shared vocabulary.
 
     Each file may mention a different subset of symbols; indices are unified
-    by display string in first-appearance order across files.
+    by display string in first-appearance order across files.  Every file is
+    read once, so a pipe such as ``/dev/stdin`` works too.
     """
-    parsed = []
-    index: dict[str, int] = {}
-    union: list[str] = []
+    texts = []
+    union: dict[str, None] = {}  # ordered set of display strings
     for path in paths:
-        cn, v, _ = formats.read_cn(path)
-        parsed.append((cn, v))
-        for i, s in enumerate(v.symbols):
-            if i != v.blank and s not in index:
-                index[s] = len(union)
-                union.append(s)
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+        _, v, _ = formats.read_cn(StringIO(texts[-1]))
+        union.update((s, None) for i, s in enumerate(v.symbols) if i != v.blank)
     vocab = Vocabulary(tuple(union) + (formats.BLANK_TOKEN,), blank_index=len(union))
-    remapped = []
-    for cn, v in parsed:
-        sets = tuple(
-            ConfusionSet(
-                {index[v.symbols[k]]: p for k, p in s.alternatives.items()}, s.null
-            )
-            for s in cn.sets
-        )
-        remapped.append(
-            ConfusionNetwork(sets, normalized=cn.normalized, total_score=cn.total_score)
-        )
-    return remapped, vocab
+    return [formats.read_cn(StringIO(text), vocab)[0] for text in texts], vocab
 
 
 def cmd_transform(args) -> int:

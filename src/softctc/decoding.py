@@ -236,36 +236,21 @@ def decode_line(
             nbests.append(NBestList(((greedy_decode(part, v), 1.0),)))
         else:
             nbests.append(_segment_nbest(part, v, cfg.beam_size))
-    network = _build_network(list(zip(segments, nbests)), normalize)
-    return DecodedLine(segments, tuple(nbests), network)
-
-
-def _build_network(
-    parts: list[tuple[Segment, NBestList]], normalize: bool
-) -> ConfusionNetwork:
-    """Concatenate the segments' networks in frame order."""
+    # a confident segment is the one-entry list of weight 1: singleton sets
+    networks = [build_cn(nbest, normalize) for nbest in nbests]
     if normalize:
-        sets: list[ConfusionSet] = []
-        for seg, nbest in parts:
-            if seg.confident:
-                sets.extend(ConfusionSet({s: 1.0}) for s in nbest.entries[0][0])
-            else:
-                sets.extend(build_cn(nbest, normalize=True).sets)
-        return ConfusionNetwork(tuple(sets), normalized=True)
-
-    masses = [nb.total_weight for seg, nb in parts if not seg.confident]
-    line_confidence = max(float(np.prod(masses)) if masses else 1.0, np.finfo(float).tiny)
-    sets = []
-    for seg, nbest in parts:
-        if seg.confident:
-            sets.extend(ConfusionSet({s: line_confidence}) for s in nbest.entries[0][0])
-            continue
-        cn = build_cn(nbest, normalize=False)
-        factor = line_confidence / cn.total_score
-        for s in cn.sets:
-            scaled = {k: max(val * factor, 5e-324) for k, val in s.alternatives.items()}
-            sets.append(ConfusionSet(scaled, s.null * factor))
-    return ConfusionNetwork(tuple(sets), normalized=False, total_score=line_confidence)
+        network = ConfusionNetwork(tuple(s for cn in networks for s in cn.sets), normalized=True)
+    else:
+        masses = [nb.total_weight for seg, nb in zip(segments, nbests) if not seg.confident]
+        line_confidence = max(float(np.prod(masses)) if masses else 1.0, np.finfo(float).tiny)
+        sets = []
+        for cn in networks:
+            factor = line_confidence / cn.total_score
+            for s in cn.sets:
+                scaled = {k: max(val * factor, 5e-324) for k, val in s.alternatives.items()}
+                sets.append(ConfusionSet(scaled, s.null * factor))
+        network = ConfusionNetwork(tuple(sets), normalized=False, total_score=line_confidence)
+    return DecodedLine(segments, tuple(nbests), network)
 
 
 def decode_to_cn(

@@ -172,7 +172,10 @@ def read_cn(
         if key == "set":
             set_lines.append(rest)
         elif key == "sets":
-            expecting = int(rest)
+            try:
+                expecting = int(rest)
+            except ValueError:
+                raise ValidationError(f"bad sets count {rest!r}") from None
         else:
             meta[key] = rest
     if expecting is not None and expecting != len(set_lines):
@@ -181,7 +184,11 @@ def read_cn(
     if normalized_text not in ("true", "false"):
         raise ValidationError(f"normalized must be true or false, got {normalized_text!r}")
     normalized = normalized_text == "true"
-    total = float(meta.pop("total", "1.0"))
+    total_text = meta.pop("total", "1.0")
+    try:
+        total = float(total_text)
+    except ValueError:
+        raise ValidationError(f"bad total {total_text!r}") from None
 
     local_symbols: list[str] = []
     index: dict[str, int]
@@ -257,7 +264,11 @@ def read_nbest(
         if tokens[0] == "segment":
             if len(tokens) != 4 or tokens[3] not in ("confident", "unconfident"):
                 raise ValidationError(f"bad segment line {line!r}")
-            seg = Segment(int(tokens[1]), int(tokens[2]), tokens[3] == "confident")
+            try:
+                start, end = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                raise ValidationError(f"bad segment bounds {tokens[1]!r} {tokens[2]!r}") from None
+            seg = Segment(start, end, tokens[3] == "confident")
             current = []
             groups.append((seg, current))
             continue

@@ -32,13 +32,11 @@ from softctc import (
     build_cn,
     compile_cn,
     compile_nbest,
-    ctc_forward_backward,
     ctc_loss,
     decode_to_cn,
     multi_ctc,
     segment_line,
     smooth,
-    soft_ctc,
     soft_ctc_loss,
     soft_ctc_value_at,
     trivial_cn,
@@ -111,7 +109,7 @@ def trivial_instances(count=500, seed=13):
         labeling = Labeling(tuple(int(s) for s in rng.integers(0, letters, size=length)))
         y = random_posteriors(rng, frames, letters + 1)
         try:
-            plain, _ = ctc_forward_backward(y, labeling, v)
+            plain = ctc_loss(y, labeling, v)
         except InfeasibleTarget:
             continue
         out.append((y, labeling, v, plain))
@@ -197,7 +195,7 @@ def test_criterion_01_plain_loss_matches_enumeration(announce):
     for y, labeling, v in instances:
         expected = enumerate_ctc(y, labeling, v)
         try:
-            result, _ = ctc_forward_backward(y, labeling, v)
+            result = ctc_loss(y, labeling, v)
             got = math.exp(-result.loss)
         except InfeasibleTarget:
             got = 0.0
@@ -219,7 +217,7 @@ def test_criterion_02_single_variant_target_collapses_to_plain_loss(announce):
     worst = 0.0
     instances = trivial_instances()
     for y, labeling, v, plain in instances:
-        soft, _ = soft_ctc(y, compile_cn(trivial_cn(labeling), v))
+        soft = soft_ctc_loss(y, compile_cn(trivial_cn(labeling), v))
         worst = max(worst, abs(soft.log_likelihood - (-plain.loss)))
     announce(
         2,
@@ -233,7 +231,7 @@ def test_criterion_03_nbest_target_matches_per_variant_baseline(announce):
     worst = 0.0
     instances = nbest_instances()
     for y, nbest, v, naive in instances:
-        soft, _ = soft_ctc(y, compile_nbest(nbest, v))
+        soft = soft_ctc_loss(y, compile_nbest(nbest, v))
         worst = max(worst, abs(soft.log_likelihood - naive.log_likelihood))
     announce(
         3,
@@ -247,7 +245,7 @@ def test_criterion_04_network_target_matches_enumeration(announce):
     worst = 0.0
     instances = cn_instances()
     for y, cn, v, expected in instances:
-        result, _ = soft_ctc(y, compile_cn(cn, v))
+        result = soft_ctc_loss(y, compile_cn(cn, v))
         got = math.exp(result.log_likelihood)
         worst = max(worst, abs(got - expected) / expected)
     announce(
@@ -305,7 +303,7 @@ def test_criterion_06_gradients_match_finite_differences(announce):
     soft_instances = cn_instances(count=100, seed=29)
     for y, cn, v, _ in soft_instances:
         target = compile_cn(cn, v)
-        result, _ = soft_ctc(y, target)
+        result = soft_ctc_loss(y, target)
         fd = finite_difference_grad(
             lambda m: soft_ctc_loss(m, target).loss, y, step=FD_STEP
         )
@@ -342,7 +340,7 @@ def test_criterion_07_reference_network_strings_and_nbest_encoding(announce):
     for _ in range(5):
         y = random_posteriors(rng, 9, len(v))
         naive = multi_ctc(y, nbest, v)
-        soft, _ = soft_ctc(y, compile_nbest(nbest, v))
+        soft = soft_ctc_loss(y, compile_nbest(nbest, v))
         delta = max(delta, abs(soft.log_likelihood - naive.log_likelihood))
 
     ok = twelve and subset_ok and delta < TOL_NBEST

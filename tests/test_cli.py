@@ -297,6 +297,12 @@ class TestTransformCommand:
             merged_symbols.update(v.symbols[k] for k in s.alternatives)
         assert merged_symbols == {"a", "b"}
 
+    def test_malformed_header_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "bad-total.cn"
+        path.write_text("# confusion-network v1\nnormalized false\ntotal abc\nsets 1\nset a 1.0\n")
+        assert main(["transform", str(path)]) == 1
+        assert capsys.readouterr().err == "error: bad total 'abc'\n"
+
     def test_merge_rejects_normalized_inputs(self, tmp_path):
         cn = ConfusionNetwork((ConfusionSet({0: 1.0}),), normalized=True)
         path_a = write_cn_file(tmp_path, "n1.cn", cn)

@@ -19,7 +19,7 @@ from softctc import (
     merge_cns,
     multi_ctc,
     smooth,
-    soft_ctc,
+    soft_ctc_loss,
     trivial_cn,
 )
 from softctc.oracle import enumerate_ctc, reference_compile_cn
@@ -233,8 +233,8 @@ class TestCompileNbest:
         y = rng.uniform(0.05, 1.0, size=(6, 4))
         y = PosteriorMatrix(y / y.sum(axis=1, keepdims=True))
         # the same chain from the network compiler, which shares no code
-        plain, _ = soft_ctc(y, compile_cn(trivial_cn(lab), v))
-        soft, _ = soft_ctc(y, target)
+        plain = soft_ctc_loss(y, compile_cn(trivial_cn(lab), v))
+        soft = soft_ctc_loss(y, target)
         assert soft.loss == pytest.approx(plain.loss, abs=1e-12)
 
     def test_cat_cut_structure(self):
@@ -277,7 +277,7 @@ class TestCompileNbest:
         assert target.transition.toarray()[0, 2] == 0.0
 
         y = PosteriorMatrix(np.array([[0.7, 0.3]]))
-        soft, _ = soft_ctc(y, target)
+        soft = soft_ctc_loss(y, target)
         assert math.exp(-soft.loss) == pytest.approx(0.6 * 0.7 + 0.4 * 0.3, rel=1e-12)
 
     def test_matches_multictc_on_random_instances(self):
@@ -297,7 +297,7 @@ class TestCompileNbest:
                 naive = multi_ctc(y, nb, v)
             except InfeasibleTarget:
                 continue
-            soft, _ = soft_ctc(y, compile_nbest(nb, v))
+            soft = soft_ctc_loss(y, compile_nbest(nb, v))
             assert abs(soft.loss - naive.loss) < 1e-8
 
     def test_matches_enumeration_on_random_lists(self):
@@ -326,7 +326,7 @@ class TestCompileNbest:
             seen["empty"] += () in labs
             seen["repeat"] += any(a == b for t in labs for a, b in zip(t, t[1:]))
             try:
-                soft, _ = soft_ctc(y, compile_nbest(nb, v))
+                soft = soft_ctc_loss(y, compile_nbest(nb, v))
             except InfeasibleTarget:
                 assert expected == 0.0
                 seen["infeasible"] += 1

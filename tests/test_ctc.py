@@ -12,12 +12,11 @@ from softctc import (
     ValidationError,
     Vocabulary,
     compile_nbest,
-    ctc_forward_backward,
     ctc_loss,
     multi_ctc,
-    soft_ctc,
+    soft_ctc_loss,
+    soft_ctc_value_at,
 )
-from softctc.forward_backward import posterior_mass_at
 from softctc.oracle import enumerate_ctc, finite_difference_grad
 
 VA = Vocabulary.from_characters("a")
@@ -30,20 +29,20 @@ def rand_posteriors(rng, frames, vocab):
 
 def test_single_frame_single_letter():
     y = PosteriorMatrix(np.array([[0.7, 0.3]]))
-    result, _ = ctc_forward_backward(y, Labeling((0,)), VA)
+    result = ctc_loss(y, Labeling((0,)), VA)
     assert result.loss == pytest.approx(-math.log(0.7), rel=1e-12)
     assert result.log_likelihood == pytest.approx(math.log(0.7), rel=1e-12)
 
 
 def test_two_frame_hand_enumeration():
     y = PosteriorMatrix(np.array([[0.6, 0.4], [0.5, 0.5]]))
-    result, _ = ctc_forward_backward(y, Labeling((0,)), VA)
+    result = ctc_loss(y, Labeling((0,)), VA)
     assert math.exp(result.log_likelihood) == pytest.approx(0.8, rel=1e-12)
 
 
 def test_empty_labeling_probability_is_all_blank_product():
     y = PosteriorMatrix(np.array([[0.6, 0.4], [0.5, 0.5]]))
-    result, _ = ctc_forward_backward(y, Labeling(()), VA)
+    result = ctc_loss(y, Labeling(()), VA)
     assert math.exp(result.log_likelihood) == pytest.approx(0.4 * 0.5, rel=1e-12)
 
 
@@ -51,20 +50,20 @@ def test_infeasible_when_line_too_short():
     y = PosteriorMatrix(np.array([[0.5, 0.3, 0.2]]))
     v = Vocabulary.from_characters("ab")
     with pytest.raises(InfeasibleTarget):
-        ctc_forward_backward(y, v.encode("ab"), v)
+        ctc_loss(y, v.encode("ab"), v)
 
 
 def test_infeasible_repeated_letter_needs_separating_blank():
     # "aa" needs at least 3 frames: a, blank, a.
     y = PosteriorMatrix(np.full((2, 2), 0.5))
     with pytest.raises(InfeasibleTarget):
-        ctc_forward_backward(y, Labeling((0, 0)), VA)
+        ctc_loss(y, Labeling((0, 0)), VA)
 
 
 def test_zero_posterior_on_only_path_is_infeasible():
     y = PosteriorMatrix(np.array([[0.0, 1.0]]))
     with pytest.raises(InfeasibleTarget):
-        ctc_forward_backward(y, Labeling((0,)), VA)
+        ctc_loss(y, Labeling((0,)), VA)
 
 
 def plain_target(l, v):
@@ -108,7 +107,7 @@ class TestLinearTransitionMatrix:
         assert list(target.alpha_hat) == [1.0, 1.0]
         assert list(target.beta_hat) == [0.0, 1.0]
         y = PosteriorMatrix(np.array([[0.6, 0.4], [0.5, 0.5], [0.1, 0.9]]))
-        result, _ = soft_ctc(y, target)
+        result = soft_ctc_loss(y, target)
         assert math.exp(-result.loss) == pytest.approx(0.4 * 0.5 * 0.9, rel=1e-12)
 
 
@@ -130,7 +129,7 @@ def test_matches_oracle_on_small_random_instances():
         y = rand_posteriors(rng, frames, vocab)
         expected = enumerate_ctc(y, lab, v)
         try:
-            result, _ = ctc_forward_backward(y, lab, v)
+            result = ctc_loss(y, lab, v)
         except InfeasibleTarget:
             assert expected == 0.0
             continue
@@ -145,12 +144,13 @@ def test_posterior_mass_invariant_in_t():
         y = rand_posteriors(rng, frames, 3)
         lab = Labeling((0, 1))
         try:
-            result, ws = ctc_forward_backward(y, lab, v)
+            result = ctc_loss(y, lab, v)
         except InfeasibleTarget:
             continue
         p = math.exp(result.log_likelihood)
+        target = plain_target(lab, v)
         for t in range(frames):
-            assert posterior_mass_at(ws, t) == pytest.approx(p, rel=1e-10)
+            assert soft_ctc_value_at(y, target, t) == pytest.approx(p, rel=1e-10)
 
 
 def test_loss_permutation_invariant_under_relabeling():
@@ -158,12 +158,12 @@ def test_loss_permutation_invariant_under_relabeling():
     v = Vocabulary.from_characters("abc")
     y = rand_posteriors(rng, 5, 4)
     lab = Labeling((0, 2))
-    base, _ = ctc_forward_backward(y, lab, v)
+    base = ctc_loss(y, lab, v)
     # swap symbols 0 and 2 consistently
     perm = np.array([2, 1, 0, 3])
     y_perm = PosteriorMatrix(y.frames[:, perm])
     lab_perm = Labeling((2, 0))
-    swapped, _ = ctc_forward_backward(y_perm, lab_perm, v)
+    swapped = ctc_loss(y_perm, lab_perm, v)
     assert swapped.loss == pytest.approx(base.loss, rel=1e-12)
 
 
@@ -175,7 +175,7 @@ def test_gradient_matches_finite_differences():
         y = rand_posteriors(rng, frames, 3)
         lab = Labeling(tuple(int(s) for s in rng.integers(0, 2, size=rng.integers(1, 3))))
         try:
-            result, _ = ctc_forward_backward(y, lab, v)
+            result = ctc_loss(y, lab, v)
         except InfeasibleTarget:
             continue
         fd = finite_difference_grad(lambda m: ctc_loss(m, lab, v).loss, y)
@@ -186,7 +186,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_zero_where_posterior_zero():
     y = PosteriorMatrix(np.array([[0.7, 0.0, 0.3], [0.5, 0.0, 0.5]]))
     v = Vocabulary.from_characters("ab")
-    result, _ = ctc_forward_backward(y, Labeling((0,)), v)
+    result = ctc_loss(y, Labeling((0,)), v)
     assert np.all(result.grad[:, 1] == 0.0)
 
 
@@ -215,7 +215,7 @@ def test_long_line_rescaling_stays_finite():
     v = Vocabulary.from_characters("ab")
     y = rand_posteriors(rng, 400, 3)
     lab = Labeling((0, 1) * 10)
-    result, _ = ctc_forward_backward(y, lab, v)
+    result = ctc_loss(y, lab, v)
     assert math.isfinite(result.loss)
     assert np.all(np.isfinite(result.grad))
     # unscaled probability would underflow 64-bit range at this length
@@ -228,7 +228,7 @@ class TestMultiCtc:
         v = Vocabulary.from_characters("ab")
         y = rand_posteriors(rng, 4, 3)
         lab = Labeling((0, 1))
-        plain, _ = ctc_forward_backward(y, lab, v)
+        plain = ctc_loss(y, lab, v)
         combined = multi_ctc(y, NBestList(((lab, 1.0),)), v)
         assert combined.loss == pytest.approx(plain.loss, abs=1e-12)
         assert np.allclose(combined.grad, plain.grad, atol=1e-12)

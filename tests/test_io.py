@@ -177,9 +177,16 @@ class TestCnRoundTrip:
             read_cn(io.StringIO(text), V)
 
     def test_rejects_bad_value(self):
-        text = "# confusion-network v1\nsets 1\nset a one\n"
-        with pytest.raises(ValidationError):
-            read_cn(io.StringIO(text), V)
+        for header, line, message in (
+            ("sets 1", "set a one", "bad value 'one'"),
+            ("sets x", "set a 1.0", "bad sets count 'x'"),
+            ("sets", "set a 1.0", "bad sets count ''"),
+            ("total abc", "set a 1.0", "bad total 'abc'"),
+            ("total", "set a 1.0", "bad total ''"),
+        ):
+            text = f"# confusion-network v1\n{header}\n{line}\n"
+            with pytest.raises(ValidationError, match=message):
+                read_cn(io.StringIO(text), V)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_rejects_non_finite_value(self, value):
@@ -246,6 +253,13 @@ class TestNbestRoundTrip:
     def test_rejects_unknown_symbol(self):
         with pytest.raises(ValidationError):
             read_nbest(io.StringIO("# nbest v1\n1.0 z\n"), V)
+
+    @pytest.mark.parametrize("bounds", ["a 3", "0 3.5", "0 x"])
+    def test_rejects_malformed_segment_bounds(self, bounds):
+        text = f"# nbest v1\nsegment {bounds} unconfident\n1.0 a\n"
+        start, end = bounds.split()
+        with pytest.raises(ValidationError, match=f"bad segment bounds '{start}' '{end}'"):
+            read_nbest(io.StringIO(text), V)
 
 
 class TestDumpTarget:

@@ -17,8 +17,7 @@ from softctc import (
     Vocabulary,
     compile_cn,
     compile_nbest,
-    ctc_forward_backward,
-    soft_ctc,
+    ctc_loss,
     soft_ctc_batch,
     soft_ctc_loss,
     soft_ctc_value_at,
@@ -59,10 +58,10 @@ def test_trivial_target_equals_plain_ctc():
         lab = Labeling(tuple(int(s) for s in rng.integers(0, 2, size=length)))
         y = rand_posteriors(rng, frames)
         try:
-            plain, _ = ctc_forward_backward(y, lab, V)
+            plain = ctc_loss(y, lab, V)
         except InfeasibleTarget:
             continue
-        soft, _ = soft_ctc(y, compile_cn(trivial_cn(lab), V))
+        soft = soft_ctc_loss(y, compile_cn(trivial_cn(lab), V))
         assert abs(soft.loss - plain.loss) < 1e-10
         assert np.allclose(soft.grad, plain.grad, atol=1e-10)
 
@@ -72,7 +71,7 @@ def test_weighted_sum_hand_value():
         NBestList(((Labeling((0,)), 0.6), (Labeling((1,)), 0.4))), V
     )
     y = PosteriorMatrix(np.array([[0.5, 0.3, 0.2]]))
-    result, _ = soft_ctc(y, target)
+    result = soft_ctc_loss(y, target)
     assert result.loss == pytest.approx(-math.log(0.42), rel=1e-12)
 
 
@@ -84,7 +83,7 @@ def test_matches_enumeration_oracle_on_random_cns():
         y = rand_posteriors(rng, int(rng.integers(1, 7)))
         expected = oracle_softctc(y, cn, V)
         try:
-            result, _ = soft_ctc(y, compile_cn(cn, V))
+            result = soft_ctc_loss(y, compile_cn(cn, V))
         except InfeasibleTarget:
             assert expected == 0.0
             checked += 1
@@ -133,14 +132,14 @@ def test_infeasible_when_line_shorter_than_mandatory_groups():
     cn = ConfusionNetwork((ConfusionSet({0: 1.0}), ConfusionSet({0: 1.0})))
     y = PosteriorMatrix(np.full((2, 3), 1.0 / 3.0))
     with pytest.raises(InfeasibleTarget):
-        soft_ctc(y, compile_cn(cn, V))
+        soft_ctc_loss(y, compile_cn(cn, V))
 
 
 def test_skippable_groups_relax_the_minimum_length():
     # same two groups, but the second may be skipped entirely
     cn = ConfusionNetwork((ConfusionSet({0: 1.0}), ConfusionSet({0: 0.5}, 0.5)))
     y = PosteriorMatrix(np.full((1, 3), 1.0 / 3.0))
-    result, _ = soft_ctc(y, compile_cn(cn, V))
+    result = soft_ctc_loss(y, compile_cn(cn, V))
     # only the skip variant fits one frame: weight 0.5, emission 1/3
     assert math.exp(result.log_likelihood) == pytest.approx(0.5 / 3.0, rel=1e-12)
 
@@ -153,7 +152,7 @@ def test_gradient_matches_finite_differences():
         y = rand_posteriors(rng, int(rng.integers(2, 7)))
         try:
             target = compile_cn(cn, V)
-            result, _ = soft_ctc(y, target)
+            result = soft_ctc_loss(y, target)
         except InfeasibleTarget:
             continue
         fd = finite_difference_grad(lambda m: soft_ctc_loss(m, target).loss, y)
@@ -166,7 +165,7 @@ def test_long_line_gradient_finite_under_rescaling():
     rng = np.random.default_rng(59)
     cn = rand_cn(rng, max_sets=4)
     y = rand_posteriors(rng, 300)
-    result, _ = soft_ctc(y, compile_cn(cn, V))
+    result = soft_ctc_loss(y, compile_cn(cn, V))
     assert math.isfinite(result.loss)
     assert np.all(np.isfinite(result.grad))
 
@@ -179,7 +178,7 @@ class TestValueAt:
             y = rand_posteriors(rng, int(rng.integers(2, 8)))
             try:
                 target = compile_cn(cn, V)
-                result, _ = soft_ctc(y, target)
+                result = soft_ctc_loss(y, target)
             except InfeasibleTarget:
                 continue
             p = math.exp(result.log_likelihood)
@@ -189,7 +188,7 @@ class TestValueAt:
     def test_trivial_target_value_matches_ctc(self):
         y = PosteriorMatrix(np.array([[0.6, 0.2, 0.2], [0.3, 0.2, 0.5]]))
         target = compile_cn(trivial_cn(Labeling((0,))), V)
-        plain, _ = ctc_forward_backward(y, Labeling((0,)), V)
+        plain = ctc_loss(y, Labeling((0,)), V)
         assert soft_ctc_value_at(y, target, 0) == pytest.approx(
             math.exp(-plain.loss), rel=1e-12
         )
@@ -212,7 +211,7 @@ def test_state_symbols_must_fit_posterior_width():
     y = PosteriorMatrix(np.full((2, 2), 0.5))
     target = compile_cn(trivial_cn(Labeling((0,))), V)  # blank index 2
     with pytest.raises(ValidationError):
-        soft_ctc(y, target)
+        soft_ctc_loss(y, target)
 
 
 def test_batch_maps_in_order():
@@ -224,7 +223,7 @@ def test_batch_maps_in_order():
         items.append((y, compile_cn(cn, V)))
     batched = soft_ctc_batch(items)
     for (y, target), got in zip(items, batched):
-        expected, _ = soft_ctc(y, target)
+        expected = soft_ctc_loss(y, target)
         assert got.loss == expected.loss
 
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import statistics
 import types
@@ -37,6 +38,73 @@ def test_no_unused_imports():
         f"{path.name}:{line}: {name}"
         for path in sorted(modules)
         for line, name in _unused_imports(path)
+    ]
+    assert not found, found
+
+
+def _resolve(module, name):
+    """``module.name`` as an attribute or a submodule; None when neither exists."""
+    if hasattr(module, name):
+        return getattr(module, name)
+    try:
+        return importlib.import_module(f"{module.__name__}.{name}")
+    except ImportError:
+        return None
+
+
+def _missing_softctc_names(path):
+    """Names a script reads from softctc that the package does not provide.
+
+    Covers ``import softctc[.sub] [as x]``, ``from softctc[.sub] import X``
+    and every attribute read through a bound softctc module, e.g.
+    ``cnio.read_cn`` after ``from softctc import io as cnio``.
+    """
+    tree = ast.parse(path.read_text())
+    bound = {}  # local name -> softctc module
+    missing = []
+
+    def lookup(dotted, line):
+        value = softctc
+        for name in dotted.split(".")[1:]:
+            value = _resolve(value, name)
+            if value is None:
+                missing.append((line, dotted))
+                return None
+        return value
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "softctc":
+                    module = lookup(alias.name, node.lineno)
+                    if module is not None:
+                        bound[alias.asname or "softctc"] = module if alias.asname else softctc
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] != "softctc":
+                continue
+            for alias in node.names:
+                value = lookup(f"{node.module}.{alias.name}", node.lineno)
+                if isinstance(value, types.ModuleType):
+                    bound[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in bound
+        ):
+            lookup(f"{bound[node.value.id].__name__}.{node.attr}", node.lineno)
+    return sorted(missing)
+
+
+def test_benchmark_scripts_import_only_existing_names():
+    # the benchmark is not part of this suite, so a renamed or deleted public
+    # name would otherwise only show when the benchmark runs
+    scripts = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    assert scripts
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in scripts
+        for line, name in _missing_softctc_names(path)
     ]
     assert not found, found
 
