@@ -69,21 +69,14 @@ def _layout(cn: ConfusionNetwork) -> _Layout:
         raise ValidationError("compile targets require a normalized network")
     # each set is renormalized exactly so later telescoping sums close to
     # machine precision
-    epsilon, letter_counts, symbols, letter_p = [], [], [], []
-    for i, s in enumerate(cn.sets):
-        total = s.total()
-        eps = s.null / total
-        if eps >= 1.0 - EPSILON_FLOOR:
-            raise DegenerateSet(f"set {i} is null with probability {eps!r}")
-        epsilon.append(eps)
-        letter_counts.append(len(s.alternatives))
-        for sym, p in sorted(s.alternatives.items()):
-            symbols.append(sym)
-            letter_p.append(p / total)
-    epsilon.append(0.0)  # the terminal group
-    letter_counts.append(0)
-    epsilon = np.array(epsilon, dtype=np.float64)
-    letter_counts = np.array(letter_counts, dtype=np.int64)
+    totals = np.array(cn.totals())
+    epsilon = np.append(cn.nulls / totals, 0.0)  # the terminal group last
+    degenerate = np.flatnonzero(epsilon >= 1.0 - EPSILON_FLOOR)
+    if degenerate.size:
+        i = int(degenerate[0])
+        raise DegenerateSet(f"set {i} is null with probability {float(epsilon[i])!r}")
+    letter_counts = np.append(np.diff(cn.offsets), 0)
+    letter_p = cn.scores / np.repeat(totals, letter_counts[:-1])
     offsets = np.zeros(epsilon.shape[0] + 1, dtype=np.int64)
     np.cumsum(letter_counts + 1, out=offsets[1:])
     total_states = int(offsets[-1])
@@ -93,8 +86,7 @@ def _layout(cn: ConfusionNetwork) -> _Layout:
     entry = np.empty(total_states)
     entry[offsets[:-1]] = 1.0 - epsilon
     entry[~is_blank] = letter_p
-    symbols = np.array(symbols, dtype=np.int64)
-    return _Layout(epsilon, letter_counts, offsets, group_index, is_blank, entry, symbols)
+    return _Layout(epsilon, letter_counts, offsets, group_index, is_blank, entry, cn.symbols)
 
 
 def _boundary(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:

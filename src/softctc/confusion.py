@@ -5,14 +5,22 @@ the explicit skip choice.  Null is not the blank: it removes the set from a
 variant entirely rather than emitting anything.  Scores are raw accumulations
 until a network is normalized, after which every set is a distribution.
 
-All operations are pure; networks are never mutated in place.
+A network is stored as flat arrays (set offsets, ascending symbols, scores,
+nulls), and the transforms are array operations on them.  Per-set totals are
+exactly rounded (``math.fsum``) and powers are Python's ``**``, so results
+match the per-set loops kept in :mod:`softctc.oracle` bit for bit.  Merging
+folds mutable per-set dicts through one aligner.  All operations are pure;
+networks are never mutated in place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .types import Labeling, NBestList, ValidationError
 
@@ -74,53 +82,128 @@ class ConfusionSet:
         return ConfusionSet({k: v / t for k, v in self.alternatives.items()}, self.null / t)
 
 
-@dataclass(frozen=True, eq=True)
-class ConfusionNetwork:
-    """Ordered confusion sets plus bookkeeping for raw-score networks.
+def _fsum_totals(offsets: np.ndarray, scores: np.ndarray, nulls: np.ndarray) -> list[float]:
+    """Exactly rounded total of every set, null included: ``ConfusionSet.total``."""
+    # each set's scores followed by its null, so every total is one slice
+    values = np.insert(scores, offsets[1:], nulls).tolist()
+    ends = (offsets[1:] + np.arange(1, nulls.shape[0] + 1)).tolist()
+    return [math.fsum(values[a:b]) for a, b in zip([0] + ends, ends)]
 
-    ``total_score`` is the per-set mass a raw network conserves (the sum of
-    folded hypothesis weights); it is 1.0 for normalized networks.  Every set
-    must total 1.0 (normalized) or ``total_score`` (raw) to within 1e-6
-    relative.
+
+class ConfusionNetwork:
+    """Ordered confusion sets, stored as flat arrays, plus raw-score bookkeeping.
+
+    Set ``i`` offers ``symbols[offsets[i]:offsets[i + 1]]`` (ascending) with
+    the matching ``scores`` and skip mass ``nulls[i]``.  ``total_score`` is
+    the per-set mass a raw network conserves (the sum of folded hypothesis
+    weights); it is 1.0 for normalized networks.  Every set must total 1.0
+    (normalized) or ``total_score`` (raw) to within 1e-6 relative.  The
+    arrays are read-only; ``sets`` is a view of them as ``ConfusionSet``
+    values, built on first access.
     """
 
-    sets: tuple[ConfusionSet, ...]
-    normalized: bool = True
-    total_score: float = 1.0
+    def __init__(self, sets: Iterable[ConfusionSet], normalized: bool = True, total_score: float = 1.0):
+        self._init(*_flatten(tuple(sets)), normalized, total_score)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(self.sets))
-        object.__setattr__(self, "total_score", float(self.total_score))
+    @classmethod
+    def _from_arrays(cls, offsets, symbols, scores, nulls, normalized=True, total_score=1.0):
+        cn = cls.__new__(cls)
+        cn._init(offsets, symbols, scores, nulls, normalized, total_score)
+        return cn
+
+    def _init(self, offsets, symbols, scores, nulls, normalized, total_score):
+        self.__dict__.update(
+            offsets=np.asarray(offsets, dtype=np.int64), symbols=np.asarray(symbols, dtype=np.int64),
+            scores=np.asarray(scores, dtype=np.float64), nulls=np.asarray(nulls, dtype=np.float64),
+            normalized=bool(normalized), total_score=float(total_score),
+        )
+        for a in (self.offsets, self.symbols, self.scores, self.nulls):
+            a.setflags(write=False)
+        positive = (self.scores > 0.0) & (self.scores < math.inf)  # NaN fails too
+        nonnegative = (self.nulls >= 0.0) & (self.nulls < math.inf)
+        if not (positive.all() and nonnegative.all() and np.diff(self.offsets).all()):
+            _unpack(self, ConfusionSet)  # the first bad set raises its own error
         if not 0.0 < self.total_score < math.inf:  # also catches NaN
-            raise ValidationError(
-                f"total score must be positive and finite, got {self.total_score!r}"
-            )
+            raise ValidationError(f"total score must be positive and finite, got {self.total_score!r}")
         expected = 1.0 if self.normalized else self.total_score
-        for i, s in enumerate(self.sets):
-            total = s.total()
-            if not abs(total - expected) <= 1e-6 * expected:
-                kind = "normalized" if self.normalized else "raw"
-                raise ValidationError(
-                    f"set {i} of a {kind} network sums to {total!r}, expected {expected!r}"
-                )
+        totals = np.add.reduceat(self.scores, self.offsets[:-1]) + self.nulls
+        off = np.flatnonzero(~(np.abs(totals - expected) <= 1e-6 * expected))
+        if off.size:
+            i = int(off[0])
+            kind = "normalized" if self.normalized else "raw"
+            raise ValidationError(
+                f"set {i} of a {kind} network sums to {self.sets[i].total()!r}, expected {expected!r}"
+            )
+
+    @functools.cached_property
+    def sets(self) -> tuple[ConfusionSet, ...]:
+        return tuple(_unpack(self, ConfusionSet))
+
+    def totals(self) -> list[float]:
+        """Exactly rounded total of every set, null included."""
+        return _fsum_totals(self.offsets, self.scores, self.nulls)
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, ConfusionNetwork):
+            return NotImplemented
+        return (self.sets, self.normalized, self.total_score) == (other.sets, other.normalized, other.total_score)
 
     __hash__ = None
 
-    def __len__(self) -> int:
-        return len(self.sets)
+    def __repr__(self) -> str:
+        return f"ConfusionNetwork({self.sets!r}, normalized={self.normalized}, total_score={self.total_score!r})"
+
+
+def _unpack(cn: ConfusionNetwork, make) -> list:
+    """``make(alternatives, null)`` for every set of ``cn``."""
+    offsets, symbols, scores, nulls = (a.tolist() for a in (cn.offsets, cn.symbols, cn.scores, cn.nulls))
+    return [
+        make(dict(zip(symbols[a:b], scores[a:b])), null)
+        for a, b, null in zip(offsets, offsets[1:], nulls)
+    ]
+
+
+def _flatten(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, symbols, scores, nulls) of sets with ``alternatives`` and ``null``."""
+    items = [sorted(s.alternatives.items()) for s in sets]
+    flat = [kv for it in items for kv in it]
+    return (
+        np.cumsum([0] + [len(it) for it in items]),
+        np.array([k for k, _ in flat], dtype=np.int64),
+        np.array([v for _, v in flat], dtype=np.float64),
+        np.array([s.null for s in sets], dtype=np.float64),
+    )
+
+
+def _normalized(offsets, symbols, scores, nulls) -> ConfusionNetwork:
+    """Divide every set by its exactly rounded total: one rounding per entry
+    keeps renormalization of an already-normal set bit-stable."""
+    totals = np.array(_fsum_totals(offsets, scores, nulls))
+    return ConfusionNetwork._from_arrays(
+        offsets, symbols, scores / np.repeat(totals, np.diff(offsets)), nulls / totals
+    )
 
 
 def trivial_cn(labeling: Labeling | Iterable[int], weight: float = 1.0) -> ConfusionNetwork:
     """Singleton-set network representing exactly one labeling."""
-    sets = tuple(ConfusionSet({int(s): float(weight)}) for s in labeling)
-    return ConfusionNetwork(sets, normalized=(weight == 1.0), total_score=float(weight))
+    symbols = [int(s) for s in labeling]
+    return ConfusionNetwork._from_arrays(
+        np.arange(len(symbols) + 1), symbols, np.full(len(symbols), float(weight)),
+        np.zeros(len(symbols)), normalized=(weight == 1.0), total_score=float(weight),
+    )
 
 
 def normalize_cn(cn: ConfusionNetwork) -> ConfusionNetwork:
-    return ConfusionNetwork(tuple(s.normalized() for s in cn.sets), normalized=True)
+    return _normalized(cn.offsets, cn.symbols, cn.scores, cn.nulls)
 
 
-def _best_positions(sets: Sequence[ConfusionSet | _RawSet]) -> tuple[list[int], list[int]]:
+def _best_positions(sets: Sequence[_RawSet]) -> tuple[list[int], list[int]]:
     """Best-path symbols and the indices of the sets they come from."""
     symbols: list[int] = []
     positions: list[int] = []
@@ -137,7 +220,7 @@ def best_path(cn: ConfusionNetwork) -> Labeling:
 
     Sets whose best choice is null contribute nothing.
     """
-    symbols, _ = _best_positions(cn.sets)
+    symbols, _ = _best_positions(_unpack(cn, _RawSet))
     return Labeling(tuple(symbols))
 
 
@@ -153,33 +236,46 @@ def levenshtein_align(a: Sequence[int], b: Sequence[int]) -> list[tuple[str, int
     Returns (kind, i, j) ops where i indexes ``a``, j indexes ``b`` and -1
     marks the absent side.  At equal cost the walk prefers match, then
     substitution, then deletion, then insertion, resolving ties left to right.
+
+    Row ``i`` of the table ``dist[i][j]`` (edit distance of ``a[i:]`` and
+    ``b[j:]``) is two bit vectors (Myers 1999, Hyyro's edit-distance form,
+    on the reversed strings): bit ``k`` of ``pv``/``mv`` marks
+    ``dist[i][m-k-1]`` one above/below ``dist[i][m-k]``; ``dist[i][m] = n-i``.
     """
-    a = list(a)
-    b = list(b)
+    a, b = list(a), list(b)
     n, m = len(a), len(b)
-    # dist[i][j] = edit distance between a[i:] and b[j:]
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dist[i][m] = n - i
-    for j in range(m + 1):
-        dist[n][j] = m - j
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            sub = dist[i + 1][j + 1] + (a[i] != b[j])
-            dist[i][j] = min(sub, dist[i + 1][j] + 1, dist[i][j + 1] + 1)
+    full = (1 << m) - 1
+    match_bits: dict[int, int] = {}
+    for j, s in enumerate(b):
+        match_bits[s] = match_bits.get(s, 0) | 1 << (m - 1 - j)
+    pv, mv = full, 0
+    rows = [(pv, mv)]
+    for s in reversed(a):
+        eq = match_bits.get(s, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) & full
+        mh = pv & xh
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+        rows.append((pv, mv))
+    rows.reverse()
+
+    def dist(i: int, j: int) -> int:
+        pv, mv = rows[i]
+        mask = (1 << (m - j)) - 1
+        return n - i + (pv & mask).bit_count() - (mv & mask).bit_count()
+
     ops: list[tuple[str, int, int]] = []
     i = j = 0
     while i < n or j < m:
-        here = dist[i][j]
-        if i < n and j < m and a[i] == b[j] and here == dist[i + 1][j + 1]:
-            ops.append((MATCH, i, j))
+        here = dist(i, j)
+        if i < n and j < m and here == dist(i + 1, j + 1) + (a[i] != b[j]):
+            ops.append((MATCH if a[i] == b[j] else SUBSTITUTE, i, j))
             i += 1
             j += 1
-        elif i < n and j < m and a[i] != b[j] and here == dist[i + 1][j + 1] + 1:
-            ops.append((SUBSTITUTE, i, j))
-            i += 1
-            j += 1
-        elif i < n and here == dist[i + 1][j] + 1:
+        elif i < n and here == dist(i + 1, j) + 1:
             ops.append((DELETE, i, -1))
             i += 1
         else:
@@ -188,17 +284,12 @@ def levenshtein_align(a: Sequence[int], b: Sequence[int]) -> list[tuple[str, int
     return ops
 
 
+@dataclass(slots=True)
 class _RawSet:
     """A mutable confusion set that takes ownership of ``alternatives``."""
 
-    __slots__ = ("alternatives", "null")
-
-    def __init__(self, alternatives: dict[int, float], null: float = 0.0):
-        self.alternatives = alternatives
-        self.null = null
-
-    def freeze(self) -> ConfusionSet:
-        return ConfusionSet(self.alternatives, self.null)
+    alternatives: dict[int, float]
+    null: float = 0.0
 
 
 def _merge_pair(
@@ -213,56 +304,48 @@ def _merge_pair(
     """
     pa, posa = _best_positions(a_sets)
     pb, posb = _best_positions(b_sets)
-    ops = levenshtein_align(pa, pb)
     out: list[_RawSet] = []
+
+    def flush(sets: list[_RawSet], start: int, stop: int, other_total: float) -> int:
+        for s in sets[start:stop]:
+            s.null += other_total
+        out.extend(sets[start:stop])
+        return stop
+
     ca = cb = 0
-
-    def flush_a(target: int):
-        nonlocal ca
-        while ca < target:
-            s = a_sets[ca]
-            s.null += b_total
-            out.append(s)
-            ca += 1
-
-    def flush_b(target: int):
-        nonlocal cb
-        while cb < target:
-            s = b_sets[cb]
-            s.null += a_total
-            out.append(s)
-            cb += 1
-
-    for kind, i, j in ops:
+    for kind, i, j in levenshtein_align(pa, pb):
         if kind == DELETE:
-            flush_a(posa[i] + 1)
+            ca = flush(a_sets, ca, posa[i] + 1, b_total)
         elif kind == INSERT:
-            flush_b(posb[j] + 1)
+            cb = flush(b_sets, cb, posb[j] + 1, a_total)
         else:  # MATCH or SUBSTITUTE
-            flush_a(posa[i])
-            flush_b(posb[j])
-            sa = a_sets[ca]
-            sb = b_sets[cb]
-            ca += 1
-            cb += 1
-            alts = sa.alternatives
+            ca = flush(a_sets, ca, posa[i], b_total)
+            cb = flush(b_sets, cb, posb[j], a_total)
+            sa, sb = a_sets[ca], b_sets[cb]
             for sym, v in sb.alternatives.items():
-                alts[sym] = alts.get(sym, 0.0) + v
+                sa.alternatives[sym] = sa.alternatives.get(sym, 0.0) + v
             sa.null += sb.null
             out.append(sa)
-    flush_a(len(a_sets))
-    flush_b(len(b_sets))
+            ca, cb = ca + 1, cb + 1
+    flush(a_sets, ca, len(a_sets), b_total)
+    flush(b_sets, cb, len(b_sets), a_total)
     return out
 
 
-def _accumulate(parts: Iterable[tuple[list[_RawSet], float]]) -> ConfusionNetwork:
-    """Merge ``(raw sets, per-set total)`` parts left to right into a raw network."""
+def _accumulate(parts: Iterable[tuple[list[_RawSet], float]]) -> tuple[list[_RawSet], float]:
+    """Merge ``(raw sets, per-set total)`` parts left to right; returns the same pair."""
     parts = iter(parts)
     acc, acc_total = next(parts)
     for sets, total in parts:
         acc = _merge_pair(acc, acc_total, sets, total)
         acc_total += total
-    return ConfusionNetwork(tuple(s.freeze() for s in acc), normalized=False, total_score=acc_total)
+    return acc, acc_total
+
+
+def _fold(nbest: NBestList) -> tuple[list[_RawSet], float]:
+    """Raw sets and per-set total of an n-best list, folded by descending weight."""
+    entries = sorted(nbest.entries, key=lambda e: (-e[1], e[0].symbols))
+    return _accumulate(([_RawSet({s: w}) for s in labeling], w) for labeling, w in entries)
 
 
 def build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
@@ -273,9 +356,10 @@ def build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
     best path and accumulated, and per-set normalization runs once at the end
     (skipped when ``normalize`` is false so networks can still be merged).
     """
-    entries = sorted(nbest.entries, key=lambda e: (-e[1], e[0].symbols))
-    cn = _accumulate(([_RawSet({s: w}) for s in labeling], w) for labeling, w in entries)
-    return normalize_cn(cn) if normalize else cn
+    sets, total = _fold(nbest)
+    if normalize:
+        return _normalized(*_flatten(sets))
+    return ConfusionNetwork._from_arrays(*_flatten(sets), normalized=False, total_score=total)
 
 
 def merge_cns(cns: Sequence[ConfusionNetwork]) -> ConfusionNetwork:
@@ -289,8 +373,9 @@ def merge_cns(cns: Sequence[ConfusionNetwork]) -> ConfusionNetwork:
         raise ValidationError("nothing to merge")
     if any(cn.normalized for cn in cns):
         raise ValidationError("merge expects raw networks; normalization is final")
-    parts = (([_RawSet(dict(s.alternatives), s.null) for s in cn.sets], cn.total_score) for cn in cns)
-    return normalize_cn(_accumulate(parts))
+    sets, total = _accumulate((_unpack(cn, _RawSet), cn.total_score) for cn in cns)
+    raw = ConfusionNetwork._from_arrays(*_flatten(sets), normalized=False, total_score=total)
+    return normalize_cn(raw)
 
 
 def smooth(cn: ConfusionNetwork, n: float) -> ConfusionNetwork:
@@ -302,37 +387,39 @@ def smooth(cn: ConfusionNetwork, n: float) -> ConfusionNetwork:
     """
     if not n >= 1.0:
         raise ValidationError(f"smoothing exponent must be >= 1, got {n!r}")
-    out = []
-    for s in cn.sets:
-        if math.isinf(n):
-            alts = {k: 1.0 for k in s.alternatives}
-            null = 1.0 if s.null > 0.0 else 0.0
-        else:
-            inv = 1.0 / n
-            alts = {k: v**inv for k, v in s.alternatives.items()}
-            null = s.null**inv
-        out.append(ConfusionSet(alts, null).normalized())
-    return ConfusionNetwork(tuple(out), normalized=True)
+    if math.isinf(n):
+        scores, nulls = np.ones(cn.scores.shape[0]), (cn.nulls > 0.0).astype(np.float64)
+    else:
+        # Python's float power, not np.power, whose results differ in the last bit
+        inv = 1.0 / n
+        scores = np.array([v**inv for v in cn.scores.tolist()])
+        nulls = np.array([v**inv for v in cn.nulls.tolist()])
+    return _normalized(cn.offsets, cn.symbols, scores, nulls)
 
 
 def prune(cn: ConfusionNetwork, cutoff: float = 0.01) -> ConfusionNetwork:
     """Keep only alternatives whose probability exceeds ``cutoff``.
 
     Null mass is never pruned.  A set whose alternatives all fall at or below
-    the cutoff keeps its single best alternative, so no set ever degenerates
-    to null alone.  Idempotent: renormalization only raises surviving entries.
+    the cutoff keeps its single best alternative (the smallest symbol among
+    ties), so no set ever degenerates to null alone.  Idempotent:
+    renormalization only raises surviving entries.
     """
     if not 0.0 <= cutoff < 1.0:
         raise ValidationError(f"cutoff must be in [0, 1), got {cutoff!r}")
-    out = []
-    for s in cn.sets:
-        probs = s.normalized()
-        kept = {k: v for k, v in probs.alternatives.items() if v > cutoff}
-        if not kept:
-            sym, score = _best_choice(probs.alternatives, 0.0)
-            kept = {sym: score}
-        out.append(ConfusionSet(kept, probs.null).normalized())
-    return ConfusionNetwork(tuple(out), normalized=True)
+    counts = np.diff(cn.offsets)
+    totals = np.array(cn.totals())
+    probs = cn.scores / np.repeat(totals, counts)
+    set_of = np.repeat(np.arange(counts.shape[0]), counts)
+    kept = probs > cutoff
+    bare = np.bincount(set_of[kept], minlength=counts.shape[0]) == 0
+    if bare.any():
+        # symbols ascend, so a set's first maximum is its smallest best symbol
+        peak = np.maximum.reduceat(probs, cn.offsets[:-1])
+        best = np.flatnonzero(bare[set_of] & (probs == peak[set_of]))
+        kept[best[np.unique(set_of[best], return_index=True)[1]]] = True
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(set_of[kept], minlength=counts.shape[0]))))
+    return _normalized(offsets, cn.symbols[kept], probs[kept], cn.nulls / totals)
 
 
 def outlier_metric(cn: ConfusionNetwork) -> float:
@@ -342,10 +429,10 @@ def outlier_metric(cn: ConfusionNetwork) -> float:
     drop the least reliable lines of a corpus.  An empty network is fully
     determined, so its metric is 0.
     """
-    if not cn.sets:
+    if not len(cn):
         return 0.0
     try:
-        return count_variant_paths(cn) / len(cn.sets)
+        return count_variant_paths(cn) / len(cn)
     except OverflowError:
         return math.inf
 
@@ -356,7 +443,4 @@ def count_variant_paths(cn: ConfusionNetwork) -> int:
     Distinct strings can be fewer: different combinations may collapse to the
     same string once nulls are dropped.  The enumeration oracle reports both.
     """
-    product = 1
-    for s in cn.sets:
-        product *= s.size()
-    return product
+    return math.prod((np.diff(cn.offsets) + (cn.nulls > 0.0)).tolist())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confusion import ConfusionNetwork, ConfusionSet, build_cn
+from .confusion import ConfusionNetwork, _flatten, _fold, _normalized
 from .types import Labeling, NBestList, PosteriorMatrix, ValidationError, Vocabulary
 
 NEG_INF = float("-inf")
@@ -237,19 +237,19 @@ def decode_line(
         else:
             nbests.append(_segment_nbest(part, v, cfg.beam_size))
     # a confident segment is the one-entry list of weight 1: singleton sets
-    networks = [build_cn(nbest, normalize) for nbest in nbests]
+    folds = [_fold(nbest) for nbest in nbests]
+    offsets, symbols, scores, nulls = _flatten([s for sets, _ in folds for s in sets])
     if normalize:
-        network = ConfusionNetwork(tuple(s for cn in networks for s in cn.sets), normalized=True)
+        network = _normalized(offsets, symbols, scores, nulls)
     else:
         masses = [nb.total_weight for seg, nb in zip(segments, nbests) if not seg.confident]
         line_confidence = max(float(np.prod(masses)) if masses else 1.0, np.finfo(float).tiny)
-        sets = []
-        for cn in networks:
-            factor = line_confidence / cn.total_score
-            for s in cn.sets:
-                scaled = {k: max(val * factor, 5e-324) for k, val in s.alternatives.items()}
-                sets.append(ConfusionSet(scaled, s.null * factor))
-        network = ConfusionNetwork(tuple(sets), normalized=False, total_score=line_confidence)
+        # each segment's sets total its fold's mass: rescale them per set
+        factor = np.repeat([line_confidence / t for _, t in folds], [len(f) for f, _ in folds])
+        scores = np.maximum(scores * np.repeat(factor, np.diff(offsets)), 5e-324)
+        network = ConfusionNetwork._from_arrays(
+            offsets, symbols, scores, nulls * factor, normalized=False, total_score=line_confidence
+        )
     return DecodedLine(segments, tuple(nbests), network)
 
 

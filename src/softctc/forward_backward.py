@@ -185,8 +185,8 @@ def gradient(y: np.ndarray, ws: ForwardBackwardWorkspace) -> np.ndarray:
     arithmetic.  A spread over the frames beyond ``MASS_SPREAD_RTOL *
     max(1, |log P|)`` means mass was lost to underflow or to the flush in one
     pass and not the other, so the loss cannot be trusted: raises
-    InfeasibleTarget naming the frame and the spread.  A frame with no mass
-    at all raises too.
+    InfeasibleTarget naming the frame and the spread.  A frame whose row
+    total is zero or subnormal raises too: its gradient keeps few digits.
     """
     terms = state_posterior_terms(ws)
     row_totals = terms.sum(axis=1)
@@ -212,13 +212,12 @@ def _log_mass(row_totals: np.ndarray, ws: ForwardBackwardWorkspace) -> np.ndarra
 
 
 def _check_mass_invariance(row_totals: np.ndarray, ws: ForwardBackwardWorkspace) -> None:
+    normal = (row_totals >= TINY) & (row_totals < np.inf)
+    if not normal.all():
+        t = int(np.argmin(normal))
+        raise InfeasibleTarget(f"the passes share {float(row_totals[t])!r} mass at frame {t}, "
+                               "outside the normal range; mass was lost to underflow in one pass")
     log_mass = _log_mass(row_totals, ws)
-    finite = np.isfinite(log_mass)
-    if not finite.all():
-        raise InfeasibleTarget(
-            f"the passes share no mass at frame {int(np.argmin(finite))}; "
-            "mass was lost to underflow in one pass"
-        )
     spread = float(np.ptp(log_mass))
     if spread > MASS_SPREAD_RTOL * max(1.0, abs(float(log_mass[-1]))):
         # the loss is read at the last frame: name the frame farthest from it

@@ -3,7 +3,8 @@
 All numbers are written with shortest round-trip formatting, so parse(write(x))
 reproduces x bit for bit and serialized output is byte-identical across runs.
 Symbols are display strings; ``<blank>``, ``<null>``, and ``<space>`` are the
-only reserved tokens.
+only reserved tokens.  A network is read into its flat arrays and
+written from them; a ``set`` line may name each symbol and ``<null>`` once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .compiler import CompiledTarget
-from .confusion import ConfusionNetwork, ConfusionSet
+from .confusion import ConfusionNetwork, _flatten, _RawSet
 from .decoding import Segment
 from .types import (
     Labeling,
@@ -139,16 +140,15 @@ def write_cn(
         fh.write(f"total {_fmt(cn.total_score)}\n")
         for key in sorted(meta or {}):
             fh.write(f"{key} {meta[key]}\n")
-        fh.write(f"sets {len(cn.sets)}\n")
-        for s in cn.sets:
-            parts = []
-            for sym in sorted(s.alternatives):
-                parts.append(_symbol_token(v.symbols[sym]))
-                parts.append(_fmt(s.alternatives[sym]))
-            if s.null > 0.0:
-                parts.append(NULL_TOKEN)
-                parts.append(_fmt(s.null))
-            fh.write("set " + " ".join(parts) + "\n")
+        fh.write(f"sets {len(cn)}\n")
+        offsets, symbols, scores, nulls = (
+            a.tolist() for a in (cn.offsets, cn.symbols, cn.scores, cn.nulls)
+        )
+        tokens = {sym: _symbol_token(v.symbols[sym]) for sym in dict.fromkeys(symbols)}
+        entries = [f"{tokens[sym]} {x!r}" for sym, x in zip(symbols, scores)]
+        for a, b, null in zip(offsets, offsets[1:], nulls):
+            tail = f" {NULL_TOKEN} {null!r}\n" if null > 0.0 else "\n"
+            fh.write("set " + " ".join(entries[a:b]) + tail)
     finally:
         if close:
             fh.close()
@@ -216,22 +216,21 @@ def read_cn(
         tokens = line.split()
         if len(tokens) % 2 != 0 or not tokens:
             raise ValidationError(f"set line {line_no} must hold symbol/value pairs")
-        alts: dict[int, float] = {}
-        null = 0.0
+        entries: dict[int, float] = {}  # -1 holds the null
         for tok, val in zip(tokens[::2], tokens[1::2]):
             try:
                 value = float(val)
             except ValueError:
                 raise ValidationError(f"set line {line_no}: bad value {val!r}") from None
-            if tok == NULL_TOKEN:
-                null += value
-            else:
-                sym = resolve(tok)
-                alts[sym] = alts.get(sym, 0.0) + value
-        sets.append(ConfusionSet(alts, null))
+            key = -1 if tok == NULL_TOKEN else resolve(tok)
+            if key in entries:
+                raise ValidationError(f"set line {line_no}: repeated {tok!r}")
+            entries[key] = value
+        null = entries.pop(-1, 0.0)
+        sets.append(_RawSet(entries, null))
     if v is None:
         v = Vocabulary(tuple(local_symbols) + (BLANK_TOKEN,), blank_index=len(local_symbols))
-    cn = ConfusionNetwork(tuple(sets), normalized=normalized, total_score=total)
+    cn = ConfusionNetwork._from_arrays(*_flatten(sets), normalized=normalized, total_score=total)
     return cn, v, meta
 
 

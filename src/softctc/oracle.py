@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to pin down expected values.
 
 Everything here works by exhaustive enumeration over alignment paths or
-per-set choices, or, for the beam search, the target compiler and the
-forward-backward kernel, by the plain loops the fast paths replaced, and,
+per-set choices, or, for the beam search, the edit-distance aligner, the
+network transforms, the target compiler and the forward-backward kernel, by
+the plain loops the fast paths replaced, and,
 for long lines whose linear-domain passes underflow, by a dense forward pass
 in the log domain.  None of it shares logic with the fast paths; the only
 common ground is the data containers.  Sizes are guarded so a misuse fails
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .compiler import CompiledTarget
-from .confusion import ConfusionNetwork
+from .confusion import ConfusionNetwork, ConfusionSet
 from .types import (
     InfeasibleTarget,
     Labeling,
@@ -203,6 +204,80 @@ def reference_prefix_beam_search(
         # all mass underflowed; keep the top prefix with a representable weight
         entries = [(Labeling(scored[0][0]), 5e-324)]
     return NBestList(tuple(entries))
+
+
+def reference_levenshtein_align(a, b) -> list[tuple[str, int, int]]:
+    """Edit-distance alignment from the full (n+1) x (m+1) table.
+
+    The reference for :func:`softctc.confusion.levenshtein_align`: same
+    ops, same tie order (match, substitution, deletion, insertion).
+    """
+    a = list(a)
+    b = list(b)
+    n, m = len(a), len(b)
+    # dist[i][j] = edit distance between a[i:] and b[j:]
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        dist[i][m] = n - i
+    for j in range(m + 1):
+        dist[n][j] = m - j
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            sub = dist[i + 1][j + 1] + (a[i] != b[j])
+            dist[i][j] = min(sub, dist[i + 1][j] + 1, dist[i][j + 1] + 1)
+    ops: list[tuple[str, int, int]] = []
+    i = j = 0
+    while i < n or j < m:
+        here = dist[i][j]
+        if i < n and j < m and a[i] == b[j] and here == dist[i + 1][j + 1]:
+            ops.append(("match", i, j))
+            i += 1
+            j += 1
+        elif i < n and j < m and a[i] != b[j] and here == dist[i + 1][j + 1] + 1:
+            ops.append(("substitute", i, j))
+            i += 1
+            j += 1
+        elif i < n and here == dist[i + 1][j] + 1:
+            ops.append(("delete", i, -1))
+            i += 1
+        else:
+            ops.append(("insert", -1, j))
+            j += 1
+    return ops
+
+
+def reference_normalize_cn(cn: ConfusionNetwork) -> ConfusionNetwork:
+    """Per-set normalization, one ``ConfusionSet.normalized`` at a time."""
+    return ConfusionNetwork(tuple(s.normalized() for s in cn.sets), normalized=True)
+
+
+def reference_smooth(cn: ConfusionNetwork, n: float) -> ConfusionNetwork:
+    """n-th root and renormalization, one set at a time."""
+    out = []
+    for s in cn.sets:
+        if math.isinf(n):
+            alts = {k: 1.0 for k in s.alternatives}
+            null = 1.0 if s.null > 0.0 else 0.0
+        else:
+            inv = 1.0 / n
+            alts = {k: v**inv for k, v in s.alternatives.items()}
+            null = s.null**inv
+        out.append(ConfusionSet(alts, null).normalized())
+    return ConfusionNetwork(tuple(out), normalized=True)
+
+
+def reference_prune(cn: ConfusionNetwork, cutoff: float) -> ConfusionNetwork:
+    """Cutoff pruning, one set at a time; a set left bare keeps its best
+    alternative, the smallest symbol among ties."""
+    out = []
+    for s in cn.sets:
+        probs = s.normalized()
+        kept = {k: v for k, v in probs.alternatives.items() if v > cutoff}
+        if not kept:
+            score = max(probs.alternatives.values())
+            kept = {min(k for k, v in probs.alternatives.items() if v == score): score}
+        out.append(ConfusionSet(kept, probs.null).normalized())
+    return ConfusionNetwork(tuple(out), normalized=True)
 
 
 # (letters, epsilon, blank weight) of one compiled group

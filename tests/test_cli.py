@@ -303,6 +303,12 @@ class TestTransformCommand:
         assert main(["transform", str(path)]) == 1
         assert capsys.readouterr().err == "error: bad total 'abc'\n"
 
+    def test_repeated_symbol_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "repeat.cn"
+        path.write_text("# confusion-network v1\nsets 1\nset a 0.3 a 0.2 <null> 0.5\n")
+        assert main(["transform", str(path)]) == 1
+        assert capsys.readouterr().err == "error: set line 1: repeated 'a'\n"
+
     def test_merge_rejects_normalized_inputs(self, tmp_path):
         cn = ConfusionNetwork((ConfusionSet({0: 1.0}),), normalized=True)
         path_a = write_cn_file(tmp_path, "n1.cn", cn)

@@ -21,7 +21,13 @@ from softctc import (
     trivial_cn,
 )
 from softctc.confusion import levenshtein_align
-from softctc.oracle import enumerate_cn_strings
+from softctc.oracle import (
+    enumerate_cn_strings,
+    reference_levenshtein_align,
+    reference_normalize_cn,
+    reference_prune,
+    reference_smooth,
+)
 
 V = Vocabulary.from_characters("actu")
 
@@ -147,6 +153,107 @@ class TestLevenshteinAlign:
     def test_empty_sides(self):
         assert [op for op, _, _ in levenshtein_align((), (0, 1))] == ["insert", "insert"]
         assert [op for op, _, _ in levenshtein_align((0, 1), ())] == ["delete", "delete"]
+
+    def test_matches_the_full_table_on_seeded_pairs(self):
+        # one-letter alphabets force long tie chains; lengths up to 200 span
+        # several machine words of the bit vectors
+        rng = np.random.default_rng(17)
+        for k in range(3200):
+            letters = (1, 2, 4, int(rng.integers(5, 40)))[k % 4]
+            top = 200 if k % 10 == 0 else 24
+            n, m = (0 if k % 50 == side else int(rng.integers(0, top + 1)) for side in (1, 2))
+            a = rng.integers(0, letters, size=n).tolist()
+            b = rng.integers(0, letters, size=m).tolist()
+            assert levenshtein_align(a, b) == reference_levenshtein_align(a, b), (a, b)
+
+
+class TestArrayNetwork:
+    def test_arrays_hold_sets_in_ascending_symbol_order(self):
+        cn = ConfusionNetwork(
+            (ConfusionSet({3: 0.25, 1: 0.75}), ConfusionSet({2: 0.5}, 0.5)), normalized=True
+        )
+        assert cn.offsets.tolist() == [0, 2, 3]
+        assert cn.symbols.tolist() == [1, 3, 2]
+        assert cn.scores.tolist() == [0.75, 0.25, 0.5]
+        assert cn.nulls.tolist() == [0.0, 0.5]
+        assert len(cn) == 2
+        # the derived view lists alternatives by symbol, not by insertion
+        assert list(cn.sets[0].alternatives) == [1, 3]
+        assert cn.sets == (ConfusionSet({1: 0.75, 3: 0.25}), ConfusionSet({2: 0.5}, 0.5))
+
+    def test_arrays_and_fields_are_read_only(self):
+        cn = trivial_cn(lab("cat"))
+        for name in ("offsets", "symbols", "scores", "nulls"):
+            with pytest.raises(ValueError):
+                getattr(cn, name)[0] = 0
+        with pytest.raises(AttributeError):
+            cn.normalized = False
+
+    def test_totals_are_exactly_rounded(self):
+        cn = ConfusionNetwork(
+            (ConfusionSet({0: 0.1, 1: 0.2}, 0.7), ConfusionSet({0: 1.0})), normalized=True
+        )
+        assert cn.totals() == [s.total() for s in cn.sets] == [math.fsum([0.1, 0.2, 0.7]), 1.0]
+
+
+def rand_network(rng, normalized):
+    """Up to 12 sets over 8 symbols, inserted out of order, with nulls, ties
+    and sets whose alternatives all sit near zero."""
+    sets = []
+    for _ in range(int(rng.integers(0, 13))):
+        k = int(rng.integers(1, 7))
+        symbols = rng.permutation(8)[:k].tolist()
+        kind = rng.integers(0, 4)
+        if kind == 0:  # ties
+            raw = np.full(k, float(rng.choice([0.1, 0.25, 1.0 / 3.0])))
+        elif kind == 1:  # everything below any cutoff, null dominant
+            raw = rng.uniform(1e-4, 2e-3, size=k)
+        else:
+            raw = rng.uniform(1e-3, 1.0, size=k)
+        null = float(rng.uniform(0.5, 5.0)) if kind == 1 else float(rng.choice([0.0, rng.uniform(0.01, 1.0)]))
+        total = math.fsum(raw.tolist() + [null])
+        scale = 1.0 if normalized else 0.37
+        sets.append(ConfusionSet({s: scale * v / total for s, v in zip(symbols, raw)}, scale * null / total))
+    return ConfusionNetwork(tuple(sets), normalized=normalized, total_score=1.0 if normalized else 0.37)
+
+
+def float_bits(cn):
+    return (
+        cn.offsets.tolist(),
+        cn.symbols.tolist(),
+        [x.hex() for x in cn.scores.tolist()],
+        [x.hex() for x in cn.nulls.tolist()],
+        cn.normalized,
+        cn.total_score.hex(),
+    )
+
+
+class TestTransformsMatchPerSetReference:
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_normalize(self, normalized):
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            cn = rand_network(rng, normalized)
+            assert float_bits(normalize_cn(cn)) == float_bits(reference_normalize_cn(cn))
+
+    @pytest.mark.parametrize("cutoff", [0.0, 0.01, 0.05, 0.3, 0.9])
+    def test_prune(self, cutoff):
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            cn = rand_network(rng, normalized=bool(rng.integers(0, 2)))
+            assert float_bits(prune(cn, cutoff)) == float_bits(reference_prune(cn, cutoff))
+
+    @pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 3.7, math.inf])
+    def test_smooth(self, n):
+        rng = np.random.default_rng(31)
+        for _ in range(150):
+            cn = rand_network(rng, normalized=bool(rng.integers(0, 2)))
+            assert float_bits(smooth(cn, n)) == float_bits(reference_smooth(cn, n))
+
+    def test_prune_keeps_the_smallest_best_symbol_of_a_bare_set(self):
+        cn = ConfusionNetwork((ConfusionSet({5: 0.002, 2: 0.002, 7: 0.001}, 0.995),))
+        assert prune(cn, 0.01).symbols.tolist() == [2]
+        assert float_bits(prune(cn, 0.01)) == float_bits(reference_prune(cn, 0.01))
 
 
 class TestBuildCn:

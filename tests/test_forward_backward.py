@@ -205,6 +205,21 @@ def test_loss_matches_log_domain_judge_or_raises():
     assert raised >= 10
 
 
+def test_subnormal_row_total_raises_naming_the_frame():
+    # the passes agree on log P within tolerance, but from frame 69 on the
+    # row totals are subnormal (down to ~4e-318): a gradient there would keep
+    # only a few significant digits
+    rng = np.random.default_rng(91)
+    target = compile_cn(rand_cn(rng), V)
+    y = near_zero_posteriors(rng, 144, floor=1e-60)
+    assert target.num_states == 17
+    _, ws = fb.run_passes(y, *kernel_inputs(target))
+    row_totals = fb.state_posterior_terms(ws).sum(axis=1)
+    assert int(np.flatnonzero(row_totals < TINY)[0]) == 69
+    with pytest.raises(InfeasibleTarget, match="mass at frame 69, outside the normal range"):
+        soft_ctc_loss(PosteriorMatrix(y), target)
+
+
 def test_gradient_survives_tiny_row_total_times_tiny_emission():
     # the only alignments emit "a" once at 1e-170; the row total and the
     # emission are both ~1e-170, and their product underflows to zero

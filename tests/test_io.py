@@ -201,6 +201,30 @@ class TestCnRoundTrip:
         with pytest.raises(ValidationError, match=f"positive and finite, got {value}"):
             read_cn(io.StringIO(text), V)
 
+    @pytest.mark.parametrize(
+        "line, token", [("set a 0.3 a 0.2 <null> 0.5", "a"), ("set a 0.5 <null> 0.2 <null> 0.3", "<null>")]
+    )
+    def test_rejects_repeated_token_in_a_set(self, line, token):
+        # a repeat used to be summed: "a 0.3 a 0.2" read as "a 0.5"
+        text = f"# confusion-network v1\nsets 2\nset b 1.0\n{line}\n"
+        with pytest.raises(ValidationError, match=f"set line 2: repeated '{token}'"):
+            read_cn(io.StringIO(text), V)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("set <null> 1.0", "at least one alternative"), ("set a 1.5 <null> -0.5", "null score")],
+    )
+    def test_rejects_bad_set_with_its_own_message(self, line, message):
+        text = f"# confusion-network v1\nsets 2\nset b 1.0\n{line}\n"
+        with pytest.raises(ValidationError, match=message):
+            read_cn(io.StringIO(text), V)
+
+    def test_reads_symbols_into_ascending_order(self):
+        text = "# confusion-network v1\nsets 1\nset <space> 0.25 <null> 0.25 a 0.5\n"
+        cn, _, _ = read_cn(io.StringIO(text), V)
+        assert cn.symbols.tolist() == [0, 2] and cn.scores.tolist() == [0.5, 0.25]
+        assert cn.nulls.tolist() == [0.25]
+
     def test_rejects_raw_set_that_misses_the_total(self):
         text = "# confusion-network v1\nnormalized false\ntotal 0.5\nsets 1\nset a 3.0\n"
         with pytest.raises(ValidationError, match="sums to 3.0, expected 0.5"):
