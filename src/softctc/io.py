@@ -28,6 +28,9 @@ from .types import (
 BLANK_TOKEN = "<blank>"
 NULL_TOKEN = "<null>"
 SPACE_TOKEN = "<space>"
+# a network with no sets names no symbol, but a vocabulary needs one besides
+# the blank: read_cn gives such a network this one
+UNUSED_SYMBOL = "<unused>"
 
 POSTERIOR_MAGIC = "# posteriors v1"
 CN_MAGIC = "# confusion-network v1"
@@ -161,7 +164,8 @@ def read_cn(
 
     Without a vocabulary, one is synthesized from the symbols in order of
     first appearance with a blank appended, which suffices for symbol-opaque
-    transforms.  Returns (network, vocabulary, metadata).
+    transforms; a network with no sets gets ``UNUSED_SYMBOL`` and the blank.
+    Returns (network, vocabulary, metadata).
     """
     body = _content_lines(_read_lines(path_or_file), CN_MAGIC, "confusion network")
     meta: dict[str, str] = {}
@@ -229,6 +233,7 @@ def read_cn(
         null = entries.pop(-1, 0.0)
         sets.append(_RawSet(entries, null))
     if v is None:
+        local_symbols = local_symbols or [UNUSED_SYMBOL]
         v = Vocabulary(tuple(local_symbols) + (BLANK_TOKEN,), blank_index=len(local_symbols))
     cn = ConfusionNetwork._from_arrays(*_flatten(sets), normalized=normalized, total_score=total)
     return cn, v, meta

@@ -2,9 +2,10 @@
 
 Every target is a :class:`~softctc.compiler.CompiledTarget`: a compiled
 confusion network, an n-best list, or plain CTC's one-entry n-best list,
-and :func:`soft_ctc_loss` scores each of them with one forward-backward
-pass.  :func:`multi_ctc` is the naive per-variant sum the compiled n-best
-target is checked against.
+and :func:`soft_ctc_batch` scores a batch of them with one lock-step
+forward-backward pass per group of lines; :func:`soft_ctc_loss` is its
+batch of one.  :func:`multi_ctc` is the naive per-variant sum the compiled
+n-best target is checked against.
 """
 
 from __future__ import annotations
@@ -29,57 +30,66 @@ from .types import (
 )
 
 
-def _run_passes(y: PosteriorMatrix, target: CompiledTarget):
-    """The loss and the kernel's workspace, after the shape and finiteness checks."""
+def _checked(y: PosteriorMatrix, target: CompiledTarget) -> np.ndarray:
+    """The posterior array, after the shape and finiteness checks."""
     if int(target.state_symbols.max(initial=0)) >= y.vocab_size:
         raise ShapeMismatch("target references symbols outside the posterior columns")
     check_finite(y)
-    return fb.run_passes(
-        y.frames, target.transition, target.state_symbols, target.alpha_hat, target.beta_hat
-    )
+    return y.frames
 
 
 def soft_ctc_loss(y: PosteriorMatrix, target: CompiledTarget) -> LossResult:
     """Negative log probability of the target distribution and its gradient.
 
-    The value is read at the last frame from the forward pass against the
-    final weights; the gradient accumulates state posteriors into vocabulary
-    bins with zero emissions contributing zero.  Raises NonFiniteEntry on a
-    NaN or infinite posterior anywhere in ``y``, used by the target or not.
+    The batch of one of :func:`soft_ctc_batch`: the value is read at the last
+    frame from the forward pass against the final weights; the gradient
+    accumulates state posteriors into vocabulary bins with zero emissions
+    contributing zero.  Raises NonFiniteEntry on a NaN or infinite posterior
+    anywhere in ``y``, used by the target or not.
     """
-    loss, ws = _run_passes(y, target)
-    return LossResult(loss, fb.gradient(y.frames, ws))
+    return soft_ctc_batch([(y, target)])[0]
 
 
 def soft_ctc_value_at(y: PosteriorMatrix, target: CompiledTarget, t: int) -> float:
     """Target probability evaluated at frame ``t``; constant over frames.
 
-    Diagnostic form of the loss: reassembles the unscaled alpha*beta/q sum at
-    one frame from the rescaled passes.  Returns 0.0 for an infeasible
-    instance instead of raising, so the invariance check covers that case;
-    a non-finite posterior still raises NonFiniteEntry.
+    Diagnostic form of the loss: the kernel's log mass at frame ``t``, the
+    unscaled alpha*beta/q sum reassembled from the rescaled passes.  Returns
+    0.0 for an infeasible instance instead of raising, so the invariance
+    check covers that case; a non-finite posterior still raises
+    NonFiniteEntry.
     """
     if not 0 <= t < y.num_frames:
         raise ValidationError(f"frame {t} outside [0, {y.num_frames})")
+    frames = _checked(y, target)
     try:
-        _, ws = _run_passes(y, target)
+        (passes,) = fb.run_batch([(frames, target)])
     except InfeasibleTarget:
         return 0.0
-    return fb.posterior_mass_at(ws, t)
+    return float(np.exp(passes.log_mass[t]))
 
 
 def soft_ctc_batch(
     items: Iterable[tuple[PosteriorMatrix, CompiledTarget]]
 ) -> list[LossResult]:
-    """Map the loss over (posterior, target) pairs, one line at a time.
+    """Loss and gradient of each (posterior, target) pair, in order.
 
-    Items are independent, so callers may shard the list across workers.
-    Stacking a batch into one block-diagonal matrix was measured at about
-    15 % faster on 16 lines of 250 frames, but it raised the peak resident
-    memory of that step from about 77 to 138 MiB because every line's
-    forward vectors are held at once; the per-line kernel stays the one path.
+    Every pair is checked first, so a NaN or infinite posterior anywhere in
+    the batch raises NonFiniteEntry before any line runs.  The kernel then
+    runs consecutive lines with the same frame count and vocabulary as one
+    group in lock step, one sparse product per frame and pass for the whole
+    group (see :mod:`softctc.forward_backward`).  A group stores only its
+    forward vectors and holds at most ``GROUP_BYTES`` (2 MiB) of them; a
+    larger line runs alone.  On the benchmark's 16 train-step lines (250
+    frames, 200-400 states, two or three lines per group) the step ran 1.5x
+    the per-line loop it replaces, and its peak resident memory fell from
+    78.1 to 77.5 MiB (medians of 10 pairs, ``BENCH_batch_kernel.json``).
+    Each line's result is bitwise the one it gets as a batch of one.  The
+    first infeasible line raises InfeasibleTarget naming its index in the
+    batch.
     """
-    return [soft_ctc_loss(y, target) for y, target in items]
+    lines = [(_checked(y, target), target) for y, target in items]
+    return [LossResult(passes.loss, passes.grad) for passes in fb.run_batch(lines)]
 
 
 def ctc_loss(y: PosteriorMatrix, l: Labeling, v: Vocabulary) -> LossResult:

@@ -398,10 +398,11 @@ def reference_run_passes(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Rescaled forward-backward with row-vector products, one frame at a time.
 
-    The reference for :func:`softctc.forward_backward.run_passes`: same
-    recursions, scale checks and raises.  Returns (negative log probability,
-    alphas, betas), where ``alphas[t]`` is the scaled forward vector after
-    the emission multiply, unlike the kernel's workspace.
+    The reference for the passes of :func:`softctc.forward_backward.run_batch`
+    on one line: same recursions, scale checks and messages.  Returns
+    (negative log probability, alphas, betas), where ``alphas[t]`` is the
+    scaled forward vector after the emission multiply, unlike the forward
+    vectors the kernel stores.
     """
     transition_t = transition.T.tocsr()
     frames = y.shape[0]
@@ -481,8 +482,8 @@ def reference_gradient(
 ) -> np.ndarray:
     """Gradient from :func:`reference_run_passes`, binned one state at a time.
 
-    The terms are alpha*beta/q with 0/0 read as 0; the reference for
-    :func:`softctc.forward_backward.gradient`.
+    The terms are alpha*beta/q with 0/0 read as 0; the reference for the
+    gradient of :func:`softctc.forward_backward.run_batch`.
     """
     q = y[:, state_symbols]
     terms = np.zeros_like(q)

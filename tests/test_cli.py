@@ -23,6 +23,7 @@ from softctc import (
     prune,
     smooth,
     soft_ctc_loss,
+    trivial_cn,
 )
 from softctc import io as formats
 from softctc.cli import main
@@ -308,6 +309,12 @@ class TestTransformCommand:
         path.write_text("# confusion-network v1\nsets 1\nset a 0.3 a 0.2 <null> 0.5\n")
         assert main(["transform", str(path)]) == 1
         assert capsys.readouterr().err == "error: set line 1: repeated 'a'\n"
+
+    def test_network_with_no_sets_passes_through(self, tmp_path, capsys):
+        path = tmp_path / "empty.cn"
+        formats.write_cn(path, trivial_cn(Labeling(())), V)
+        assert main(["transform", str(path)]) == 0
+        assert capsys.readouterr().out == path.read_text()
 
     def test_merge_rejects_normalized_inputs(self, tmp_path):
         cn = ConfusionNetwork((ConfusionSet({0: 1.0}),), normalized=True)

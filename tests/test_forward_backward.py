@@ -15,6 +15,7 @@ from softctc import (
     ctc_loss,
     merge_cns,
     smooth,
+    soft_ctc_batch,
     soft_ctc_loss,
 )
 from softctc import forward_backward as fb
@@ -105,6 +106,12 @@ def rand_target(rng, kind):
     return compile_nbest(NBestList(((rand_labeling(rng, max_len=5), 1.0),)), V)
 
 
+def run_one(y, target):
+    """The kernel's result for one line, run as a batch of one."""
+    (passes,) = fb.run_batch([(y, target)])
+    return passes
+
+
 def pinned(y, target, relative_grad=False):
     """Assert the kernel agrees with the reference; True when the line is feasible.
 
@@ -116,14 +123,14 @@ def pinned(y, target, relative_grad=False):
         ref_loss, alphas, betas = reference_run_passes(y, *args)
     except InfeasibleTarget as expected:
         with pytest.raises(InfeasibleTarget) as got:
-            fb.run_passes(y, *args)
-        assert str(got.value) == str(expected)
+            run_one(y, target)
+        assert str(got.value) == f"line 0: {expected}"
         return False
-    loss, ws = fb.run_passes(y, *args)
-    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+    passes = run_one(y, target)
+    assert passes.loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
     ref_grad = reference_gradient(y, args[1], alphas, betas)
     bound = 1e-12 * np.maximum(1.0, np.abs(ref_grad)) if relative_grad else 1e-12
-    assert np.all(np.abs(fb.gradient(y, ws) - ref_grad) <= bound)
+    assert np.all(np.abs(passes.grad - ref_grad) <= bound)
     return True
 
 
@@ -213,8 +220,9 @@ def test_subnormal_row_total_raises_naming_the_frame():
     target = compile_cn(rand_cn(rng), V)
     y = near_zero_posteriors(rng, 144, floor=1e-60)
     assert target.num_states == 17
-    _, ws = fb.run_passes(y, *kernel_inputs(target))
-    row_totals = fb.state_posterior_terms(ws).sum(axis=1)
+    _, alphas, betas = reference_run_passes(y, *kernel_inputs(target))
+    q = y[:, target.state_symbols]
+    row_totals = np.divide(alphas * betas, q, out=np.zeros_like(q), where=q > 0.0).sum(axis=1)
     assert int(np.flatnonzero(row_totals < TINY)[0]) == 69
     with pytest.raises(InfeasibleTarget, match="mass at frame 69, outside the normal range"):
         soft_ctc_loss(PosteriorMatrix(y), target)
@@ -234,6 +242,25 @@ def test_gradient_survives_tiny_row_total_times_tiny_emission():
     assert np.einsum("tk,tk->t", y, result.grad) == pytest.approx(np.full(frames, -1.0), rel=1e-12)
 
 
+def recorded_run(monkeypatch, y, target):
+    """The kernel's result for one line and every vector its products read.
+
+    The forward pass's reads come first, then the backward pass's: the
+    rescaled vectors of frames 0..T-2, then of frames T-1..1.
+    """
+    read = []
+    matvec = fb.csr_matvec
+
+    def recording(*call):
+        read.append(call[5].copy())
+        matvec(*call)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(fb, "csr_matvec", recording)
+        passes = run_one(y, target)
+    return passes, read
+
+
 def test_flush_leaves_no_subnormal_in_network_passes(monkeypatch):
     rng = np.random.default_rng(127)
     raw = [build_cn(rand_nbest(rng), normalize=False) for _ in range(3)]
@@ -244,43 +271,36 @@ def test_flush_leaves_no_subnormal_in_network_passes(monkeypatch):
     _, ref_alphas, ref_betas = reference_run_passes(y, *args)
     assert subnormal(ref_alphas).any() and subnormal(ref_betas).any()  # unflushed passes
     # every product reads a rescaled vector of one pass or the other
-    read = []
-    matvec = fb.csr_matvec
-
-    def recording(*call):
-        read.append(call[5].copy())
-        matvec(*call)
-
-    monkeypatch.setattr(fb, "csr_matvec", recording)
-    _, ws = fb.run_passes(y, *args)
+    _, read = recorded_run(monkeypatch, y, target)
     assert len(read) == 2 * (y.shape[0] - 1)
     assert not any(subnormal(vec).any() for vec in read)
-    assert not subnormal(ws.betas).any()
 
 
 def test_chains_are_not_flushed(monkeypatch):
-    # chains sit below the gate, so their workspace is the unflushed one
+    # chains sit below the gate, so their passes are the unflushed ones
     rng = np.random.default_rng(131)
     with_subnormals = 0
     for _ in range(60):
         target = rand_target(rng, "chain" if rng.random() < 0.5 else "nbest")
         assert target.transition.nnz <= fb.FLUSH_MIN_NNZ_PER_STATE * target.num_states
         y = near_zero_posteriors(rng, int(rng.integers(60, 251)), floor=1e-20)
-        args = kernel_inputs(target)
         try:
-            _, ws = fb.run_passes(y, *args)
+            passes, read = recorded_run(monkeypatch, y, target)
         except InfeasibleTarget:
             continue
-        with_subnormals += bool(subnormal(ws.betas).any())
+        with_subnormals += any(subnormal(vec).any() for vec in read[y.shape[0] - 1 :])
         with monkeypatch.context() as never:
             never.setattr(fb, "FLUSH_MIN_NNZ_PER_STATE", np.inf)
-            _, unflushed = fb.run_passes(y, *args)
-        for name in ("alphas", "betas", "alpha_scales", "beta_scales"):
-            assert np.array_equal(getattr(ws, name), getattr(unflushed, name)), name
+            unflushed, unflushed_read = recorded_run(monkeypatch, y, target)
+        assert passes.loss == unflushed.loss
+        assert np.array_equal(passes.grad, unflushed.grad)
+        assert np.array_equal(passes.log_mass, unflushed.log_mass)
+        assert len(read) == len(unflushed_read)
+        assert all(np.array_equal(a, b) for a, b in zip(read, unflushed_read))
     assert with_subnormals >= 8
 
 
-def test_flushed_path_that_later_carries_the_line_raises():
+def test_flushed_path_that_later_carries_the_line_raises(monkeypatch):
     # "b" holds 1e-310 of the mass after frame 1, below the flush threshold,
     # then out-emits "a" by 1e100 per frame: the flushed path carries the line
     cn = ConfusionNetwork(
@@ -296,7 +316,9 @@ def test_flushed_path_that_later_carries_the_line_raises():
     # the unflushed reference keeps the path and gets the line right
     ref_loss, _, _ = reference_run_passes(y, *args)
     assert ref_loss == pytest.approx(reference_log_loss(y, *args), rel=1e-12)
-    loss, _ = fb.run_passes(y, *args)  # the forward pass alone is off by ~200 nats
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(fb, "_mass_failure", lambda row_totals, log_mass: None)
+        loss = run_one(y, target).loss  # the forward pass alone is off by ~200 nats
     assert loss > ref_loss + 100.0
     with pytest.raises(InfeasibleTarget, match="lost to underflow"):
         soft_ctc_loss(PosteriorMatrix(y), target)
@@ -313,12 +335,11 @@ def test_sparse_objects_per_call_do_not_grow_with_frames(monkeypatch):
         init(self, *args, **kwargs)
 
     target = compile_cn(rand_cn(np.random.default_rng(109)), V)
-    args = kernel_inputs(target)
     counts = []
     for frames in (20, 200):
         y = rand_posteriors(np.random.default_rng(frames), frames)
         monkeypatch.setattr(sparse_base._spbase, "__init__", counting_init)
-        fb.run_passes(y, *args)
+        run_one(y, target)
         monkeypatch.undo()
         counts.append(len(created))
         created.clear()
@@ -341,7 +362,118 @@ def test_frame_loops_make_no_sparse_operator_calls(monkeypatch):
         monkeypatch.setattr(sparse_base._spbase, name, counting)
 
     target = compile_cn(rand_cn(np.random.default_rng(127)), V)
-    args = kernel_inputs(target)
     for frames in (20, 200):
-        fb.run_passes(rand_posteriors(np.random.default_rng(frames), frames), *args)
+        run_one(rand_posteriors(np.random.default_rng(frames), frames), target)
         assert calls == []
+
+
+def rand_batch(rng, size, frames):
+    """``size`` random lines of every target kind, with ``frames`` frames each."""
+    return [
+        (rand_posteriors(rng, int(f), zeros=float(rng.choice([0.0, 0.2]))),
+         rand_target(rng, LONG_LINE_KINDS[int(rng.integers(len(LONG_LINE_KINDS)))]))
+        for f in frames
+    ]
+
+
+def test_batch_lines_equal_their_batch_of_one(monkeypatch):
+    rng = np.random.default_rng(137)
+    lines_seen = spanning = mixed = 0
+    for trial in range(60):
+        size = int(rng.integers(2, 9))
+        if trial % 2:
+            frames = rng.choice([6, 9, 14], size=size)  # groups split where frames change
+        else:
+            frames = np.full(size, int(rng.integers(6, 30)))
+        lines = []
+        for y, target in rand_batch(rng, size, frames):
+            try:
+                single = run_one(y, target)
+            except InfeasibleTarget:
+                continue
+            lines.append((y, target, single))
+        # a small cap splits equal frame counts into several groups too
+        cap = fb.GROUP_BYTES if trial % 4 < 2 else int(rng.integers(500, 4000))
+        with monkeypatch.context() as patched:
+            patched.setattr(fb, "GROUP_BYTES", cap)
+            batch = [(y, target) for y, target, _ in lines]
+            groups = fb._groups(batch)
+            got = list(fb.run_batch(batch))
+        assert len(got) == len(lines)
+        for (_, _, single), passes in zip(lines, got):
+            assert passes.loss == single.loss
+            assert np.array_equal(passes.grad, single.grad)
+            assert np.array_equal(passes.log_mass, single.log_mass)
+        lines_seen += len(lines)
+        spanning += len(groups) > 1
+        mixed += any(last - first > 1 for first, last in groups)
+    assert lines_seen >= 200
+    assert spanning >= 30 and mixed >= 30
+
+
+def test_infeasible_line_mid_batch_names_its_index():
+    rng = np.random.default_rng(139)
+    reasons = set()
+    mid_batch = 0
+    for _ in range(80):
+        frames = np.full(int(rng.integers(2, 7)), int(rng.integers(1, 5)))
+        lines = rand_batch(rng, frames.shape[0], frames)
+        expected = None
+        for i, (y, target) in enumerate(lines):
+            try:
+                run_one(y, target)
+            except InfeasibleTarget as single:
+                expected = f"line {i}: " + str(single).removeprefix("line 0: ")
+                break
+        if expected is None:
+            continue
+        with pytest.raises(InfeasibleTarget) as got:
+            list(fb.run_batch(lines))
+        assert str(got.value) == expected
+        reasons.add(expected.split(": ", 1)[1].split(" ", 1)[0])
+        mid_batch += not expected.startswith("line 0:")
+    assert {"forward", "final"} <= reasons
+    assert mid_batch >= 20
+
+
+def test_underflow_line_mid_batch_keeps_its_row_total_text():
+    # the seed-91 line of test_subnormal_row_total_raises_naming_the_frame,
+    # between two feasible lines of its frame count
+    rng = np.random.default_rng(91)
+    target = compile_cn(rand_cn(rng), V)
+    y = near_zero_posteriors(rng, 144, floor=1e-60)
+    with pytest.raises(InfeasibleTarget) as single:
+        run_one(y, target)
+    assert "mass at frame 69, outside the normal range" in str(single.value)
+    chain = compile_nbest(NBestList(((Labeling((0, 1)), 1.0),)), V)
+    other = rand_posteriors(np.random.default_rng(5), 144)
+    with pytest.raises(InfeasibleTarget) as got:
+        list(fb.run_batch([(other, chain), (y, target), (other, chain)]))
+    assert str(got.value) == "line 1: " + str(single.value).removeprefix("line 0: ")
+
+
+def test_batch_runs_lines_in_lock_step(monkeypatch):
+    # 16 short lines of equal length: each frame makes one product per pass
+    # and group, where a per-line loop would make one per line
+    rng = np.random.default_rng(149)
+    frames = 12
+    items = [
+        (PosteriorMatrix(rand_posteriors(rng, frames)),
+         compile_nbest(NBestList(((Labeling((i % LETTERS,)), 1.0),)), V))
+        for i in range(16)
+    ]
+    calls = []
+    matvec = fb.csr_matvec
+
+    def counting(*call):
+        calls.append(call[0])
+        matvec(*call)
+
+    monkeypatch.setattr(fb, "csr_matvec", counting)
+    assert len(soft_ctc_batch(items)) == 16
+    assert len(calls) == 2 * (frames - 1)  # one group
+    # a cap of four 3-state lines (4-state slots) splits the batch in four
+    calls.clear()
+    monkeypatch.setattr(fb, "GROUP_BYTES", 8 * frames * 4 * 4)
+    assert len(soft_ctc_batch(items)) == 16
+    assert len(calls) == 4 * 2 * (frames - 1)

@@ -131,6 +131,18 @@ class TestCnRoundTrip:
         assert v2.symbols == ("a", " ", "<blank>")
         assert back.sets[0].alternatives == {0: 0.5, 1: 0.5}
 
+    def test_without_vocabulary_reads_a_network_with_no_sets(self):
+        buf = io.StringIO()
+        write_cn(buf, trivial_cn(Labeling(())), V)
+        assert buf.getvalue().endswith("sets 0\n")
+        buf.seek(0)
+        back, v2, _ = read_cn(buf)
+        assert len(back) == 0 and back.normalized
+        assert v2.symbols == ("<unused>", "<blank>")
+        out = io.StringIO()
+        write_cn(out, back, v2)
+        assert out.getvalue() == buf.getvalue()
+
     def test_values_survive_bit_for_bit(self):
         rng = np.random.default_rng(103)
         raw = rng.dirichlet([1.0, 1.0, 1.0])
