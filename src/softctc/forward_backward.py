@@ -65,8 +65,13 @@ MASS_SPREAD_RTOL = 1e-9
 # 92.3.  2 MiB takes most of the gain at no more peak memory.
 GROUP_BYTES = 2 * 2**20
 # Frames per emission gather (both passes) and per gradient binning (the
-# backward pass): a block's calls are paid once per 32 frames while its
-# buffers stay a few hundred KiB.
+# backward pass), at least 2: a block's calls are paid once per block, and
+# its buffers grow with it.  Lines per second (peak MiB) on the benchmark,
+# one run per seed on two seeds, same host as above -- train-step: 2 frames
+# 178-201 (76.2-76.7), 8 254-258 (76.0-76.5), 32 280-282 (77.1-77.2), 128
+# 267-282 (78.1-78.4), one block per line 247-252 (83.1); pseudolabel: 73-74,
+# 83-86, 89-94, 89 (82.9 against 81.7 at 32), 85-86 (87.2-87.5);
+# merge-transform: 33, 37-39, 37-39, 35-37 (84-85 against 78), 33-35 (94-95).
 BLOCK_FRAMES = 32
 
 
@@ -107,10 +112,26 @@ def run_batch(lines: Sequence[tuple[np.ndarray, CompiledTarget]]) -> Iterator[Li
       trusted.
     """
     for first, last in _groups(lines):
-        group = _Group(lines[first:last])
-        with np.errstate(all="ignore"):  # a failed line's NaNs stay in its own block
-            passes = group.run(first)
-        yield from passes
+        yield from _run_group(lines[first:last], first, check_mass=True)
+
+
+def log_mass(y: np.ndarray, target: CompiledTarget) -> np.ndarray:
+    """log P read at each frame of one line, without checking its spread.
+
+    The diagnostic form of :func:`run_batch`: raises InfeasibleTarget only
+    when a pass finds no mass, and returns what the row-total and spread
+    checks would judge, so a caller can measure the spread they bound.
+    """
+    (passes,) = _run_group([(y, target)], 0, check_mass=False)
+    return passes.log_mass
+
+
+def _run_group(pairs, first: int, check_mass: bool) -> list[LinePasses]:
+    group = _Group(pairs)
+    # a failed line's 0/0 and log(0) stay in its own block; overflow in a
+    # gradient still warns
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return group.run(first, check_mass)
 
 
 def _groups(lines: Sequence[tuple[np.ndarray, CompiledTarget]]) -> list[tuple[int, int]]:
@@ -161,9 +182,9 @@ class _Group:
             np.pad(t.state_symbols, (0, self.width - t.num_states)) for t in targets
         ]
 
-        nnz = sum(t.transition.nnz for t in targets)
-        # the products run about 5 % faster on 32-bit indices
-        index = np.int32 if max(self.states, 2 * nnz) < 2**31 else np.int64
+        # the targets' own index type (scipy's int32 unless a target outgrows
+        # it); a group of several lines holds at most GROUP_BYTES / 8 states
+        index = np.result_type(*(t.transition.indices.dtype for t in targets))
         counts = np.zeros((self.lines, self.width), dtype=index)
         for line, t in enumerate(targets):
             counts[line, : t.num_states] = np.diff(t.transition.indptr)
@@ -206,7 +227,7 @@ class _Group:
             emissions[:, line] = y[t0:t1].take(columns, axis=1)
         return out[: t1 - t0]
 
-    def run(self, first: int) -> list[LinePasses]:
+    def run(self, first: int, check_mass: bool) -> list[LinePasses]:
         frames, states, lines = self.frames, self.states, self.lines
         bounds, flush, floor = self.bounds, self.flush, self.floor
         decayed = np.empty(states, dtype=bool)
@@ -241,7 +262,7 @@ class _Group:
                 if flush:
                     less(vec, floor, out=decayed)
                     putmask(vec, decayed, 0.0)
-        final = reduceat(vec * self.beta_final, bounds)[::2]
+        final = self._final_mass(vec)
 
         beta_sums = np.empty((frames, 2 * lines))
         beta_div = beta_sums.reshape(frames, lines, 2)[:, :, :1]
@@ -284,12 +305,17 @@ class _Group:
             reason = _failure(alpha_scales[line], float(final[line]), beta_scales[line])
             if reason is None:
                 log_mass = _log_mass(row_totals[line], alpha_scales[line], beta_scales[line])
-                reason = _mass_failure(row_totals[line], log_mass)
+                if check_mass:
+                    reason = _mass_failure(row_totals[line], log_mass)
             if reason is not None:
                 raise InfeasibleTarget(f"line {first + line}: {reason}")
             loss = -(np.log(alpha_scales[line]).sum() + np.log(final[line]))
             results.append(LinePasses(float(loss), grads[line], log_mass))
         return results
+
+    def _final_mass(self, alpha: np.ndarray) -> np.ndarray:
+        """Each line's mass in its final states, from the last rescaled forward vector."""
+        return np.add.reduceat(alpha * self.beta_final, self.bounds)[::2]
 
     def _bin(self, alphas, alpha_div, betas, terms, t0, t1, row_totals, grads) -> None:
         """Row totals and gradient of frames [t0, t1) from the block's passes."""

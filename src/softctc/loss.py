@@ -54,19 +54,20 @@ def soft_ctc_value_at(y: PosteriorMatrix, target: CompiledTarget, t: int) -> flo
     """Target probability evaluated at frame ``t``; constant over frames.
 
     Diagnostic form of the loss: the kernel's log mass at frame ``t``, the
-    unscaled alpha*beta/q sum reassembled from the rescaled passes.  Returns
-    0.0 for an infeasible instance instead of raising, so the invariance
-    check covers that case; a non-finite posterior still raises
-    NonFiniteEntry.
+    unscaled alpha*beta/q sum reassembled from the rescaled passes, read
+    without the row-total and spread checks so that the invariance check
+    sees what they bound.  Returns 0.0 for an instance whose passes find no
+    mass instead of raising, so the invariance check covers that case; a
+    non-finite posterior still raises NonFiniteEntry.
     """
     if not 0 <= t < y.num_frames:
         raise ValidationError(f"frame {t} outside [0, {y.num_frames})")
     frames = _checked(y, target)
     try:
-        (passes,) = fb.run_batch([(frames, target)])
+        log_mass = fb.log_mass(frames, target)
     except InfeasibleTarget:
         return 0.0
-    return float(np.exp(passes.log_mass[t]))
+    return float(np.exp(log_mass[t]))
 
 
 def soft_ctc_batch(

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from softctc import (
     smooth,
     soft_ctc_batch,
     soft_ctc_loss,
+    soft_ctc_value_at,
 )
 from softctc import forward_backward as fb
 from softctc.oracle import reference_gradient, reference_log_loss, reference_run_passes
@@ -242,38 +245,68 @@ def test_gradient_survives_tiny_row_total_times_tiny_emission():
     assert np.einsum("tk,tk->t", y, result.grad) == pytest.approx(np.full(frames, -1.0), rel=1e-12)
 
 
-def recorded_run(monkeypatch, y, target):
-    """The kernel's result for one line and every vector its products read.
+class Recorded(NamedTuple):
+    """One line's kernel result and the rescaled vectors of its passes.
 
-    The forward pass's reads come first, then the backward pass's: the
-    rescaled vectors of frames 0..T-2, then of frames T-1..1.
+    ``read`` holds every vector a product reads, the forward pass's first:
+    frames 0..T-2 forward, then frames T-1..1 backward.  ``betas`` holds the
+    backward vectors of frames 0..T-1, as the gradient binning reads them,
+    and ``last`` the forward vector of frame T-1, which the final mass reads.
     """
-    read = []
-    matvec = fb.csr_matvec
+
+    passes: fb.LinePasses
+    read: list
+    betas: np.ndarray
+    last: np.ndarray
+
+
+def recorded_run(monkeypatch, y, target):
+    read, blocks, last = [], [], []
+    matvec, binning, final_mass = fb.csr_matvec, fb._Group._bin, fb._Group._final_mass
 
     def recording(*call):
         read.append(call[5].copy())
         matvec(*call)
 
+    def recording_bin(self, alphas, alpha_div, betas, *rest):
+        blocks.append(betas.copy())
+        binning(self, alphas, alpha_div, betas, *rest)
+
+    def recording_final(self, alpha):
+        last.append(alpha.copy())
+        return final_mass(self, alpha)
+
     with monkeypatch.context() as patched:
         patched.setattr(fb, "csr_matvec", recording)
+        patched.setattr(fb._Group, "_bin", recording_bin)
+        patched.setattr(fb._Group, "_final_mass", recording_final)
         passes = run_one(y, target)
-    return passes, read
+    # the backward pass bins its blocks from the last frames to the first
+    return Recorded(passes, read, np.concatenate(blocks[::-1]), last[0])
 
 
 def test_flush_leaves_no_subnormal_in_network_passes(monkeypatch):
-    rng = np.random.default_rng(127)
-    raw = [build_cn(rand_nbest(rng), normalize=False) for _ in range(3)]
-    target = compile_cn(merge_cns(raw), V)
-    y = near_zero_posteriors(rng, 200, floor=1e-20)
-    args = kernel_inputs(target)
-    assert target.transition.nnz > fb.FLUSH_MIN_NNZ_PER_STATE * target.num_states
-    _, ref_alphas, ref_betas = reference_run_passes(y, *args)
-    assert subnormal(ref_alphas).any() and subnormal(ref_betas).any()  # unflushed passes
-    # every product reads a rescaled vector of one pass or the other
-    _, read = recorded_run(monkeypatch, y, target)
-    assert len(read) == 2 * (y.shape[0] - 1)
-    assert not any(subnormal(vec).any() for vec in read)
+    edges = 0
+    for seed in (127, 442):
+        rng = np.random.default_rng(seed)
+        raw = [build_cn(rand_nbest(rng), normalize=False) for _ in range(3)]
+        target = compile_cn(merge_cns(raw), V)
+        y = near_zero_posteriors(rng, 200, floor=1e-20)
+        args = kernel_inputs(target)
+        assert target.transition.nnz > fb.FLUSH_MIN_NNZ_PER_STATE * target.num_states
+        _, ref_alphas, ref_betas = reference_run_passes(y, *args)
+        assert subnormal(ref_alphas).any() and subnormal(ref_betas).any()  # unflushed passes
+        # seed 442's also hold subnormals in the two vectors no product
+        # reads, and the kernel's would too without the flush there
+        edges += bool(subnormal(ref_betas[0]).any() and subnormal(ref_alphas[-1]).any())
+        # every product reads a rescaled vector of one pass or the other
+        run = recorded_run(monkeypatch, y, target)
+        assert len(run.read) == 2 * (y.shape[0] - 1)
+        assert not any(subnormal(vec).any() for vec in run.read)
+        assert run.betas.shape[0] == y.shape[0]
+        assert not subnormal(run.betas).any()
+        assert not subnormal(run.last).any()
+    assert edges == 1
 
 
 def test_chains_are_not_flushed(monkeypatch):
@@ -285,18 +318,20 @@ def test_chains_are_not_flushed(monkeypatch):
         assert target.transition.nnz <= fb.FLUSH_MIN_NNZ_PER_STATE * target.num_states
         y = near_zero_posteriors(rng, int(rng.integers(60, 251)), floor=1e-20)
         try:
-            passes, read = recorded_run(monkeypatch, y, target)
+            run = recorded_run(monkeypatch, y, target)
         except InfeasibleTarget:
             continue
-        with_subnormals += any(subnormal(vec).any() for vec in read[y.shape[0] - 1 :])
+        with_subnormals += bool(subnormal(run.betas).any())
         with monkeypatch.context() as never:
             never.setattr(fb, "FLUSH_MIN_NNZ_PER_STATE", np.inf)
-            unflushed, unflushed_read = recorded_run(monkeypatch, y, target)
-        assert passes.loss == unflushed.loss
-        assert np.array_equal(passes.grad, unflushed.grad)
-        assert np.array_equal(passes.log_mass, unflushed.log_mass)
-        assert len(read) == len(unflushed_read)
-        assert all(np.array_equal(a, b) for a, b in zip(read, unflushed_read))
+            unflushed = recorded_run(monkeypatch, y, target)
+        assert run.passes.loss == unflushed.passes.loss
+        assert np.array_equal(run.passes.grad, unflushed.passes.grad)
+        assert np.array_equal(run.passes.log_mass, unflushed.passes.log_mass)
+        assert len(run.read) == len(unflushed.read)
+        assert all(np.array_equal(a, b) for a, b in zip(run.read, unflushed.read))
+        assert np.array_equal(run.betas, unflushed.betas)
+        assert np.array_equal(run.last, unflushed.last)
     assert with_subnormals >= 8
 
 
@@ -322,6 +357,11 @@ def test_flushed_path_that_later_carries_the_line_raises(monkeypatch):
     assert loss > ref_loss + 100.0
     with pytest.raises(InfeasibleTarget, match="lost to underflow"):
         soft_ctc_loss(PosteriorMatrix(y), target)
+    # the diagnostic read skips the check, so the frames disagree there
+    # (the forward pass's 6e-312 against 0 from frame 2 on) instead of all
+    # reading 0
+    values = [soft_ctc_value_at(PosteriorMatrix(y), target, t) for t in range(y.shape[0])]
+    assert values[0] > 0.0 and values[-1] == 0.0
 
 
 def test_sparse_objects_per_call_do_not_grow_with_frames(monkeypatch):
