@@ -103,7 +103,7 @@ class ConfusionNetwork:
     """
 
     def __init__(self, sets: Iterable[ConfusionSet], normalized: bool = True, total_score: float = 1.0):
-        self._init(*_flatten(tuple(sets)), normalized, total_score)
+        self._init(*_flatten_sets(tuple(sets)), normalized, total_score)
 
     @classmethod
     def _from_arrays(cls, offsets, symbols, scores, nulls, normalized=True, total_score=1.0):
@@ -169,16 +169,23 @@ def _unpack(cn: ConfusionNetwork, make) -> list:
     ]
 
 
-def _flatten(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(offsets, symbols, scores, nulls) of sets with ``alternatives`` and ``null``."""
-    items = [sorted(s.alternatives.items()) for s in sets]
+def _flatten(
+    alternatives: Sequence[dict[int, float]], nulls: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, symbols, scores, nulls) of sets given as symbol-to-score dicts and nulls."""
+    items = [sorted(alts.items()) for alts in alternatives]
     flat = [kv for it in items for kv in it]
     return (
         np.cumsum([0] + [len(it) for it in items]),
         np.array([k for k, _ in flat], dtype=np.int64),
         np.array([v for _, v in flat], dtype=np.float64),
-        np.array([s.null for s in sets], dtype=np.float64),
+        np.array(nulls, dtype=np.float64),
     )
+
+
+def _flatten_sets(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_flatten` of sets with ``alternatives`` and ``null``."""
+    return _flatten([s.alternatives for s in sets], [s.null for s in sets])
 
 
 def _normalized(offsets, symbols, scores, nulls) -> ConfusionNetwork:
@@ -204,15 +211,10 @@ def normalize_cn(cn: ConfusionNetwork) -> ConfusionNetwork:
 
 
 def _best_positions(sets: Sequence[_RawSet]) -> tuple[list[int], list[int]]:
-    """Best-path symbols and the indices of the sets they come from."""
-    symbols: list[int] = []
-    positions: list[int] = []
-    for i, s in enumerate(sets):
-        sym, _ = _best_choice(s.alternatives, s.null)
-        if sym is not None:
-            symbols.append(sym)
-            positions.append(i)
-    return symbols, positions
+    """Best-path symbols and the indices of the sets they come from: each set's
+    cached best alternative, unless its null is strictly greater."""
+    positions = [i for i, s in enumerate(sets) if not s.null > s.best_score]
+    return [sets[i].best for i in positions], positions
 
 
 def best_path(cn: ConfusionNetwork) -> Labeling:
@@ -220,7 +222,7 @@ def best_path(cn: ConfusionNetwork) -> Labeling:
 
     Sets whose best choice is null contribute nothing.
     """
-    symbols, _ = _best_positions(_unpack(cn, _RawSet))
+    symbols, _ = _best_positions(_raw_sets(cn))
     return Labeling(tuple(symbols))
 
 
@@ -267,43 +269,76 @@ def levenshtein_align(a: Sequence[int], b: Sequence[int]) -> list[tuple[str, int
         mask = (1 << (m - j)) - 1
         return n - i + (pv & mask).bit_count() - (mv & mask).bit_count()
 
+    # each step lands on the neighbour whose test passed; an insertion is
+    # taken only when the others fail, so there dist falls by exactly one
     ops: list[tuple[str, int, int]] = []
     i = j = 0
+    here = dist(0, 0)
     while i < n or j < m:
-        here = dist(i, j)
-        if i < n and j < m and here == dist(i + 1, j + 1) + (a[i] != b[j]):
+        if i < n and j < m and here == (diag := dist(i + 1, j + 1)) + (a[i] != b[j]):
             ops.append((MATCH if a[i] == b[j] else SUBSTITUTE, i, j))
             i += 1
             j += 1
-        elif i < n and here == dist(i + 1, j) + 1:
+            here = diag
+        elif i < n and here == (down := dist(i + 1, j)) + 1:
             ops.append((DELETE, i, -1))
             i += 1
+            here = down
         else:
             ops.append((INSERT, -1, j))
             j += 1
+            here -= 1
     return ops
 
 
 @dataclass(slots=True)
 class _RawSet:
-    """A mutable confusion set that takes ownership of ``alternatives``."""
+    """A mutable confusion set that takes ownership of ``alternatives``.
+
+    ``best`` caches the highest-scoring alternative, the smaller symbol on
+    ties, and ``best_score`` its score; whoever changes a score keeps them.
+    """
 
     alternatives: dict[int, float]
-    null: float = 0.0
+    null: float
+    best: int
+    best_score: float
+
+
+def _raw_sets(cn: ConfusionNetwork) -> list[_RawSet]:
+    """Mutable copies of the sets of ``cn``, best alternatives cached."""
+    if not len(cn):
+        return []
+    set_of = np.repeat(np.arange(len(cn)), np.diff(cn.offsets))
+    peak = np.maximum.reduceat(cn.scores, cn.offsets[:-1])
+    # symbols ascend, so a set's first maximum is its smallest best symbol
+    ties = np.flatnonzero(cn.scores == peak[set_of])
+    best = cn.symbols[ties[np.unique(set_of[ties], return_index=True)[1]]].tolist()
+    offsets, symbols, scores = (a.tolist() for a in (cn.offsets, cn.symbols, cn.scores))
+    return [
+        _RawSet(dict(zip(symbols[a:b], scores[a:b])), null, sym, score)
+        for a, b, null, sym, score in zip(offsets, offsets[1:], cn.nulls.tolist(), best, peak.tolist())
+    ]
 
 
 def _merge_pair(
-    a_sets: list[_RawSet], a_total: float, b_sets: list[_RawSet], b_total: float
+    a_sets: list[_RawSet],
+    a_total: float,
+    b_sets: list[_RawSet],
+    b_total: float,
+    b_best: tuple[list[int], Sequence[int]],
 ) -> list[_RawSet]:
-    """Align ``b``'s best path against ``a``'s and sum the paired sets.
+    """Align ``b``'s best path ``b_best`` against ``a``'s and sum the paired sets.
 
-    ``a_total`` and ``b_total`` are the per-set masses of the two sides.  A
-    set the other side has no counterpart for (skipped by its own best path,
-    deleted or inserted) absorbs the other side's total on null, so every
-    output set totals ``a_total + b_total``.  The input sets are reused.
+    ``a_total`` and ``b_total`` are the per-set masses of the two sides, and
+    ``b_best`` is ``_best_positions(b_sets)``.  A set the other side has no
+    counterpart for (skipped by its own best path, deleted or inserted)
+    absorbs the other side's total on null, so every output set totals
+    ``a_total + b_total``.  The input sets are reused, and each summed set
+    updates its cached best as its scores grow.
     """
     pa, posa = _best_positions(a_sets)
-    pb, posb = _best_positions(b_sets)
+    pb, posb = b_best
     out: list[_RawSet] = []
 
     def flush(sets: list[_RawSet], start: int, stop: int, other_total: float) -> int:
@@ -319,11 +354,17 @@ def _merge_pair(
         elif kind == INSERT:
             cb = flush(b_sets, cb, posb[j] + 1, a_total)
         else:  # MATCH or SUBSTITUTE
-            ca = flush(a_sets, ca, posa[i], b_total)
-            cb = flush(b_sets, cb, posb[j], a_total)
+            if ca < posa[i]:
+                ca = flush(a_sets, ca, posa[i], b_total)
+            if cb < posb[j]:
+                cb = flush(b_sets, cb, posb[j], a_total)
             sa, sb = a_sets[ca], b_sets[cb]
             for sym, v in sb.alternatives.items():
-                sa.alternatives[sym] = sa.alternatives.get(sym, 0.0) + v
+                score = sa.alternatives.get(sym, 0.0) + v
+                sa.alternatives[sym] = score
+                # scores only grow, so the new best is the old one or this one
+                if score > sa.best_score or (score == sa.best_score and sym <= sa.best):
+                    sa.best, sa.best_score = sym, score
             sa.null += sb.null
             out.append(sa)
             ca, cb = ca + 1, cb + 1
@@ -332,20 +373,30 @@ def _merge_pair(
     return out
 
 
-def _accumulate(parts: Iterable[tuple[list[_RawSet], float]]) -> tuple[list[_RawSet], float]:
-    """Merge ``(raw sets, per-set total)`` parts left to right; returns the same pair."""
+def _accumulate(parts: Iterable[tuple[list[_RawSet], float, tuple]]) -> tuple[list[_RawSet], float]:
+    """Merge ``(raw sets, per-set total, best path)`` parts left to right.
+
+    Returns the merged sets and their per-set total.  A part's best path is
+    ``_best_positions`` of its sets; the first part's is not read.
+    """
     parts = iter(parts)
-    acc, acc_total = next(parts)
-    for sets, total in parts:
-        acc = _merge_pair(acc, acc_total, sets, total)
+    acc, acc_total, _ = next(parts)
+    for sets, total, best in parts:
+        acc = _merge_pair(acc, acc_total, sets, total, best)
         acc_total += total
     return acc, acc_total
 
 
 def _fold(nbest: NBestList) -> tuple[list[_RawSet], float]:
-    """Raw sets and per-set total of an n-best list, folded by descending weight."""
+    """Raw sets and per-set total of an n-best list, folded by descending weight.
+
+    Each hypothesis is a one-path network whose best path is its labeling.
+    """
     entries = sorted(nbest.entries, key=lambda e: (-e[1], e[0].symbols))
-    return _accumulate(([_RawSet({s: w}) for s in labeling], w) for labeling, w in entries)
+    return _accumulate(
+        ([_RawSet({s: w}, 0.0, s, w) for s in labeling], w, (labeling.symbols, range(len(labeling))))
+        for labeling, w in entries
+    )
 
 
 def build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
@@ -358,8 +409,8 @@ def build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
     """
     sets, total = _fold(nbest)
     if normalize:
-        return _normalized(*_flatten(sets))
-    return ConfusionNetwork._from_arrays(*_flatten(sets), normalized=False, total_score=total)
+        return _normalized(*_flatten_sets(sets))
+    return ConfusionNetwork._from_arrays(*_flatten_sets(sets), normalized=False, total_score=total)
 
 
 def merge_cns(cns: Sequence[ConfusionNetwork]) -> ConfusionNetwork:
@@ -373,8 +424,11 @@ def merge_cns(cns: Sequence[ConfusionNetwork]) -> ConfusionNetwork:
         raise ValidationError("nothing to merge")
     if any(cn.normalized for cn in cns):
         raise ValidationError("merge expects raw networks; normalization is final")
-    sets, total = _accumulate((_unpack(cn, _RawSet), cn.total_score) for cn in cns)
-    raw = ConfusionNetwork._from_arrays(*_flatten(sets), normalized=False, total_score=total)
+    parts = [_raw_sets(cn) for cn in cns]
+    sets, total = _accumulate(
+        (sets, cn.total_score, _best_positions(sets)) for sets, cn in zip(parts, cns)
+    )
+    raw = ConfusionNetwork._from_arrays(*_flatten_sets(sets), normalized=False, total_score=total)
     return normalize_cn(raw)
 
 

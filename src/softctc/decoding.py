@@ -3,18 +3,28 @@
 The beam search keeps per-prefix blank and non-blank mass (log domain) and
 merges paths as soon as they collapse to the same prefix, so hypothesis
 weights are accumulated posterior mass and never exceed the true posterior
-of the labeling.
+of the labeling.  All unconfident segments of a line are searched as one
+batch, in lock step, so the frame loop runs as often as the longest segment
+is long.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .confusion import ConfusionNetwork, _flatten, _fold, _normalized
-from .types import Labeling, NBestList, PosteriorMatrix, ValidationError, Vocabulary
+from .confusion import ConfusionNetwork, _flatten_sets, _fold, _normalized
+from .types import (
+    Labeling,
+    NBestList,
+    PosteriorMatrix,
+    ValidationError,
+    Vocabulary,
+    check_entries,
+)
 
 NEG_INF = float("-inf")
 
@@ -53,21 +63,242 @@ class Segment:
             raise ValidationError(f"bad segment bounds [{self.start}, {self.end})")
 
 
+def _collapse(path: np.ndarray, starts: Sequence[int], blank: int) -> list[Labeling]:
+    """Greedy labelings of the runs of an argmax ``path`` that begin at ``starts``.
+
+    Each run ends where the next begins, the last at the end of the path.
+    Repeats merge within a run, never across a run start; then blanks drop.
+    """
+    keep = np.empty(path.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(path[1:], path[:-1], out=keep[1:])
+    keep[starts] = True
+    kept = np.flatnonzero(keep & (path != blank))
+    bounds = np.searchsorted(kept, list(starts) + [path.shape[0]]).tolist()
+    symbols = path[kept].tolist()
+    return [Labeling(tuple(symbols[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
 def greedy_decode(y: PosteriorMatrix, v: Vocabulary) -> Labeling:
     """Best path decode: frame-wise argmax, collapse repeats, drop blanks."""
-    path = np.argmax(y.frames, axis=1)
-    out: list[int] = []
-    prev = -1
-    for s in path:
-        if s != prev:
-            out.append(int(s))
-        prev = s
-    return Labeling(tuple(s for s in out if s != v.blank))
+    return _collapse(np.argmax(y.frames, axis=1), [0], v.blank)[0]
 
 
-def _greedy_path_mass(y: np.ndarray) -> float:
-    """Probability of the single argmax path; a lower bound on its labeling."""
-    return float(np.prod(np.max(y, axis=1)))
+class _Trie:
+    """Beam prefixes as node ids, shared by every span of a batch.
+
+    Node ``n`` extends ``parent[n]`` by ``symbol[n]``, ``depth[n]`` symbols
+    from its root.  ``child`` maps ``n * vocab + k`` to the node of that
+    prefix extended by ``k``, so a prefix keeps one node however often it
+    leaves and re-enters its beam.  Node 0 is a sentinel: the parent of
+    every span's root (its empty prefix) and the node of every padding slot,
+    never itself a beam entry.  ``slot[n]`` is the flat grid slot of node
+    ``n`` during a frame, else -1.
+    """
+
+    def __init__(self, roots: int, vocab: int, capacity: int):
+        self.size = 1 + roots
+        self.vocab = vocab
+        self.child: dict[int, int] = {}
+        self.parent, self.symbol, self.depth, self.slot = (
+            np.full(capacity, fill, dtype=np.int64) for fill in (0, -1, 0, -1)
+        )
+
+    def extend(self, nodes: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """The node of each ``nodes[i]`` extended by ``symbols[i]``; the pairs are distinct."""
+        keys = (nodes * self.vocab + symbols).tolist()
+        fresh = [i for i, key in enumerate(keys) if key not in self.child]
+        if fresh:
+            start, stop = self.size, self.size + len(fresh)
+            if stop > self.parent.shape[0]:
+                pad = max(stop, self.parent.shape[0])  # at least double
+                self.parent, self.symbol, self.depth, self.slot = (
+                    np.concatenate((a, np.full(pad, fill, dtype=np.int64)))
+                    for a, fill in ((self.parent, 0), (self.symbol, -1), (self.depth, 0), (self.slot, -1))
+                )
+            src = nodes[fresh]
+            self.parent[start:stop], self.symbol[start:stop] = src, symbols[fresh]
+            self.depth[start:stop] = self.depth[src] + 1
+            self.child.update(zip([keys[i] for i in fresh], range(start, stop)))
+            self.size = stop
+        return np.array([self.child[key] for key in keys], dtype=np.int64)
+
+    def padded_paths(self, nodes: np.ndarray, extra: np.ndarray) -> np.ndarray:
+        """Row ``i``: the prefix of ``nodes[i]``, then ``extra[i]``, padded with -1."""
+        depth = self.depth[nodes]
+        out = np.full((nodes.shape[0], int(depth.max()) + 1), -1, dtype=np.int64)
+        out[np.arange(nodes.shape[0]), depth] = extra
+        cur = nodes.copy()
+        for d in range(out.shape[1] - 2, -1, -1):
+            deep = np.flatnonzero(depth > d)
+            out[deep, d] = self.symbol[cur[deep]]
+            cur[deep] = self.parent[cur[deep]]
+        return out
+
+    def prefixes(self, nodes: Iterable[int]) -> list[tuple[int, ...]]:
+        parent, symbol = self.parent.tolist(), self.symbol.tolist()
+        out = []
+        for n in nodes:
+            path = []
+            while symbol[n] >= 0:
+                path.append(symbol[n])
+                n = parent[n]
+            out.append(tuple(reversed(path)))
+        return out
+
+
+def _break_ties(
+    cost: np.ndarray, top: np.ndarray, rows: np.ndarray, kth: np.ndarray, node: np.ndarray, trie: _Trie
+) -> None:
+    """Fill the cut of each of ``rows`` of ``top`` with its smallest tied prefixes.
+
+    In these rows more candidates cost exactly ``kth`` than the beam has
+    room for; the smaller symbol tuples win.  ``np.lexsort`` over the -1
+    padded symbol paths gives tuple order, as the padding sorts a prefix
+    before its extensions.
+    """
+    width = node.shape[1]
+    vocab = (cost.shape[1] - width) // width
+    slots = top[rows]
+    at_cut = cost[rows[:, None], slots] == kth[:, None]
+    room = at_cut.sum(axis=1)
+    r, c = np.nonzero(cost[rows] == kth[:, None])
+    # one slot's extensions ascend by symbol, so past the row's room they
+    # cannot win; the stays of a row share group -1 and all contend
+    group = r * (width + 1) + np.maximum(c - width, -1) // vocab
+    contender = (np.arange(r.shape[0]) - np.searchsorted(group, group) < room[r]) | (c < width)
+    r, c = r[contender], c[contender]
+    grows = c >= width
+    paths = trie.padded_paths(
+        node[rows[r], np.where(grows, (c - width) // vocab, c)],
+        np.where(grows, (c - width) % vocab, -1),
+    )
+    ranked = np.lexsort(tuple(paths.T[::-1]) + (r,))
+    r, c = r[ranked], c[ranked]
+    slots[at_cut] = c[np.arange(r.shape[0]) - np.searchsorted(r, r) < room[r]]
+    top[rows] = slots
+
+
+def _beam_batch(
+    frames: np.ndarray, spans: Sequence[tuple[int, int]], blank: int, beam_size: int
+) -> list[NBestList]:
+    """:func:`prefix_beam_search` of every frame span ``[start, end)`` of ``frames``, in lock step.
+
+    Frame ``t`` of every span still running is one (spans, slots, vocabulary)
+    grid, padded to the widest beam.  Spans run longest first, so the live
+    ones are a leading block of rows and a span that has ended is frozen
+    where it stands.  Returns one list per span, in the order of ``spans``.
+    """
+    vocab = frames.shape[1]
+    lengths = [end - start for start, end in spans]
+    order = sorted(range(len(spans)), key=lambda i: -lengths[i])  # stable
+    lengths = [lengths[i] for i in order]
+    with np.errstate(divide="ignore"):
+        log_y = np.log(frames[np.concatenate([np.arange(*spans[i]) for i in order])])
+    starts = np.cumsum([0] + lengths[:-1])
+    live_after = [sum(n > t for n in lengths) for t in range(1, lengths[0] + 1)]
+    count = len(spans)
+    trie = _Trie(count, vocab, 1 + count + sum(lengths) * min(beam_size, vocab))
+
+    # one row per live span; a padding slot is node 0 with NaN masses
+    node = np.arange(1, count + 1)[:, None]
+    lp_b = np.zeros((count, 1))
+    lp_nb = np.full((count, 1), NEG_INF)
+    last = np.full((count, 1), -1)  # -1 marks the empty prefix
+    impossible = np.empty((count, vocab), dtype=bool)
+    span_rows = np.arange(count)[:, None]
+    final: list = [None] * count
+    live = count
+    # NaN marks padding slots and non-candidates, whose comparisons would warn
+    with np.errstate(invalid="ignore"):
+        for t in range(lengths[0]):
+            row = log_y[starts[:live] + t]
+            at = span_rows[:live]
+            width = node.shape[1]
+            total = np.logaddexp(lp_b, lp_nb)
+            stay_b = total + row[:, blank, None]
+            # the empty prefix has lp_nb = -inf, so its row[-1] pick stays -inf
+            row_last = row[at, last]
+            stay_nb = lp_nb + row_last
+
+            # cost[s, c] is a negated log mass: candidate c < width stays slot c,
+            # and c = width + w * vocab + k extends slot w by symbol k
+            cost = np.empty((live, width * (1 + vocab)))
+            ext = cost[:, width:].reshape(live, width, vocab)
+            np.subtract(-total[:, :, None], row[:, None, :], out=ext)
+            cells = cost.reshape(-1)
+            # flat index in cells of the first extension of each slot
+            first_cell = (at * cost.shape[1] + width + np.arange(width) * vocab).ravel()
+            rep = np.flatnonzero(last >= 0)
+            cells[first_cell[rep] + last.ravel()[rep]] = -(lp_b.ravel()[rep] + row_last.ravel()[rep])
+
+            # the extension of a prefix's parent lands on the prefix: fold it in.
+            # A prefix collects at most two terms per frame (its own stay and that
+            # one extension), and logaddexp is commutative bit for bit.
+            nodes = node.ravel()
+            trie.slot[nodes] = np.arange(nodes.shape[0])
+            trie.slot[0] = -1
+            src = trie.slot[trie.parent[nodes]]
+            trie.slot[nodes] = -1
+            into = np.flatnonzero(src >= 0)
+            cell = first_cell[src[into]] + trie.symbol[nodes[into]]
+            stays_nb = stay_nb.reshape(-1)
+            stays_nb[into] = np.logaddexp(stays_nb[into], -cells[cell])
+            # NaN marks grid cells that are no candidate of their own: extensions
+            # folded into a beam prefix, the blank, and impossible symbols
+            cells[cell] = np.nan
+            np.equal(row, NEG_INF, out=impossible[:live])
+            impossible[:live, blank] = True
+            np.copyto(ext, np.nan, where=impossible[:live, None, :])
+            np.negative(np.logaddexp(stay_b, stay_nb), out=cost[:, :width])
+
+            if beam_size < cost.shape[1]:
+                # partition sorts NaN last, so a row with fewer than beam_size
+                # candidates keeps them all among its first beam_size columns
+                top = np.argpartition(cost, (beam_size - 1, beam_size), axis=1)
+                edge = cost[at, top[:, beam_size - 1 : beam_size + 1]]
+                top = top[:, :beam_size]
+                tied = np.flatnonzero(edge[:, 0] == edge[:, 1])
+                if tied.size:
+                    _break_ties(cost, top, tied, edge[tied, 0], node, trie)
+            else:
+                top = np.broadcast_to(np.arange(cost.shape[1]), cost.shape)
+            picked = cost[at, top]
+
+            stay = top < width
+            w = np.where(stay, top, (top - width) // vocab)
+            k = (top - width) % vocab
+            new_node = node[at, w]
+            lp_b = np.where(stay, stay_b[at, w], NEG_INF)
+            lp_nb = np.where(stay, stay_nb[at, w], -picked)
+            last = np.where(stay, last[at, w], k)
+            valid = ~np.isnan(picked)
+            grown = valid & ~stay
+            new_node[grown] = trie.extend(new_node[grown], k[grown])
+            node = new_node
+            if not valid.all():
+                # pad the missing candidates and move them last
+                pad = ~valid
+                node[pad], lp_b[pad], lp_nb[pad], last[pad] = 0, np.nan, np.nan, -1
+                keep = np.argsort(pad, axis=1, kind="stable")[:, : int(valid.sum(axis=1).max())]
+                node, lp_b, lp_nb, last = (a[at, keep] for a in (node, lp_b, lp_nb, last))
+
+            ended, live = live, live_after[t]
+            for i in range(live, ended):
+                kept = node[i] > 0
+                final[order[i]] = (node[i, kept], np.logaddexp(lp_b[i, kept], lp_nb[i, kept]))
+            if live < ended:
+                node, lp_b, lp_nb, last = node[:live], lp_b[:live], lp_nb[:live], last[:live]
+
+    out = []
+    for nodes, masses in final:
+        scored = sorted(zip(trie.prefixes(nodes.tolist()), masses.tolist()), key=lambda kv: (-kv[1], kv[0]))
+        entries = [(Labeling(p), math.exp(lm)) for p, lm in scored if math.exp(lm) > 0.0]
+        if not entries:
+            # all mass underflowed; keep the top prefix with a representable weight
+            entries = [(Labeling(scored[0][0]), 5e-324)]
+        out.append(NBestList(tuple(entries)))
+    return out
 
 
 def prefix_beam_search(y: PosteriorMatrix, v: Vocabulary, beam_size: int) -> NBestList:
@@ -77,80 +308,25 @@ def prefix_beam_search(y: PosteriorMatrix, v: Vocabulary, beam_size: int) -> NBe
     prefix with its own last symbol needs the blank share, repeating it
     without a blank keeps the prefix unchanged.  Returned weights are the
     total collected mass per prefix, sorted descending; ties break on the
-    symbol tuple so the output is reproducible.
+    symbol tuple so the output is reproducible.  Rows need not sum to one,
+    but ``y`` must have one finite, nonnegative column per symbol of ``v``
+    (:func:`softctc.types.check_entries`).
 
-    Each frame scores the whole (beam, vocabulary) extension grid at once.
-    A prefix collects at most two terms per frame (its own stay and the one
-    extension of its parent), and logaddexp is commutative bit for bit, so
-    the masses equal those of the one-candidate-at-a-time loop kept as
+    This is a batch of one of the lock-step search :func:`decode_line` runs
+    over all unconfident segments of a line.  Each frame scores the whole
+    (segment, beam, vocabulary) extension grid at once, and every segment
+    keeps its top ``beam_size`` candidates through one ``np.argpartition``
+    along the grid's rows.  Prefixes are nodes of a trie (parent, symbol),
+    so whether the extension of a prefix's parent lands on the prefix is an
+    index lookup.  Candidates tied at the cut are ranked by ``np.lexsort``
+    over their symbol paths padded with -1, which is the order of the symbol
+    tuples.  The result equals the one-candidate-at-a-time loop kept as
     :func:`softctc.oracle.reference_prefix_beam_search`.
     """
     if beam_size < 1:
         raise ValidationError("beam size must be at least 1")
-    with np.errstate(divide="ignore"):
-        log_y = np.log(y.frames)
-    blank = v.blank
-    vocab = log_y.shape[1]
-
-    prefixes: list[tuple[int, ...]] = [()]
-    lp_b = np.zeros(1)
-    lp_nb = np.full(1, NEG_INF)
-    last = np.full(1, -1)  # -1 marks the empty prefix
-    for row in log_y:
-        width = len(prefixes)
-        total = np.logaddexp(lp_b, lp_nb)
-        stay_b = total + row[blank]
-        # the empty prefix has lp_nb = -inf, so its row[-1] pick stays -inf
-        stay_nb = lp_nb + row[last]
-        ext = total[:, None] + row[None, :]
-        rep = np.flatnonzero(last >= 0)
-        ext[rep, last[rep]] = lp_b[rep] + row[last[rep]]
-
-        # NaN marks grid cells that are no candidate of their own: extensions
-        # folded into a beam prefix, the blank, and impossible symbols
-        index = {p: i for i, p in enumerate(prefixes)}
-        for j, p in enumerate(prefixes):
-            i = index.get(p[:-1]) if p else None
-            if i is not None:  # the extension of p's parent lands on p
-                stay_nb[j] = np.logaddexp(stay_nb[j], ext[i, p[-1]])
-                ext[i, p[-1]] = np.nan
-        ext[:, row == NEG_INF] = np.nan
-        ext[:, blank] = np.nan
-
-        # candidate c < width stays prefix c; c >= width extends a prefix by a symbol
-        def prefix_of(c: int) -> tuple[int, ...]:
-            if c < width:
-                return prefixes[c]
-            i, k = divmod(c - width, vocab)
-            return prefixes[i] + (k,)
-
-        cost = -np.concatenate((np.logaddexp(stay_b, stay_nb), ext.ravel()))
-        kth = np.nan
-        if beam_size < cost.size:
-            # partition sorts NaN last: kth is NaN when the beam holds every candidate
-            kth = np.partition(cost, beam_size - 1)[beam_size - 1]
-        if np.isnan(kth):
-            chosen = np.flatnonzero(~np.isnan(cost)).tolist()
-        else:
-            chosen = np.flatnonzero(cost < kth).tolist()
-            tied = sorted(np.flatnonzero(cost == kth).tolist(), key=prefix_of)
-            chosen += tied[: beam_size - len(chosen)]
-        prefixes = [prefix_of(c) for c in chosen]
-        lp_b = np.concatenate((stay_b, np.full(ext.size, NEG_INF)))[chosen]
-        lp_nb = np.concatenate((stay_nb, ext.ravel()))[chosen]
-        last = np.concatenate((last, np.arange(ext.size) % vocab))[chosen]
-
-    scored = sorted(
-        ((p, float(np.logaddexp(b, nb))) for p, b, nb in zip(prefixes, lp_b, lp_nb)),
-        key=lambda kv: (-kv[1], kv[0]),
-    )
-    entries = [
-        (Labeling(p), math.exp(lm)) for p, lm in scored if math.exp(lm) > 0.0
-    ]
-    if not entries:
-        # all mass underflowed; keep the top prefix with a representable weight
-        entries = [(Labeling(scored[0][0]), 5e-324)]
-    return NBestList(tuple(entries))
+    check_entries(y, v)
+    return _beam_batch(y.frames, [(0, y.num_frames)], v.blank, beam_size)[0]
 
 
 def segment_line(y: PosteriorMatrix, v: Vocabulary, threshold: float = 0.99) -> list[Segment]:
@@ -163,38 +339,16 @@ def segment_line(y: PosteriorMatrix, v: Vocabulary, threshold: float = 0.99) -> 
     without gaps or overlaps.
     """
     frames = y.frames
-    total = frames.shape[0]
     conf_blank = frames[:, v.blank] > threshold
     unconfident = frames.max(axis=1) <= threshold
-
-    boundaries = [-1] + [int(t) for t in np.flatnonzero(conf_blank)] + [total]
-    marks = np.zeros(total, dtype=bool)  # True marks frames of unconfident segments
-    for left, right in zip(boundaries[:-1], boundaries[1:]):
-        if right - left > 1 and unconfident[left + 1 : right].any():
-            marks[left + 1 : right] = True
-
-    segments: list[Segment] = []
-    start = 0
-    for t in range(1, total + 1):
-        if t == total or marks[t] != marks[start]:
-            segments.append(Segment(start, t, confident=not marks[start]))
-            start = t
-    return segments
-
-
-def _segment_nbest(part: PosteriorMatrix, v: Vocabulary, beam_size: int) -> NBestList:
-    """Beam search a slice, guaranteeing the greedy labeling is represented.
-
-    The beam can prune the greedy prefix mid-line; when that happens the
-    greedy labeling is appended with its argmax-path mass, a valid
-    under-estimate of its posterior.
-    """
-    nbest = prefix_beam_search(part, v, beam_size)
-    greedy = greedy_decode(part, v)
-    if not any(lab.symbols == greedy.symbols for lab, _ in nbest):
-        mass = max(_greedy_path_mass(part.frames), 5e-324)
-        nbest = NBestList(tuple(nbest.entries) + ((greedy, mass),))
-    return nbest
+    # a confident blank opens a run that lasts up to the next one
+    run = np.cumsum(conf_blank)
+    doubtful = np.bincount(run[unconfident], minlength=int(run[-1]) + 1) > 0
+    marks = doubtful[run] & ~conf_blank  # True marks frames of unconfident segments
+    bounds = [0] + (np.flatnonzero(marks[1:] != marks[:-1]) + 1).tolist() + [frames.shape[0]]
+    return [
+        Segment(a, b, confident=not marks[a]) for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 @dataclass(frozen=True)
@@ -217,28 +371,39 @@ def decode_line(
     """Decode a line into per-segment n-best lists and a confusion network.
 
     Full strategy: one beam search over the line.  Partial strategy: beam
-    search only the unconfident segments, transcribe confident ones greedily
-    into singleton sets, and concatenate in frame order.  With ``normalize``
-    off, the per-set totals of every segment are scaled to the product of the
-    segment beam masses, so the raw network conserves one line-level
-    confidence score that later merging can weight by.  That product is
-    floored at the smallest normal double, so a line whose confidence
-    underflows keeps its per-set proportions.
+    search only the unconfident segments, all of them as one lock-step batch
+    (see :func:`prefix_beam_search`), transcribe confident ones greedily into
+    singleton sets, and concatenate in frame order.  Where the beam pruned a
+    segment's greedy labeling, it is appended to that segment's list with
+    its argmax-path mass.  ``y`` is checked once per call
+    (:func:`softctc.types.check_entries`); rows need not sum to one.
+
+    With ``normalize`` off, the per-set totals of every segment are scaled to
+    the product of the segment beam masses, so the raw network conserves one
+    line-level confidence score that later merging can weight by.  That
+    product is floored at the smallest normal double, so a line whose
+    confidence underflows keeps its per-set proportions.
     """
+    check_entries(y, v)
+    frames = y.frames
     if cfg.strategy == "full":
         segments = (Segment(0, y.num_frames, confident=False),)
     else:
         segments = tuple(segment_line(y, v, cfg.confidence))
-    nbests = []
-    for seg in segments:
-        part = PosteriorMatrix(y.frames[seg.start : seg.end])
-        if seg.confident:
-            nbests.append(NBestList(((greedy_decode(part, v), 1.0),)))
-        else:
-            nbests.append(_segment_nbest(part, v, cfg.beam_size))
+    greedy = _collapse(np.argmax(frames, axis=1), [seg.start for seg in segments], v.blank)
+    nbests = [NBestList(((labeling, 1.0),)) for labeling in greedy]
+    doubtful = [i for i, seg in enumerate(segments) if not seg.confident]
+    spans = [(segments[i].start, segments[i].end) for i in doubtful]
+    for i, nbest in zip(doubtful, _beam_batch(frames, spans, v.blank, cfg.beam_size) if spans else []):
+        if not any(lab.symbols == greedy[i].symbols for lab, _ in nbest):
+            # the beam pruned the greedy labeling mid-segment: list it with its
+            # argmax-path mass, a valid under-estimate of its posterior
+            peak = np.max(frames[segments[i].start : segments[i].end], axis=1)
+            nbest = NBestList(nbest.entries + ((greedy[i], max(float(np.prod(peak)), 5e-324)),))
+        nbests[i] = nbest
     # a confident segment is the one-entry list of weight 1: singleton sets
     folds = [_fold(nbest) for nbest in nbests]
-    offsets, symbols, scores, nulls = _flatten([s for sets, _ in folds for s in sets])
+    offsets, symbols, scores, nulls = _flatten_sets([s for sets, _ in folds for s in sets])
     if normalize:
         network = _normalized(offsets, symbols, scores, nulls)
     else:

@@ -15,7 +15,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .compiler import CompiledTarget
-from .confusion import ConfusionNetwork, _flatten, _RawSet
+from .confusion import ConfusionNetwork, _flatten
 from .decoding import Segment
 from .types import (
     Labeling,
@@ -215,7 +215,7 @@ def read_cn(
             local_symbols.append(display)
         return index[display]
 
-    sets = []
+    alternatives, nulls = [], []
     for line_no, line in enumerate(set_lines, start=1):
         tokens = line.split()
         if len(tokens) % 2 != 0 or not tokens:
@@ -230,12 +230,12 @@ def read_cn(
             if key in entries:
                 raise ValidationError(f"set line {line_no}: repeated {tok!r}")
             entries[key] = value
-        null = entries.pop(-1, 0.0)
-        sets.append(_RawSet(entries, null))
+        nulls.append(entries.pop(-1, 0.0))
+        alternatives.append(entries)
     if v is None:
         local_symbols = local_symbols or [UNUSED_SYMBOL]
         v = Vocabulary(tuple(local_symbols) + (BLANK_TOKEN,), blank_index=len(local_symbols))
-    cn = ConfusionNetwork._from_arrays(*_flatten(sets), normalized=normalized, total_score=total)
+    cn = ConfusionNetwork._from_arrays(*_flatten(alternatives, nulls), normalized=normalized, total_score=total)
     return cn, v, meta
 
 

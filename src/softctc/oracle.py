@@ -2,8 +2,9 @@
 
 Everything here works by exhaustive enumeration over alignment paths or
 per-set choices, or, for the beam search, the edit-distance aligner, the
-network transforms, the target compiler and the forward-backward kernel, by
-the plain loops the fast paths replaced, and,
+n-best fold and network merge, the network transforms, the target compiler
+and the forward-backward kernel, by the plain loops the fast paths replaced,
+and,
 for long lines whose linear-domain passes underflow, by a dense forward pass
 in the log domain.  None of it shares logic with the fast paths; the only
 common ground is the data containers.  Sizes are guarded so a misuse fails
@@ -278,6 +279,105 @@ def reference_prune(cn: ConfusionNetwork, cutoff: float) -> ConfusionNetwork:
             kept = {min(k for k, v in probs.alternatives.items() if v == score): score}
         out.append(ConfusionSet(kept, probs.null).normalized())
     return ConfusionNetwork(tuple(out), normalized=True)
+
+
+# a mutable confusion set of the reference fold: [alternatives, null]
+_FoldSet = list
+
+
+def _reference_best_positions(sets: list[_FoldSet]) -> tuple[list[int], list[int]]:
+    """Best-path symbols and their set indices, each set's best choice
+    recomputed from scratch: the highest score, the smaller symbol on ties,
+    and null only when strictly greater."""
+    symbols: list[int] = []
+    positions: list[int] = []
+    for i, (alternatives, null) in enumerate(sets):
+        score = max(alternatives.values())
+        sym = min(k for k, v in alternatives.items() if v == score)
+        if not null > score:
+            symbols.append(sym)
+            positions.append(i)
+    return symbols, positions
+
+
+def _reference_merge_pair(
+    a_sets: list[_FoldSet], a_total: float, b_sets: list[_FoldSet], b_total: float
+) -> list[_FoldSet]:
+    """Align ``b``'s best path against ``a``'s and sum the paired sets; a set
+    without a counterpart absorbs the other side's total on null."""
+    pa, posa = _reference_best_positions(a_sets)
+    pb, posb = _reference_best_positions(b_sets)
+    out: list[_FoldSet] = []
+
+    def flush(sets: list[_FoldSet], start: int, stop: int, other_total: float) -> int:
+        for s in sets[start:stop]:
+            s[1] += other_total
+        out.extend(sets[start:stop])
+        return stop
+
+    ca = cb = 0
+    for kind, i, j in reference_levenshtein_align(pa, pb):
+        if kind == "delete":
+            ca = flush(a_sets, ca, posa[i] + 1, b_total)
+        elif kind == "insert":
+            cb = flush(b_sets, cb, posb[j] + 1, a_total)
+        else:  # match or substitute
+            ca = flush(a_sets, ca, posa[i], b_total)
+            cb = flush(b_sets, cb, posb[j], a_total)
+            sa, sb = a_sets[ca], b_sets[cb]
+            for sym, v in sb[0].items():
+                sa[0][sym] = sa[0].get(sym, 0.0) + v
+            sa[1] += sb[1]
+            out.append(sa)
+            ca, cb = ca + 1, cb + 1
+    flush(a_sets, ca, len(a_sets), b_total)
+    flush(b_sets, cb, len(b_sets), a_total)
+    return out
+
+
+def _reference_fold(parts: Iterable[tuple[list[_FoldSet], float]]) -> tuple[list[_FoldSet], float]:
+    parts = iter(parts)
+    acc, acc_total = next(parts)
+    for sets, total in parts:
+        acc = _reference_merge_pair(acc, acc_total, sets, total)
+        acc_total += total
+    return acc, acc_total
+
+
+def _reference_raw_network(sets: list[_FoldSet], total: float) -> ConfusionNetwork:
+    return ConfusionNetwork(
+        tuple(ConfusionSet(alts, null) for alts, null in sets), normalized=False, total_score=total
+    )
+
+
+def reference_build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
+    """N-best fold with every best path recomputed over every set on every merge.
+
+    The reference for :func:`softctc.confusion.build_cn`: hypotheses in
+    descending weight order (symbol tuple on ties), each a one-path network
+    aligned against the current best path by the full-table aligner, with
+    per-set normalization at the end.
+    """
+    entries = sorted(nbest.entries, key=lambda e: (-e[1], e[0].symbols))
+    sets, total = _reference_fold(([[{s: w}, 0.0] for s in labeling], w) for labeling, w in entries)
+    if normalize:
+        return ConfusionNetwork(tuple(ConfusionSet(alts, null).normalized() for alts, null in sets))
+    return _reference_raw_network(sets, total)
+
+
+def reference_merge_cns(cns: list[ConfusionNetwork]) -> ConfusionNetwork:
+    """The fold of :func:`reference_build_cn` over raw networks, normalized once.
+
+    The reference for :func:`softctc.confusion.merge_cns`.
+    """
+    if not cns:
+        raise ValidationError("nothing to merge")
+    if any(cn.normalized for cn in cns):
+        raise ValidationError("merge expects raw networks; normalization is final")
+    sets, total = _reference_fold(
+        ([[dict(s.alternatives), s.null] for s in cn.sets], cn.total_score) for cn in cns
+    )
+    return reference_normalize_cn(_reference_raw_network(sets, total))
 
 
 # (letters, epsilon, blank weight) of one compiled group

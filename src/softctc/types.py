@@ -211,11 +211,12 @@ def check_finite(m: PosteriorMatrix) -> None:
         raise NonFiniteEntry(t, k, float(m.frames[t, k]))
 
 
-def validate_posteriors(m: PosteriorMatrix, v: Vocabulary, tol: float = 1e-6) -> None:
-    """Check that ``m`` is a proper per-frame distribution over ``v``.
+def check_entries(m: PosteriorMatrix, v: Vocabulary) -> None:
+    """Check that ``m`` has one column per symbol of ``v`` and finite, nonnegative entries.
 
-    Raises ShapeMismatch, NonFiniteEntry, NegativeEntry, or RowNotNormalized;
-    returns None when the matrix is well formed.
+    Raises ShapeMismatch, NonFiniteEntry, or NegativeEntry at the first
+    offending entry; rows need not sum to one.  The decoder runs this on
+    every call.
     """
     if m.vocab_size != len(v):
         raise ShapeMismatch(
@@ -226,6 +227,16 @@ def validate_posteriors(m: PosteriorMatrix, v: Vocabulary, tol: float = 1e-6) ->
     if neg.size:
         t, k = (int(x) for x in neg[0])
         raise NegativeEntry(t, k, float(m.frames[t, k]))
+
+
+def validate_posteriors(m: PosteriorMatrix, v: Vocabulary, tol: float = 1e-6) -> None:
+    """Check that ``m`` is a proper per-frame distribution over ``v``.
+
+    Raises ShapeMismatch, NonFiniteEntry, NegativeEntry (see
+    :func:`check_entries`), or RowNotNormalized; returns None when the matrix
+    is well formed.
+    """
+    check_entries(m, v)
     totals = m.frames.sum(axis=1)
     bad = np.argwhere(np.abs(totals - 1.0) > tol)
     if bad.size:

@@ -23,7 +23,9 @@ from softctc import (
 from softctc.confusion import levenshtein_align
 from softctc.oracle import (
     enumerate_cn_strings,
+    reference_build_cn,
     reference_levenshtein_align,
+    reference_merge_cns,
     reference_normalize_cn,
     reference_prune,
     reference_smooth,
@@ -344,6 +346,66 @@ class TestBuildCn:
         strings = {labd.symbols for labd, _ in enumerate_cn_strings(cn)}
         for labd, _ in nb.entries:
             assert labd.symbols in strings
+
+
+def rand_fold_nbest(rng):
+    """An n-best list over 3 symbols whose weights come from a coarse grid.
+
+    The grid makes sums collide, so folds meet ties between alternatives and
+    nulls equal to a set's best score; labelings repeat symbols ("aaa") and
+    may be empty.
+    """
+    pool = sorted({tuple(rng.integers(0, 3, size=rng.integers(0, 5)).tolist()) for _ in range(12)})
+    chosen = rng.choice(len(pool), size=rng.integers(1, min(7, len(pool)) + 1), replace=False)
+    weights = rng.choice([0.05, 0.1, 0.125, 0.2, 0.25], size=len(chosen))
+    return NBestList(tuple((Labeling(pool[i]), float(w)) for i, w in zip(chosen, weights)))
+
+
+def fold_ties(cn):
+    """Sets of ``cn`` with tied best alternatives, and with null equal to the best score."""
+    best = [max(s.alternatives.values()) for s in cn.sets]
+    tied = sum(list(s.alternatives.values()).count(b) > 1 for s, b in zip(cn.sets, best))
+    return tied, sum(s.null == b for s, b in zip(cn.sets, best))
+
+
+class TestFoldMatchesReference:
+    """The fold keeps each set's best alternative as it goes; the oracle
+    recomputes every best path over every set on every merge."""
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_build_cn(self, normalize):
+        rng = np.random.default_rng(37)
+        ties = null_ties = empty = repeats = 0
+        for _ in range(300):
+            nb = rand_fold_nbest(rng)
+            want = reference_build_cn(nb, normalize)
+            assert float_bits(build_cn(nb, normalize)) == float_bits(want)
+            tied, at_null = fold_ties(reference_build_cn(nb, normalize=False))
+            ties, null_ties = ties + tied, null_ties + at_null
+            empty += any(not labeling.symbols for labeling, _ in nb)
+            repeats += any(len(set(labeling.symbols)) < len(labeling) for labeling, _ in nb)
+        assert min(ties, null_ties, empty, repeats) >= 20, (ties, null_ties, empty, repeats)
+
+    def test_merge_cns(self):
+        rng = np.random.default_rng(41)
+        null_ties = 0
+        for _ in range(150):
+            cns = []
+            for _ in range(int(rng.integers(2, 6))):
+                if rng.random() < 0.8:
+                    cns.append(build_cn(rand_fold_nbest(rng), normalize=False))
+                else:
+                    cns.append(rand_network(rng, normalized=False))
+            null_ties += sum(fold_ties(cn)[1] for cn in cns)
+            assert float_bits(merge_cns(cns)) == float_bits(reference_merge_cns(cns))
+        assert null_ties >= 20
+
+    def test_best_path_reads_the_same_rule(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            cn = rand_network(rng, normalized=bool(rng.integers(0, 2)))
+            want = [s.best()[0] for s in cn.sets]
+            assert best_path(cn).symbols == tuple(sym for sym in want if sym is not None)
 
 
 class TestBestPath:

@@ -1,14 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from softctc import (
     ConfusionNetwork,
+    ConfusionSet,
     DecodeConfig,
     NBestList,
+    NegativeEntry,
+    NonFiniteEntry,
     PosteriorMatrix,
     Segment,
+    ShapeMismatch,
     ValidationError,
     Vocabulary,
     ctc_loss,
@@ -18,8 +23,10 @@ from softctc import (
     normalize_cn,
     prefix_beam_search,
     segment_line,
+    validate_posteriors,
 )
-from softctc.oracle import reference_prefix_beam_search
+from softctc.decoding import _beam_batch
+from softctc.oracle import reference_build_cn, reference_prefix_beam_search
 
 VA = Vocabulary.from_characters("a")  # a=0, blank=1
 VAB = Vocabulary.from_characters("ab")  # a=0, b=1, blank=2
@@ -170,6 +177,89 @@ class TestAgainstReferenceBeamSearch:
         nbest = prefix_beam_search(y, v, 3)
         assert [w for _, w in nbest] == [5e-324]
         assert_same_nbest(nbest, reference_prefix_beam_search(y, v, 3))
+
+
+def beam_batches(rng, count):
+    """Random (posteriors, spans, vocabulary, beam) batches for the lock-step search.
+
+    Each batch shares one vocabulary (2 to 7 symbols, blank at a random
+    index) and one beam (1, 2, 3, 5, 8, or unbounded, which keeps spans
+    short).  Its 1-6 spans of 1-12 frames each mix plain random rows, rows
+    with exact zeros, uniform rows (every candidate ties) and long runs of
+    one symbol.  Every tenth batch (6 or 7 symbols, beam 1-3) adds a
+    1000-frame span whose mass underflows, so it takes the 5e-324 fallback.
+    """
+    for n in range(count):
+        long_span = n % 10 == 0
+        beam = int(rng.choice([1, 2, 3] if long_span else [1, 2, 3, 5, 8, 10_000]))
+        vocab = int(rng.integers(6 if long_span else 2, 5 if beam == 10_000 else 8))
+        blocks = []
+        for _ in range(int(rng.integers(1, 7))):
+            frames = int(rng.integers(1, 6 if beam == 10_000 else 13))
+            kind = int(rng.integers(0, 4))
+            if kind == 2:
+                y = np.full((frames, vocab), 1.0 / vocab)
+            elif kind == 3:
+                y = np.full((frames, vocab), 0.02)
+                y[:, int(rng.integers(0, vocab))] = 1.0
+            else:
+                y = rng.dirichlet(np.full(vocab, 0.5), size=frames)
+            if kind == 1:
+                y[rng.random(y.shape) < 0.3] = 0.0
+                y[y.sum(axis=1) == 0.0, int(rng.integers(0, vocab))] = 1.0
+            blocks.append(y / y.sum(axis=1, keepdims=True))
+        if long_span:
+            blocks.insert(int(rng.integers(0, len(blocks) + 1)), rng.dirichlet(np.ones(vocab), size=1000))
+        bounds = np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()
+        v = Vocabulary(tuple(str(k) for k in range(vocab)), int(rng.integers(0, vocab)))
+        yield np.concatenate(blocks), list(zip(bounds, bounds[1:])), v, beam
+
+
+class TestBatchedBeamSearch:
+    def test_every_span_matches_the_reference_and_its_batch_of_one(self):
+        rng = np.random.default_rng(109)
+        underflowed = 0
+        for frames, spans, v, beam in beam_batches(rng, 120):
+            got = _beam_batch(frames, spans, v.blank, beam)
+            assert len(got) == len(spans)
+            for (start, end), nbest in zip(spans, got):
+                part = PosteriorMatrix(frames[start:end])
+                if end - start < 1000:
+                    assert_same_nbest(nbest, reference_prefix_beam_search(part, v, beam))
+                else:
+                    assert [w for _, w in nbest] == [5e-324]
+                    underflowed += 1
+                assert nbest == prefix_beam_search(part, v, beam)
+        assert underflowed == 12
+
+    def test_the_underflowing_span_matches_the_reference_in_a_batch(self):
+        rng = np.random.default_rng(113)
+        v = Vocabulary(tuple(str(k) for k in range(6)), 5)
+        frames = np.concatenate(
+            [rng.dirichlet(np.ones(6), size=4), rng.dirichlet(np.ones(6), size=1000), np.full((3, 6), 1 / 6)]
+        )
+        spans = [(0, 4), (4, 1004), (1004, 1007)]
+        for (start, end), nbest in zip(spans, _beam_batch(frames, spans, v.blank, 3)):
+            assert_same_nbest(nbest, reference_prefix_beam_search(PosteriorMatrix(frames[start:end]), v, 3))
+
+    def test_decode_line_runs_one_selection_per_frame_of_its_longest_segment(self, monkeypatch):
+        # three unconfident segments of 3, 5 and 2 frames between confident blanks
+        blank = row(3)
+        doubt = row(3, **{"0": 0.5, "1": 0.45})
+        y = PosteriorMatrix(
+            np.array([blank] + [doubt] * 3 + [blank] + [doubt] * 5 + [blank] + [doubt] * 2 + [blank])
+        )
+        lengths = [s.end - s.start for s in segment_line(y, VAB) if not s.confident]
+        assert lengths == [3, 5, 2]
+        calls = []
+        for name in ("partition", "argpartition"):
+            original = getattr(np, name)
+            monkeypatch.setattr(
+                np, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
+            )
+        decode_line(y, VAB, DecodeConfig(beam_size=1))
+        # a per-segment loop would make one selection per frame of every segment
+        assert 1 <= len(calls) <= max(lengths)
 
 
 class TestSegmentLine:
@@ -399,6 +489,21 @@ class TestDecodeLine:
             else:
                 assert nbest == prefix_beam_search(part, VAB, 16)
 
+    def test_seeded_segments_carry_their_own_greedy_and_beam(self):
+        rng = np.random.default_rng(131)
+        for _ in range(40):
+            y = PosteriorMatrix(rng.dirichlet(np.full(3, 0.15), size=int(rng.integers(2, 30))))
+            decoded = decode_line(y, VAB, DecodeConfig(beam_size=2, confidence=0.9))
+            for seg, nbest in zip(decoded.segments, decoded.nbests):
+                part = PosteriorMatrix(y.frames[seg.start : seg.end])
+                greedy = greedy_decode(part, VAB)
+                if seg.confident:
+                    assert nbest.entries == ((greedy, 1.0),)
+                else:
+                    beam = prefix_beam_search(part, VAB, 2)
+                    assert nbest.entries[: len(beam)] == beam.entries
+                    assert greedy in [lab for lab, _ in nbest]
+
     def test_pruned_greedy_labeling_is_listed_with_its_path_mass(self):
         y = PosteriorMatrix(GREEDY_PRUNED_LINE)
         decoded = decode_line(y, VAB, DecodeConfig(beam_size=1, strategy="full"))
@@ -407,6 +512,98 @@ class TestDecodeLine:
         assert top.symbols == (1,)
         assert greedy.symbols == (1, 0)
         assert mass == pytest.approx(0.7 * 0.5, rel=1e-12)
+
+
+class TestBadPosteriors:
+    """The decoder checks its input once per call, with the texts of
+    validate_posteriors; rows need not sum to one."""
+
+    V4 = Vocabulary.from_characters("abc")  # a, b, c, blank
+
+    @staticmethod
+    def good():
+        return np.tile([0.1, 0.2, 0.3, 0.4], (3, 1))
+
+    def bad_inputs(self):
+        nan_row, negative_row, lone_nan = self.good(), self.good(), self.good()
+        nan_row[1] = np.nan
+        negative_row[2] = [-0.1, 0.5, 0.3, 0.3]
+        lone_nan[0, 2] = np.nan
+        return [
+            (nan_row, NonFiniteEntry),
+            (negative_row, NegativeEntry),
+            (self.good()[:, :3], ShapeMismatch),
+            (lone_nan, NonFiniteEntry),
+            (np.tile([0.1, 0.2, 0.3, 0.2, 0.2], (3, 1)), ShapeMismatch),
+        ]
+
+    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("strategy", ["full", "partial"])
+    def test_decode_line_raises_the_validation_error(self, case, strategy):
+        y, error = self.bad_inputs()[case]
+        m = PosteriorMatrix(y)
+        with pytest.raises(error) as want:
+            validate_posteriors(m, self.V4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as got:
+                decode_line(m, self.V4, DecodeConfig(beam_size=2, strategy=strategy))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_prefix_beam_search_raises_the_validation_error(self, case):
+        y, error = self.bad_inputs()[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                prefix_beam_search(PosteriorMatrix(y), self.V4, 2)
+
+    def test_rows_need_not_sum_to_one(self):
+        y = PosteriorMatrix(self.good() * 0.5)
+        beam = prefix_beam_search(y, self.V4, 2)
+        decoded = decode_line(y, self.V4, DecodeConfig(beam_size=2, strategy="full"))
+        assert decoded.nbests[0].entries[: len(beam)] == beam.entries
+
+
+def reference_decoded_network(decoded, normalize):
+    """The network decode_line builds from its own n-best lists, each folded by the oracle."""
+    folds = [reference_build_cn(nbest, normalize=False) for nbest in decoded.nbests]
+    if normalize:
+        return ConfusionNetwork(tuple(s.normalized() for cn in folds for s in cn.sets))
+    masses = [nb.total_weight for seg, nb in zip(decoded.segments, decoded.nbests) if not seg.confident]
+    confidence = max(float(np.prod(masses)) if masses else 1.0, np.finfo(float).tiny)
+    sets = []
+    for cn in folds:
+        factor = confidence / cn.total_score
+        sets += [
+            ConfusionSet({k: max(v * factor, 5e-324) for k, v in s.alternatives.items()}, s.null * factor)
+            for s in cn.sets
+        ]
+    return ConfusionNetwork(tuple(sets), normalized=False, total_score=confidence)
+
+
+def network_bits(cn):
+    return (
+        cn.offsets.tolist(), cn.symbols.tolist(), cn.scores.tobytes(), cn.nulls.tobytes(),
+        cn.normalized, cn.total_score.hex(),
+    )
+
+
+class TestDecodeLineFoldsLikeTheReference:
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_seeded_lines(self, normalize):
+        rng = np.random.default_rng(127)
+        v = Vocabulary.from_characters("abcde")
+        for n in range(40):
+            rows = [np.eye(6)[v.blank]]
+            for _ in range(int(rng.integers(1, 6))):
+                burst = rng.dirichlet(np.full(6, 0.4), size=int(rng.integers(1, 7)))
+                rows.extend(burst)
+                rows.append(np.eye(6)[int(rng.integers(0, 6))] * 0.996 + 0.0008)
+                rows.append(np.eye(6)[v.blank])
+            cfg = DecodeConfig(beam_size=int(rng.choice([1, 2, 4, 8])), strategy="full" if n % 5 == 0 else "partial")
+            decoded = decode_line(PosteriorMatrix(np.array(rows)), v, cfg, normalize)
+            assert network_bits(decoded.network) == network_bits(reference_decoded_network(decoded, normalize))
 
 
 class TestDecodeConfig:
