@@ -23,7 +23,7 @@ from .types import (
     PosteriorMatrix,
     ValidationError,
     Vocabulary,
-    check_entries,
+    check_decoder_input,
 )
 
 NEG_INF = float("-inf")
@@ -308,9 +308,9 @@ def prefix_beam_search(y: PosteriorMatrix, v: Vocabulary, beam_size: int) -> NBe
     prefix with its own last symbol needs the blank share, repeating it
     without a blank keeps the prefix unchanged.  Returned weights are the
     total collected mass per prefix, sorted descending; ties break on the
-    symbol tuple so the output is reproducible.  Rows need not sum to one,
-    but ``y`` must have one finite, nonnegative column per symbol of ``v``
-    (:func:`softctc.types.check_entries`).
+    symbol tuple so the output is reproducible.  ``y`` must have one finite,
+    nonnegative column per symbol of ``v``, and its rows may sum below one
+    but not above (:func:`softctc.types.check_decoder_input`).
 
     This is a batch of one of the lock-step search :func:`decode_line` runs
     over all unconfident segments of a line.  Each frame scores the whole
@@ -325,7 +325,7 @@ def prefix_beam_search(y: PosteriorMatrix, v: Vocabulary, beam_size: int) -> NBe
     """
     if beam_size < 1:
         raise ValidationError("beam size must be at least 1")
-    check_entries(y, v)
+    check_decoder_input(y, v)
     return _beam_batch(y.frames, [(0, y.num_frames)], v.blank, beam_size)[0]
 
 
@@ -376,7 +376,8 @@ def decode_line(
     singleton sets, and concatenate in frame order.  Where the beam pruned a
     segment's greedy labeling, it is appended to that segment's list with
     its argmax-path mass.  ``y`` is checked once per call
-    (:func:`softctc.types.check_entries`); rows need not sum to one.
+    (:func:`softctc.types.check_decoder_input`); rows need not sum to one,
+    but none may sum above it.
 
     With ``normalize`` off, the per-set totals of every segment are scaled to
     the product of the segment beam masses, so the raw network conserves one
@@ -384,7 +385,7 @@ def decode_line(
     product is floored at the smallest normal double, so a line whose
     confidence underflows keeps its per-set proportions.
     """
-    check_entries(y, v)
+    check_decoder_input(y, v)
     frames = y.frames
     if cfg.strategy == "full":
         segments = (Segment(0, y.num_frames, confident=False),)

@@ -7,22 +7,32 @@ by their sum and the log scale factors are accumulated, so the matrix
 products never touch the log semiring.
 
 Consecutive lines with the same frame count and vocabulary form a group,
-which the frame loops run in lock step as one block-diagonal matrix: each
-line's states fill a slot of ``width`` states, its own count plus at least
-one padding state that no arc touches.  Each frame is one CSR
-matrix-vector product for the whole group: the forward pass multiplies by
-the transpose (built once per group), the backward pass by the matrix
-itself.  Both call scipy's ``csr_matvec`` routine on the CSR arrays directly
-and write into preallocated rows, so a frame allocates nothing and skips the
-sparse-matrix operator dispatch.  ``np.add.reduceat`` over each line's slot
-gives the line's scale, and the padding lets one broadcast divide rescale
-every line.  A row of a block-diagonal product reads only its own block, so
-every line of a group is bitwise the line run as a batch of one.
+which runs in lock step as one block-diagonal matrix: each line's states
+fill a slot of ``width`` states, its own count plus at least one padding
+state that no arc touches.  Given the emissions, the forward and backward
+recursions are independent (Rabiner 1989, section III.A), so one frame loop
+runs both: iteration ``i`` advances the forward pass to frame ``i`` and the
+backward pass to frame ``T-1-i`` with one CSR matrix-vector product on a
+stacked matrix, whose first ``S`` rows are the group's transpose (forward)
+and whose last ``S`` rows are the matrix itself (backward), shifted by
+``S``.  The product calls scipy's ``csr_matvec`` routine on the CSR arrays
+directly and writes into preallocated rows, so an iteration allocates
+nothing and skips the sparse-matrix operator dispatch.  One emission
+multiply, one ``np.add.reduceat`` over each line's slot (the line's scale)
+and one broadcast divide, which the padding makes possible, then cover both
+passes and every line.  A row of a block-diagonal product reads only its
+own block, so every line of a group is bitwise the line run as a batch of
+one, and each pass is bitwise the pass run on its own.
 
-Only the forward vectors (before the emission multiply) are stored.  Both
-passes gather the emissions one block of ``BLOCK_FRAMES`` frames at a time,
-and the backward pass bins the gradient per block, so neither the
-emissions of a whole line nor its backward vectors are ever held.
+The passes meet in the middle.  Before iteration ``T//2`` each iteration
+stores the forward vector it reaches (before the emission multiply) and the
+rescaled backward vector; from then on each iteration reaches two frames
+whose other vectors are stored, and the loop block bins their gradient.  An
+odd frame count also stores the middle frame's backward vector and bins the
+frame in the block that reaches it.  So the store holds one vector per
+frame, and the emissions are gathered one loop block of ``BLOCK_FRAMES``
+iterations at a time: neither the emissions of a whole line nor both
+passes' vectors are ever held.
 
 Rescaling keeps each vector's sum at one but not each entry in the normal
 range (Rabiner 1989, section V.A): mass decaying far from the active states
@@ -54,24 +64,30 @@ TINY = np.finfo(float).tiny
 # largest spread of log P_t over frames, relative to max(1, |log P|), that
 # run_batch accepts as rounding
 MASS_SPREAD_RTOL = 1e-9
-# Stored forward vectors (frames x lines x width x 8 bytes) allowed in one
-# group; a line larger than this runs alone.  The lock-step loops pay a
-# frame's numpy calls once per group, and the store is most of the memory a
-# group adds.  On the benchmark's 16 train-step lines (250 frames, 200-400
+# Stored vectors (frames x lines x width x 8 bytes: one per frame, forward
+# or backward) allowed in one group; a line larger than this runs alone.  The
+# lock-step loop pays a frame's numpy calls once per group, and the store is
+# most of the memory a group adds.  On the benchmark's 16 train-step lines (250 frames, 200-400
 # states; a shared 2-CPU x86 host, perfbench's reference host speed) against
 # the per-line loop's 182 lines/s at 78.3 MiB peak: 1 MiB
 # (mostly one line per group) ran 218 at 75.5 MiB, 2 MiB (two or three
 # lines) 302 at 77.5, 3 MiB 317 at 80.4, and one group of 16 lines 343 at
 # 92.3.  2 MiB takes most of the gain at no more peak memory.
 GROUP_BYTES = 2 * 2**20
-# Frames per emission gather (both passes) and per gradient binning (the
-# backward pass), at least 2: a block's calls are paid once per block, and
-# its buffers grow with it.  Lines per second (peak MiB) on the benchmark,
-# one run per seed on two seeds, same host as above -- train-step: 2 frames
-# 178-201 (76.2-76.7), 8 254-258 (76.0-76.5), 32 280-282 (77.1-77.2), 128
-# 267-282 (78.1-78.4), one block per line 247-252 (83.1); pseudolabel: 73-74,
-# 83-86, 89-94, 89 (82.9 against 81.7 at 32), 85-86 (87.2-87.5);
-# merge-transform: 33, 37-39, 37-39, 35-37 (84-85 against 78), 33-35 (94-95).
+# Iterations per loop block: the frames each gather of emissions covers in
+# both passes, and the most frames one gradient binning covers.  A block's
+# calls are paid once per block, the later half of the blocks bins two
+# ranges, and the loop buffers, twice as wide as a single pass's, grow with
+# it.  Paired in-process (one tree, 31 alternating rounds, ratio of kernel
+# times; a shared 2-CPU x86 host): 32 against 16 ran 0.97x on the 16
+# train-step lines, 0.95x on pseudolabel lines and 0.99x on merged lines;
+# 64 against 32 ran 1.00x, 0.98x and 1.06x; 24 against 32 1.00x, 1.01x
+# and 1.00x.  perfbench lines per second, one run per seed on five seeds
+# (two for 8), perfbench's reference host speed -- train-step: 8 frames
+# 299-305, 16 290-337 (median 310), 32 308-351 (313); pseudolabel: 114-116,
+# 115-126 (120), 116-127 (124); merge-transform: 38.5-38.8, 36.5-40.4
+# (39.3), 38.0-39.9 (38.4).  Peak memory at 32 was 0.3-0.5 MiB above 16 on
+# train-step and pseudolabel and level on merge-transform.
 BLOCK_FRAMES = 32
 
 
@@ -164,6 +180,8 @@ class _Group:
 
     Line ``l``'s states are ``l * width + s`` for ``s < num_states``; the
     rest of its slot is padding, which no arc touches and no total reads.
+    The stacked vectors of the frame loop hold the forward pass's states,
+    then the backward pass's, each in this layout.
     """
 
     def __init__(self, pairs: Sequence[tuple[np.ndarray, CompiledTarget]]):
@@ -173,31 +191,41 @@ class _Group:
         self.lines = len(targets)
         sizes = np.array([t.num_states for t in targets])
         self.width = int(sizes.max()) + 1
-        self.states = self.lines * self.width
+        self.states = states = self.lines * self.width
         starts = np.arange(self.lines) * self.width
-        # np.add.reduceat bounds: each line's states, then its padding
-        self.bounds = np.column_stack((starts, starts + sizes)).reshape(-1)
+        # np.add.reduceat bounds of the stacked vector: each line's states,
+        # then its padding, in the forward half and then the backward half
+        bounds = np.column_stack((starts, starts + sizes)).reshape(-1)
+        self.bounds = np.concatenate((bounds, bounds + states))
         # each slot's posterior column per state; padding reads column 0
         self.columns = [
             np.pad(t.state_symbols, (0, self.width - t.num_states)) for t in targets
         ]
 
         # the targets' own index type (scipy's int32 unless a target outgrows
-        # it); a group of several lines holds at most GROUP_BYTES / 8 states
+        # it), widened when the stacked matrix's 2 * states or 2 * nnz do not fit
+        nnz = sum(t.transition.nnz for t in targets)
         index = np.result_type(*(t.transition.indices.dtype for t in targets))
+        if 2 * max(states, nnz) > np.iinfo(index).max:
+            index = np.dtype(np.int64)
         counts = np.zeros((self.lines, self.width), dtype=index)
         for line, t in enumerate(targets):
             counts[line, : t.num_states] = np.diff(t.transition.indptr)
-        indptr = np.zeros(self.states + 1, dtype=index)
-        np.cumsum(counts.reshape(-1), out=indptr[1:])
-        indices = np.concatenate(
-            [(t.transition.indices + start).astype(index) for t, start in zip(targets, starts)]
-        )
-        data = np.concatenate([t.transition.data for t in targets])
-        self.backward = (indptr, indices, data)
-        # the transpose's CSR is the matrix's CSC
-        self.forward = (np.empty_like(indptr), np.empty_like(indices), np.empty_like(data))
-        csr_tocsc(self.states, self.states, *self.backward, *self.forward)
+        backward_indptr = np.zeros(states + 1, dtype=index)
+        np.cumsum(counts.reshape(-1), out=backward_indptr[1:])
+        # the stacked matrix: rows [0, states) the transpose, whose CSR is the
+        # matrix's CSC, then rows [states, 2 * states) the matrix, shifted
+        indptr = np.empty(2 * states + 1, dtype=index)
+        indices = np.empty(2 * nnz, dtype=index)
+        data = np.empty(2 * nnz)
+        np.concatenate([(t.transition.indices + start).astype(index)
+                        for t, start in zip(targets, starts)], out=indices[nnz:])
+        np.concatenate([t.transition.data for t in targets], out=data[nnz:])
+        csr_tocsc(states, states, backward_indptr, indices[nnz:], data[nnz:],
+                  indptr[: states + 1], indices[:nnz], data[:nnz])
+        np.add(backward_indptr[1:], nnz, out=indptr[states + 1 :])
+        indices[nnz:] += states
+        self.matrix = (2 * states, 2 * states, indptr, indices, data)
 
         # binning matrix: row line * vocab + k sums the line's states of
         # symbol k, and row lines * vocab + line all of them (the row
@@ -217,89 +245,97 @@ class _Group:
         self.beta_final = _padded([t.beta_hat for t in targets], self.width)
         flushes = [t.transition.nnz > FLUSH_MIN_NNZ_PER_STATE * t.num_states for t in targets]
         self.flush = any(flushes)
-        # a line that does not flush gets floor 0, which no entry is below
-        self.floor = np.repeat(np.where(flushes, TINY, 0.0), self.width)
+        # a line that does not flush gets floor 0, which no entry is below;
+        # both passes flush alike
+        self.floor = np.tile(np.repeat(np.where(flushes, TINY, 0.0), self.width), 2)
 
-    def _gather(self, t0: int, t1: int, out: np.ndarray) -> np.ndarray:
-        """Each state's emission at frames [t0, t1), in the first rows of ``out``."""
-        emissions = out[: t1 - t0].reshape(t1 - t0, self.lines, self.width)
+    def _gather(self, i0: int, i1: int, out: np.ndarray) -> None:
+        """Each state's emission at the frames iterations [i0, i1) reach, into ``out``.
+
+        Row ``i - i0`` gets frame ``i`` in its forward half and frame
+        ``T-1-i`` in its backward half.
+        """
+        frames = self.frames
+        emissions = out.reshape(i1 - i0, 2, self.lines, self.width)
         for line, (y, columns) in enumerate(zip(self.ys, self.columns)):
-            emissions[:, line] = y[t0:t1].take(columns, axis=1)
-        return out[: t1 - t0]
+            emissions[:, 0, line] = y[i0:i1].take(columns, axis=1)
+            emissions[:, 1, line] = y[frames - i1 : frames - i0][::-1].take(columns, axis=1)
 
     def run(self, first: int, check_mass: bool) -> list[LinePasses]:
         frames, states, lines = self.frames, self.states, self.lines
-        bounds, flush, floor = self.bounds, self.flush, self.floor
-        decayed = np.empty(states, dtype=bool)
-        # the frame loops' calls, bound once
+        bounds, flush, floor, matrix = self.bounds, self.flush, self.floor, self.matrix
+        # iterations before `half` reach forward frames [0, half) and
+        # iterations before `frames - half` backward frames [half, frames)
+        # that the other pass has yet to reach: their vectors are stored
+        half = frames // 2
+        decayed = np.empty(2 * states, dtype=bool)
+        # the frame loop's calls, bound once
         multiply, divide, less, putmask = np.multiply, np.divide, np.less, np.putmask
         reduceat = np.add.reduceat
-        # a block of emissions; the backward pass reuses each block's memory
-        # for its posterior terms once the block's frames are done
-        block = np.empty(BLOCK_FRAMES * states)
-        emissions = block.reshape(BLOCK_FRAMES, states)
+        # one loop block: each iteration's product, and its emissions, which
+        # the iteration rescales in place into the vectors the next product
+        # reads; row 0 carries the previous block's last vectors
+        products = np.empty((BLOCK_FRAMES, 2 * states))
+        vectors = np.empty((BLOCK_FRAMES + 1, 2 * states))
+        vector_lines = vectors.reshape(BLOCK_FRAMES + 1, 2 * lines, self.width)
+        terms = np.empty(BLOCK_FRAMES * states)  # one binned range's posterior terms
 
-        # forward vectors before the emission multiply, unscaled at their
-        # frame; each frame's sums hold every line's mass, then its padding's
-        alphas = np.zeros((frames, states))
-        alpha_sums = np.empty((frames, 2 * lines))
-        alpha_div = alpha_sums.reshape(frames, lines, 2)[:, :, :1]
-        vec = np.empty(states)
-        vec_lines = vec.reshape(lines, self.width)
-        alphas[0] = self.alpha_init
-        forward = (states, states, *self.forward)
-        for t0 in range(0, frames, BLOCK_FRAMES):
-            t1 = min(t0 + BLOCK_FRAMES, frames)
-            q = self._gather(t0, t1, emissions)
-            for t, alpha, emission, sums, div in zip(
-                range(t0, t1), alphas[t0:t1], q, alpha_sums[t0:t1], alpha_div[t0:t1]
+        # frames [0, half): forward vectors before the emission multiply,
+        # unscaled; frames [half, frames): rescaled backward vectors
+        store = np.empty((frames, states))
+        # each iteration's sums hold every line's forward mass and its
+        # padding's, then the same for the backward pass
+        sums = np.empty((frames, 4 * lines))
+        div = sums.reshape(frames, 2 * lines, 2)[:, :, :1]
+        alpha_div = div[:, :lines]  # forward scales, by frame
+        row_totals = np.empty((lines, frames))
+        grads = [np.zeros((frames, self.vocab)) for _ in range(lines)]
+        for i0 in range(0, frames, BLOCK_FRAMES):
+            i1 = min(i0 + BLOCK_FRAMES, frames)
+            n = i1 - i0
+            self._gather(i0, i1, vectors[1 : n + 1])
+            products[:n].fill(0.0)
+            if i0 == 0:
+                products[0, :states] = self.alpha_init
+                products[0, states:] = self.beta_final
+            for i, before, product, vec, vec_lines, row_sums, row_div in zip(
+                range(i0, i1), vectors[:n], products, vectors[1 : n + 1],
+                vector_lines[1 : n + 1], sums[i0:i1], div[i0:i1],
             ):
-                if t > 0:
-                    csr_matvec(*forward, vec, alpha)
-                multiply(alpha, emission, out=vec)
-                reduceat(vec, bounds, out=sums)
-                divide(vec_lines, div, out=vec_lines)
+                if i:
+                    csr_matvec(*matrix, before, product)
+                multiply(product, vec, out=vec)
+                reduceat(vec, bounds, out=row_sums)
+                divide(vec_lines, row_div, out=vec_lines)
                 if flush:
                     less(vec, floor, out=decayed)
                     putmask(vec, decayed, 0.0)
-        final = self._final_mass(vec)
+            vectors[0] = vectors[n]
 
-        beta_sums = np.empty((frames, 2 * lines))
-        beta_div = beta_sums.reshape(frames, lines, 2)[:, :, :1]
-        row_totals = np.empty((lines, frames))
-        grads = [np.zeros((frames, self.vocab)) for _ in range(lines)]
-        betas = np.empty((BLOCK_FRAMES, states))  # one block of rescaled backward vectors
-        betas_lines = betas.reshape(BLOCK_FRAMES, lines, self.width)
-        backward = (states, states, *self.backward)
-        after = None
-        # blocks start at multiples of BLOCK_FRAMES, so only the last one is
-        # short and the vector after a block always sits in the previous
-        # block's first row, which the block writes last
-        for t0 in reversed(range(0, frames, BLOCK_FRAMES)):
-            t1 = min(t0 + BLOCK_FRAMES, frames)
-            n = t1 - t0
-            q = self._gather(t0, t1, emissions)
-            for row, row_lines, emission, sums, div in zip(
-                betas[:n][::-1], betas_lines[:n][::-1], q[::-1],
-                beta_sums[t0:t1][::-1], beta_div[t0:t1][::-1],
-            ):
-                if after is None:
-                    multiply(self.beta_final, emission, out=row)
-                else:
-                    row.fill(0.0)
-                    csr_matvec(*backward, after, row)
-                    multiply(row, emission, out=row)
-                reduceat(row, bounds, out=sums)
-                divide(row_lines, div, out=row_lines)
-                if flush:
-                    less(row, floor, out=decayed)
-                    putmask(row, decayed, 0.0)
-                after = row
-            terms = block[: states * n].reshape(states, n)
-            self._bin(alphas[t0:t1], alpha_div[t0:t1], betas[:n], terms, t0, t1, row_totals, grads)
+            stored = min(i1, half) - i0
+            if stored > 0:
+                store[i0 : i0 + stored] = products[:stored, :states]
+            stored = min(i1, frames - half) - i0
+            if stored > 0:
+                store[frames - i0 - stored : frames - i0] = vectors[stored:0:-1, states:]
+            # forward frames [a, i1) read their backward vectors from the
+            # store; so do, for odd frame counts, the middle frame, which
+            # this block has just stored
+            a = max(i0, half)
+            if a < i1:
+                self._bin(products[a - i0 : n, :states], alpha_div[a:i1], store[a:i1],
+                          terms, a, i1, row_totals, grads)
+            # backward frames [frames - i1, frames - a) read their forward
+            # vectors from the store
+            a = max(i0, frames - half)
+            if a < i1:
+                t0, t1 = frames - i1, frames - a
+                self._bin(store[t0:t1], alpha_div[t0:t1], vectors[n : a - i0 : -1, states:],
+                          terms, t0, t1, row_totals, grads)
+        final = self._final_mass(vectors[0, :states])
 
-        alpha_scales = np.ascontiguousarray(alpha_sums[:, ::2].T)
-        beta_scales = np.ascontiguousarray(beta_sums[:, ::2].T)
+        alpha_scales = np.ascontiguousarray(sums[:, : 2 * lines : 2].T)
+        beta_scales = np.ascontiguousarray(sums[::-1, 2 * lines :: 2].T)
         results = []
         for line in range(lines):
             reason = _failure(alpha_scales[line], float(final[line]), beta_scales[line])
@@ -315,15 +351,16 @@ class _Group:
 
     def _final_mass(self, alpha: np.ndarray) -> np.ndarray:
         """Each line's mass in its final states, from the last rescaled forward vector."""
-        return np.add.reduceat(alpha * self.beta_final, self.bounds)[::2]
+        return np.add.reduceat(alpha * self.beta_final, self.bounds[: 2 * self.lines])[::2]
 
     def _bin(self, alphas, alpha_div, betas, terms, t0, t1, row_totals, grads) -> None:
-        """Row totals and gradient of frames [t0, t1) from the block's passes."""
+        """Row totals and gradient of frames [t0, t1) from their vectors of both passes."""
         n = t1 - t0
-        # the block's forward vectors are read only here: scale them in place
+        # the frames' forward vectors are read only here: scale them in place
         alphas_lines = alphas.reshape(n, self.lines, self.width)
         np.divide(alphas_lines, alpha_div, out=alphas_lines)
         # state-major, as the binning product reads it
+        terms = terms[: self.states * n].reshape(self.states, n)
         np.multiply(alphas.T, betas.T, out=terms)
         binned = np.zeros((self.binned_rows, n))
         csr_matvecs(self.binned_rows, self.states, n, *self.onehot,

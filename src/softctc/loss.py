@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import forward_backward as fb
 from .compiler import CompiledTarget, compile_nbest
@@ -78,13 +77,16 @@ def soft_ctc_batch(
     Every pair is checked first, so a NaN or infinite posterior anywhere in
     the batch raises NonFiniteEntry before any line runs.  The kernel then
     runs consecutive lines with the same frame count and vocabulary as one
-    group in lock step, one sparse product per frame and pass for the whole
-    group (see :mod:`softctc.forward_backward`).  A group stores only its
-    forward vectors and holds at most ``GROUP_BYTES`` (2 MiB) of them; a
-    larger line runs alone.  On the benchmark's 16 train-step lines (250
-    frames, 200-400 states, two or three lines per group) the step ran 1.5x
-    the per-line loop it replaces, and its peak resident memory fell from
-    78.1 to 77.5 MiB (medians of 10 pairs, ``BENCH_batch_kernel.json``).
+    group in lock step, one frame loop for both passes with one sparse
+    product per frame for the whole group (see
+    :mod:`softctc.forward_backward`).  A group stores one vector per frame,
+    as the passes meet in the middle, and holds at most ``GROUP_BYTES``
+    (2 MiB) of them; a larger line runs alone.  On the benchmark's 16
+    train-step lines (250 frames, 200-400 states, two or three lines per
+    group) the lock-step groups ran the step 1.5x the per-line loop
+    (``BENCH_batch_kernel.json``), and the joint frame loop 1.10x the two
+    separate passes: 277.9 to 305.2 lines per second (medians of 10 pairs,
+    ``BENCH_fused_passes.json``).
     Each line's result is bitwise the one it gets as a batch of one.  The
     first infeasible line raises InfeasibleTarget naming its index in the
     batch.
@@ -128,8 +130,11 @@ def multi_ctc(y: PosteriorMatrix, nbest: NBestList, v: Vocabulary) -> LossResult
         grads.append(result.grad)
     if not log_terms:
         raise InfeasibleTarget("no variant of the n-best list can be aligned")
-    log_total = float(logsumexp(log_terms))
-    mix = np.exp(np.array(log_terms) - log_total)
+    log_terms = np.array(log_terms)
+    # log-sum-exp shifted by the largest term, so no term overflows
+    peak = log_terms.max()
+    log_total = float(peak + np.log(np.exp(log_terms - peak).sum()))
+    mix = np.exp(log_terms - log_total)
     grad = np.zeros_like(y.frames)
     for c, g in zip(mix, grads):
         grad += c * g

@@ -13,6 +13,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
+# how far from one a posterior row's sum may be
+ROW_TOL = 1e-6
+
+
 class ValidationError(Exception):
     """Input violates a structural contract."""
 
@@ -215,8 +219,7 @@ def check_entries(m: PosteriorMatrix, v: Vocabulary) -> None:
     """Check that ``m`` has one column per symbol of ``v`` and finite, nonnegative entries.
 
     Raises ShapeMismatch, NonFiniteEntry, or NegativeEntry at the first
-    offending entry; rows need not sum to one.  The decoder runs this on
-    every call.
+    offending entry; rows need not sum to one.
     """
     if m.vocab_size != len(v):
         raise ShapeMismatch(
@@ -229,7 +232,21 @@ def check_entries(m: PosteriorMatrix, v: Vocabulary) -> None:
         raise NegativeEntry(t, k, float(m.frames[t, k]))
 
 
-def validate_posteriors(m: PosteriorMatrix, v: Vocabulary, tol: float = 1e-6) -> None:
+def check_decoder_input(m: PosteriorMatrix, v: Vocabulary) -> None:
+    """The decoder's entry check: :func:`check_entries`, then no row above one.
+
+    Rows may sum below one, but a row summing to more than ``1 + ROW_TOL``
+    raises RowNotNormalized at the first such frame: a beam over it could
+    collect a weight above one, which no n-best list holds.
+    """
+    check_entries(m, v)
+    totals = m.frames.sum(axis=1)
+    over = np.flatnonzero(totals > 1.0 + ROW_TOL)
+    if over.size:
+        raise RowNotNormalized(int(over[0]), float(totals[over[0]]))
+
+
+def validate_posteriors(m: PosteriorMatrix, v: Vocabulary, tol: float = ROW_TOL) -> None:
     """Check that ``m`` is a proper per-frame distribution over ``v``.
 
     Raises ShapeMismatch, NonFiniteEntry, NegativeEntry (see

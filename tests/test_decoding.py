@@ -12,6 +12,7 @@ from softctc import (
     NegativeEntry,
     NonFiniteEntry,
     PosteriorMatrix,
+    RowNotNormalized,
     Segment,
     ShapeMismatch,
     ValidationError,
@@ -516,7 +517,7 @@ class TestDecodeLine:
 
 class TestBadPosteriors:
     """The decoder checks its input once per call, with the texts of
-    validate_posteriors; rows need not sum to one."""
+    validate_posteriors; rows need not sum to one, but none may sum above it."""
 
     V4 = Vocabulary.from_characters("abc")  # a, b, c, blank
 
@@ -557,6 +558,38 @@ class TestBadPosteriors:
             warnings.simplefilter("error")
             with pytest.raises(error):
                 prefix_beam_search(PosteriorMatrix(y), self.V4, 2)
+
+    @pytest.mark.parametrize("strategy", ["full", "partial"])
+    def test_rows_above_one_raise_the_row_error(self, strategy):
+        # a beam over rows summing to 2 collects a weight above 1; the
+        # decoder names the input, not its own n-best list
+        y = self.good() * 2
+        cfg = DecodeConfig(beam_size=2, strategy=strategy)
+        with pytest.raises(RowNotNormalized) as got:
+            decode_line(PosteriorMatrix(y), self.V4, cfg)
+        assert str(got.value) == "frame 0 sums to 2.0, expected 1"
+        assert (got.value.t, got.value.total) == (0, 2.0)
+        # rows below one pass; the first row above one is named
+        y[0] *= 0.25
+        with pytest.raises(RowNotNormalized) as got:
+            decode_line(PosteriorMatrix(y), self.V4, cfg)
+        assert got.value.t == 1
+        with pytest.raises(RowNotNormalized) as want:
+            validate_posteriors(PosteriorMatrix(y), self.V4)
+        assert want.value.t == 0  # the validator keeps its own frame order
+
+    def test_prefix_beam_search_raises_on_rows_above_one(self):
+        with pytest.raises(RowNotNormalized) as got:
+            prefix_beam_search(PosteriorMatrix(self.good() * 2), self.V4, 2)
+        assert str(got.value) == "frame 0 sums to 2.0, expected 1"
+
+    @pytest.mark.parametrize("strategy", ["full", "partial"])
+    def test_rows_within_the_tolerance_above_one_decode(self, strategy):
+        y = self.good()
+        y[1] *= 1.0 + 1e-9
+        assert y[1].sum() > 1.0
+        decoded = decode_line(PosteriorMatrix(y), self.V4, DecodeConfig(beam_size=2, strategy=strategy))
+        assert decoded.nbests[0].entries[0][0].symbols == (2,)
 
     def test_rows_need_not_sum_to_one(self):
         y = PosteriorMatrix(self.good() * 0.5)
@@ -599,7 +632,8 @@ class TestDecodeLineFoldsLikeTheReference:
             for _ in range(int(rng.integers(1, 6))):
                 burst = rng.dirichlet(np.full(6, 0.4), size=int(rng.integers(1, 7)))
                 rows.extend(burst)
-                rows.append(np.eye(6)[int(rng.integers(0, 6))] * 0.996 + 0.0008)
+                # a confident symbol: 0.996, and the row sums to one
+                rows.append(np.eye(6)[int(rng.integers(0, 6))] * 0.9952 + 0.0008)
                 rows.append(np.eye(6)[v.blank])
             cfg = DecodeConfig(beam_size=int(rng.choice([1, 2, 4, 8])), strategy="full" if n % 5 == 0 else "partial")
             decoded = decode_line(PosteriorMatrix(np.array(rows)), v, cfg, normalize)

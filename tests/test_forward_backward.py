@@ -248,29 +248,33 @@ def test_gradient_survives_tiny_row_total_times_tiny_emission():
 class Recorded(NamedTuple):
     """One line's kernel result and the rescaled vectors of its passes.
 
-    ``read`` holds every vector a product reads, the forward pass's first:
-    frames 0..T-2 forward, then frames T-1..1 backward.  ``betas`` holds the
-    backward vectors of frames 0..T-1, as the gradient binning reads them,
-    and ``last`` the forward vector of frame T-1, which the final mass reads.
+    Each product reads one stacked vector: the forward vector of frame
+    ``i`` in its first half, the backward vector of frame ``T-1-i`` in its
+    second.  ``forward`` holds the first halves (frames 0..T-2) and
+    ``backward`` the second (frames T-1..1).  ``betas`` holds the backward
+    vectors of frames 0..T-1 as the gradient binning reads them, each
+    binned range placed at its frames, and ``last`` the forward vector of
+    frame T-1, which the final mass reads.
     """
 
     passes: fb.LinePasses
-    read: list
+    forward: np.ndarray
+    backward: np.ndarray
     betas: np.ndarray
     last: np.ndarray
 
 
 def recorded_run(monkeypatch, y, target):
-    read, blocks, last = [], [], []
+    reads, blocks, last = [], [], []
     matvec, binning, final_mass = fb.csr_matvec, fb._Group._bin, fb._Group._final_mass
 
     def recording(*call):
-        read.append(call[5].copy())
+        reads.append(call[5].copy())
         matvec(*call)
 
-    def recording_bin(self, alphas, alpha_div, betas, *rest):
-        blocks.append(betas.copy())
-        binning(self, alphas, alpha_div, betas, *rest)
+    def recording_bin(self, alphas, alpha_div, betas, terms, t0, t1, *rest):
+        blocks.append((t0, t1, betas.copy()))
+        binning(self, alphas, alpha_div, betas, terms, t0, t1, *rest)
 
     def recording_final(self, alpha):
         last.append(alpha.copy())
@@ -281,8 +285,16 @@ def recorded_run(monkeypatch, y, target):
         patched.setattr(fb._Group, "_bin", recording_bin)
         patched.setattr(fb._Group, "_final_mass", recording_final)
         passes = run_one(y, target)
-    # the backward pass bins its blocks from the last frames to the first
-    return Recorded(passes, read, np.concatenate(blocks[::-1]), last[0])
+    frames, width = y.shape[0], target.num_states + 1
+    stacked = np.array(reads).reshape(len(reads), 2, width)
+    # the binned ranges cover every frame once
+    betas = np.full((frames, width), np.nan)
+    binned = np.zeros(frames, dtype=int)
+    for t0, t1, block in blocks:
+        betas[t0:t1] = block
+        binned[t0:t1] += 1
+    assert np.all(binned == 1)
+    return Recorded(passes, stacked[:, 0], stacked[:, 1], betas, last[0])
 
 
 def test_flush_leaves_no_subnormal_in_network_passes(monkeypatch):
@@ -299,10 +311,11 @@ def test_flush_leaves_no_subnormal_in_network_passes(monkeypatch):
         # seed 442's also hold subnormals in the two vectors no product
         # reads, and the kernel's would too without the flush there
         edges += bool(subnormal(ref_betas[0]).any() and subnormal(ref_alphas[-1]).any())
-        # every product reads a rescaled vector of one pass or the other
+        # every product reads a rescaled vector of each pass
         run = recorded_run(monkeypatch, y, target)
-        assert len(run.read) == 2 * (y.shape[0] - 1)
-        assert not any(subnormal(vec).any() for vec in run.read)
+        assert run.forward.shape[0] == run.backward.shape[0] == y.shape[0] - 1
+        assert not subnormal(run.forward).any()
+        assert not subnormal(run.backward).any()
         assert run.betas.shape[0] == y.shape[0]
         assert not subnormal(run.betas).any()
         assert not subnormal(run.last).any()
@@ -328,8 +341,16 @@ def test_chains_are_not_flushed(monkeypatch):
         assert run.passes.loss == unflushed.passes.loss
         assert np.array_equal(run.passes.grad, unflushed.passes.grad)
         assert np.array_equal(run.passes.log_mass, unflushed.passes.log_mass)
-        assert len(run.read) == len(unflushed.read)
-        assert all(np.array_equal(a, b) for a, b in zip(run.read, unflushed.read))
+        # the recorded halves are the passes' rescaled vectors
+        _, ref_alphas, ref_betas = reference_run_passes(y, *kernel_inputs(target))
+        n = target.num_states
+        close = dict(rtol=1e-9, atol=1e-290)  # subnormals keep fewer digits
+        assert np.allclose(run.forward[:, :n], ref_alphas[:-1], **close)
+        assert np.allclose(run.backward[:, :n], ref_betas[:0:-1], **close)
+        assert np.allclose(run.betas[:, :n], ref_betas, **close)
+        assert np.allclose(run.last[:n], ref_alphas[-1], **close)
+        assert np.array_equal(run.forward, unflushed.forward)
+        assert np.array_equal(run.backward, unflushed.backward)
         assert np.array_equal(run.betas, unflushed.betas)
         assert np.array_equal(run.last, unflushed.last)
     assert with_subnormals >= 8
@@ -493,8 +514,9 @@ def test_underflow_line_mid_batch_keeps_its_row_total_text():
 
 
 def test_batch_runs_lines_in_lock_step(monkeypatch):
-    # 16 short lines of equal length: each frame makes one product per pass
-    # and group, where a per-line loop would make one per line
+    # 16 short lines of equal length: each frame after the first makes one
+    # product per group for both passes, where a per-line loop would make
+    # two per line
     rng = np.random.default_rng(149)
     frames = 12
     items = [
@@ -511,9 +533,42 @@ def test_batch_runs_lines_in_lock_step(monkeypatch):
 
     monkeypatch.setattr(fb, "csr_matvec", counting)
     assert len(soft_ctc_batch(items)) == 16
-    assert len(calls) == 2 * (frames - 1)  # one group
+    assert len(calls) == frames - 1  # one group
     # a cap of four 3-state lines (4-state slots) splits the batch in four
     calls.clear()
     monkeypatch.setattr(fb, "GROUP_BYTES", 8 * frames * 4 * 4)
     assert len(soft_ctc_batch(items)) == 16
-    assert len(calls) == 4 * 2 * (frames - 1)
+    assert len(calls) == 4 * (frames - 1)
+
+
+EDGE_KINDS = ("chain", "nbest", "null-chain", "merged")
+B = fb.BLOCK_FRAMES
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3, B - 1, B, B + 1, 2 * B, 2 * B + 1])
+def test_frame_counts_at_the_loop_edges(frames):
+    # the passes meet in the middle: odd counts bin the middle frame at its
+    # own iteration, and the loop blocks split at multiples of BLOCK_FRAMES
+    rng = np.random.default_rng(151 + frames)
+    feasible = {kind: [] for kind in EDGE_KINDS}
+    for i in range(48):
+        kind = EDGE_KINDS[i % len(EDGE_KINDS)]
+        if kind == "chain":
+            # short enough to fit the shortest lines now and then
+            target = compile_nbest(NBestList(((rand_labeling(rng, max_len=2), 1.0),)), V)
+        else:
+            target = rand_target(rng, kind)
+        # sparse zeros, so that long lines stay feasible
+        y = rand_posteriors(rng, frames, zeros=float(rng.choice([0.0, 0.05])))
+        if pinned(y, target):
+            feasible[kind].append((y, target))
+    assert all(len(lines) >= 4 for lines in feasible.values()), {k: len(v) for k, v in feasible.items()}
+    # every kind shares a group with the others, bitwise its batch of one
+    lines = [line for group in zip(*feasible.values()) for line in group]
+    got = list(fb.run_batch(lines))
+    assert len(fb._groups(lines)) < len(lines)
+    for (y, target), passes in zip(lines, got):
+        single = run_one(y, target)
+        assert passes.loss == single.loss
+        assert np.array_equal(passes.grad, single.grad)
+        assert np.array_equal(passes.log_mass, single.log_mass)

@@ -1,7 +1,10 @@
 import ast
 import importlib
 import json
+import os
 import statistics
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -13,6 +16,15 @@ def test_every_exported_name_resolves_to_a_non_module():
     for name in softctc.__all__:
         assert not isinstance(getattr(softctc, name), types.ModuleType), name
 
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special is a tenth of a second of startup, and the package needs
+    # none of it; a fresh interpreter shows what importing softctc loads
+    env = dict(os.environ, PYTHONPATH=str(Path(softctc.__file__).parents[1]))
+    code = "import sys, softctc; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _unused_imports(path):
