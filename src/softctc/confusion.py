@@ -6,11 +6,11 @@ variant entirely rather than emitting anything.  Scores are raw accumulations
 until a network is normalized, after which every set is a distribution.
 
 A network is stored as flat arrays (set offsets, ascending symbols, scores,
-nulls), and the transforms are array operations on them.  Per-set totals are
-exactly rounded (``math.fsum``) and powers are Python's ``**``, so results
-match the per-set loops kept in :mod:`softctc.oracle` bit for bit.  Merging
-folds mutable per-set dicts through one aligner.  All operations are pure;
-networks are never mutated in place.
+nulls), and the transforms, network merging included, are array operations on
+them.  Per-set totals are exactly rounded and powers are Python's ``**``, so
+results match the per-set loops kept in :mod:`softctc.oracle` bit for bit.
+Only the n-best fold, whose networks hold a handful of sets, folds mutable
+per-set dicts.  All operations are pure; networks are never mutated in place.
 """
 
 from __future__ import annotations
@@ -82,12 +82,19 @@ class ConfusionSet:
         return ConfusionSet({k: v / t for k, v in self.alternatives.items()}, self.null / t)
 
 
-def _fsum_totals(offsets: np.ndarray, scores: np.ndarray, nulls: np.ndarray) -> list[float]:
-    """Exactly rounded total of every set, null included: ``ConfusionSet.total``."""
-    # each set's scores followed by its null, so every total is one slice
-    values = np.insert(scores, offsets[1:], nulls).tolist()
-    ends = (offsets[1:] + np.arange(1, nulls.shape[0] + 1)).tolist()
-    return [math.fsum(values[a:b]) for a, b in zip([0] + ends, ends)]
+def _fsum_totals(offsets: np.ndarray, scores: np.ndarray, nulls: np.ndarray) -> np.ndarray:
+    """Exactly rounded total of every set, null included: ``ConfusionSet.total``.
+
+    A set of at most two values (one alternative and a null, or two
+    alternatives) takes one IEEE addition, which is exactly rounded already;
+    only sets of three or more values go through ``math.fsum``.
+    """
+    totals = np.add.reduceat(scores, offsets[:-1]) + nulls
+    wide = np.flatnonzero(np.diff(offsets) + (nulls > 0.0) > 2)
+    if wide.size:
+        values, off, null = scores.tolist(), offsets.tolist(), nulls.tolist()
+        totals[wide] = [math.fsum(values[off[i] : off[i + 1]] + [null[i]]) for i in wide.tolist()]
+    return totals
 
 
 class ConfusionNetwork:
@@ -141,7 +148,7 @@ class ConfusionNetwork:
 
     def totals(self) -> list[float]:
         """Exactly rounded total of every set, null included."""
-        return _fsum_totals(self.offsets, self.scores, self.nulls)
+        return _fsum_totals(self.offsets, self.scores, self.nulls).tolist()
 
     def __len__(self) -> int:
         return self.offsets.shape[0] - 1
@@ -169,29 +176,25 @@ def _unpack(cn: ConfusionNetwork, make) -> list:
     ]
 
 
-def _flatten(
-    alternatives: Sequence[dict[int, float]], nulls: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(offsets, symbols, scores, nulls) of sets given as symbol-to-score dicts and nulls."""
-    items = [sorted(alts.items()) for alts in alternatives]
+_Arrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _flatten_sets(sets) -> _Arrays:
+    """(offsets, symbols, scores, nulls) of sets with ``alternatives`` dicts and ``null``."""
+    items = [sorted(s.alternatives.items()) for s in sets]
     flat = [kv for it in items for kv in it]
     return (
         np.cumsum([0] + [len(it) for it in items]),
         np.array([k for k, _ in flat], dtype=np.int64),
         np.array([v for _, v in flat], dtype=np.float64),
-        np.array(nulls, dtype=np.float64),
+        np.array([s.null for s in sets], dtype=np.float64),
     )
-
-
-def _flatten_sets(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_flatten` of sets with ``alternatives`` and ``null``."""
-    return _flatten([s.alternatives for s in sets], [s.null for s in sets])
 
 
 def _normalized(offsets, symbols, scores, nulls) -> ConfusionNetwork:
     """Divide every set by its exactly rounded total: one rounding per entry
     keeps renormalization of an already-normal set bit-stable."""
-    totals = np.array(_fsum_totals(offsets, scores, nulls))
+    totals = _fsum_totals(offsets, scores, nulls)
     return ConfusionNetwork._from_arrays(
         offsets, symbols, scores / np.repeat(totals, np.diff(offsets)), nulls / totals
     )
@@ -210,11 +213,20 @@ def normalize_cn(cn: ConfusionNetwork) -> ConfusionNetwork:
     return _normalized(cn.offsets, cn.symbols, cn.scores, cn.nulls)
 
 
-def _best_positions(sets: Sequence[_RawSet]) -> tuple[list[int], list[int]]:
-    """Best-path symbols and the indices of the sets they come from: each set's
-    cached best alternative, unless its null is strictly greater."""
-    positions = [i for i, s in enumerate(sets) if not s.null > s.best_score]
-    return [sets[i].best for i in positions], positions
+def _best_positions(
+    offsets: np.ndarray, symbols: np.ndarray, scores: np.ndarray, nulls: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """Best-path symbols and the indices of the sets they come from: each
+    set's highest-scoring alternative, the smaller symbol on ties, unless its
+    null is strictly greater."""
+    sets = np.arange(nulls.shape[0])
+    set_of = np.repeat(sets, np.diff(offsets))
+    peak = np.maximum.reduceat(scores, offsets[:-1])
+    # symbols ascend, so a set's first maximum is its smallest best symbol
+    ties = np.flatnonzero(scores == peak[set_of])
+    best = symbols[ties[np.searchsorted(set_of[ties], sets)]]
+    positions = np.flatnonzero(~(nulls > peak))
+    return best[positions].tolist(), positions.tolist()
 
 
 def best_path(cn: ConfusionNetwork) -> Labeling:
@@ -222,7 +234,7 @@ def best_path(cn: ConfusionNetwork) -> Labeling:
 
     Sets whose best choice is null contribute nothing.
     """
-    symbols, _ = _best_positions(_raw_sets(cn))
+    symbols, _ = _best_positions(cn.offsets, cn.symbols, cn.scores, cn.nulls)
     return Labeling(tuple(symbols))
 
 
@@ -305,98 +317,58 @@ class _RawSet:
     best_score: float
 
 
-def _raw_sets(cn: ConfusionNetwork) -> list[_RawSet]:
-    """Mutable copies of the sets of ``cn``, best alternatives cached."""
-    if not len(cn):
-        return []
-    set_of = np.repeat(np.arange(len(cn)), np.diff(cn.offsets))
-    peak = np.maximum.reduceat(cn.scores, cn.offsets[:-1])
-    # symbols ascend, so a set's first maximum is its smallest best symbol
-    ties = np.flatnonzero(cn.scores == peak[set_of])
-    best = cn.symbols[ties[np.unique(set_of[ties], return_index=True)[1]]].tolist()
-    offsets, symbols, scores = (a.tolist() for a in (cn.offsets, cn.symbols, cn.scores))
-    return [
-        _RawSet(dict(zip(symbols[a:b], scores[a:b])), null, sym, score)
-        for a, b, null, sym, score in zip(offsets, offsets[1:], cn.nulls.tolist(), best, peak.tolist())
-    ]
-
-
-def _merge_pair(
-    a_sets: list[_RawSet],
-    a_total: float,
-    b_sets: list[_RawSet],
-    b_total: float,
-    b_best: tuple[list[int], Sequence[int]],
+def _merge_hypothesis(
+    sets: list[_RawSet], total: float, labeling: Sequence[int], weight: float
 ) -> list[_RawSet]:
-    """Align ``b``'s best path ``b_best`` against ``a``'s and sum the paired sets.
+    """Align a one-path hypothesis against the best path of ``sets`` and add it.
 
-    ``a_total`` and ``b_total`` are the per-set masses of the two sides, and
-    ``b_best`` is ``_best_positions(b_sets)``.  A set the other side has no
-    counterpart for (skipped by its own best path, deleted or inserted)
-    absorbs the other side's total on null, so every output set totals
-    ``a_total + b_total``.  The input sets are reused, and each summed set
-    updates its cached best as its scores grow.
+    ``total`` is the per-set mass of ``sets`` and ``weight`` the hypothesis'
+    mass.  A set the hypothesis has no symbol for (skipped by its own best
+    path, or deleted) absorbs ``weight`` on null, and an inserted symbol opens
+    a set holding ``total`` on null, so every output set totals ``total +
+    weight``.  The input sets are reused, and each matched set updates its
+    cached best as its scores grow.
     """
-    pa, posa = _best_positions(a_sets)
-    pb, posb = b_best
+    positions = [i for i, s in enumerate(sets) if not s.null > s.best_score]
     out: list[_RawSet] = []
-
-    def flush(sets: list[_RawSet], start: int, stop: int, other_total: float) -> int:
-        for s in sets[start:stop]:
-            s.null += other_total
-        out.extend(sets[start:stop])
-        return stop
-
-    ca = cb = 0
-    for kind, i, j in levenshtein_align(pa, pb):
-        if kind == DELETE:
-            ca = flush(a_sets, ca, posa[i] + 1, b_total)
-        elif kind == INSERT:
-            cb = flush(b_sets, cb, posb[j] + 1, a_total)
-        else:  # MATCH or SUBSTITUTE
-            if ca < posa[i]:
-                ca = flush(a_sets, ca, posa[i], b_total)
-            if cb < posb[j]:
-                cb = flush(b_sets, cb, posb[j], a_total)
-            sa, sb = a_sets[ca], b_sets[cb]
-            for sym, v in sb.alternatives.items():
-                score = sa.alternatives.get(sym, 0.0) + v
-                sa.alternatives[sym] = score
-                # scores only grow, so the new best is the old one or this one
-                if score > sa.best_score or (score == sa.best_score and sym <= sa.best):
-                    sa.best, sa.best_score = sym, score
-            sa.null += sb.null
-            out.append(sa)
-            ca, cb = ca + 1, cb + 1
-    flush(a_sets, ca, len(a_sets), b_total)
-    flush(b_sets, cb, len(b_sets), a_total)
+    ca = 0
+    for kind, i, j in levenshtein_align([sets[p].best for p in positions], labeling):
+        if kind == INSERT:
+            sym = labeling[j]
+            out.append(_RawSet({sym: weight}, total, sym, weight))
+            continue
+        stop = positions[i] + (kind == DELETE)
+        for s in sets[ca:stop]:
+            s.null += weight
+        out.extend(sets[ca:stop])
+        ca = stop
+        if kind != DELETE:  # MATCH or SUBSTITUTE
+            s, sym = sets[ca], labeling[j]
+            score = s.alternatives.get(sym, 0.0) + weight
+            s.alternatives[sym] = score
+            # scores only grow, so the new best is the old one or this one
+            if score > s.best_score or (score == s.best_score and sym <= s.best):
+                s.best, s.best_score = sym, score
+            out.append(s)
+            ca += 1
+    for s in sets[ca:]:
+        s.null += weight
+    out.extend(sets[ca:])
     return out
-
-
-def _accumulate(parts: Iterable[tuple[list[_RawSet], float, tuple]]) -> tuple[list[_RawSet], float]:
-    """Merge ``(raw sets, per-set total, best path)`` parts left to right.
-
-    Returns the merged sets and their per-set total.  A part's best path is
-    ``_best_positions`` of its sets; the first part's is not read.
-    """
-    parts = iter(parts)
-    acc, acc_total, _ = next(parts)
-    for sets, total, best in parts:
-        acc = _merge_pair(acc, acc_total, sets, total, best)
-        acc_total += total
-    return acc, acc_total
 
 
 def _fold(nbest: NBestList) -> tuple[list[_RawSet], float]:
     """Raw sets and per-set total of an n-best list, folded by descending weight.
 
-    Each hypothesis is a one-path network whose best path is its labeling.
+    The top hypothesis seeds one singleton set per symbol, and each following
+    one is merged in as a one-path network whose best path is its labeling.
     """
-    entries = sorted(nbest.entries, key=lambda e: (-e[1], e[0].symbols))
-    return _accumulate(
-        ([_RawSet({s: w}, 0.0, s, w) for s in labeling], w, (labeling.symbols, range(len(labeling))))
-        for labeling, w in entries
-    )
+    (top, total), *rest = sorted(nbest.entries, key=lambda e: (-e[1], e[0].symbols))
+    sets = [_RawSet({s: total}, 0.0, s, total) for s in top]
+    for labeling, weight in rest:
+        sets = _merge_hypothesis(sets, total, labeling.symbols, weight)
+        total += weight
+    return sets, total
 
 
 def build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
@@ -413,23 +385,79 @@ def build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
     return ConfusionNetwork._from_arrays(*_flatten_sets(sets), normalized=False, total_score=total)
 
 
+# the sides an output set of a pair merge joins: one or both
+_IN_A, _IN_B = 1, 2
+
+
+def _merge_order(a: _Arrays, b: _Arrays) -> np.ndarray:
+    """The sides each output set of a pair merge joins, in output order.
+
+    The best paths are aligned, and a set off its own best path goes out
+    just before the next set of its side that the alignment places.  So
+    every set of each side goes out once, in its side's order.
+    """
+    pa, posa = _best_positions(*a)
+    pb, posb = _best_positions(*b)
+    sides: list[int] = []
+    ca = cb = 0
+    for kind, i, j in levenshtein_align(pa, pb):
+        if kind != INSERT:
+            if ca < posa[i]:
+                sides.extend([_IN_A] * (posa[i] - ca))
+            ca = posa[i] + 1
+        if kind != DELETE:
+            if cb < posb[j]:
+                sides.extend([_IN_B] * (posb[j] - cb))
+            cb = posb[j] + 1
+        sides.append(_IN_A if kind == DELETE else _IN_B if kind == INSERT else _IN_A | _IN_B)
+    sides.extend([_IN_A] * (a[3].shape[0] - ca) + [_IN_B] * (b[3].shape[0] - cb))
+    return np.array(sides, dtype=np.int64)
+
+
+def _merge_pair(a: _Arrays, a_total: float, b: _Arrays, b_total: float) -> _Arrays:
+    """Align ``b``'s best path against ``a``'s and sum the paired sets.
+
+    ``a_total`` and ``b_total`` are the per-set masses of the two sides.  A
+    set the other side has no counterpart for (skipped by its own best path,
+    deleted or inserted) absorbs the other side's total on null, so every
+    output set totals ``a_total + b_total``.  A paired set holds at most one
+    entry per side for each symbol, and IEEE addition is commutative, so
+    every sum has the bits of the per-set dict merge.
+    """
+    sides = _merge_order(a, b)
+    if not sides.shape[0]:
+        return a
+    in_a, in_b = np.flatnonzero(sides & _IN_A), np.flatnonzero(sides & _IN_B)
+    # each side's null, or that side's total where it has no set
+    left, right = np.full(sides.shape[0], a_total), np.full(sides.shape[0], b_total)
+    left[in_a], right[in_b] = a[3], b[3]
+    owner = np.concatenate((np.repeat(in_a, np.diff(a[0])), np.repeat(in_b, np.diff(b[0]))))
+    symbols, values = np.concatenate((a[1], b[1])), np.concatenate((a[2], b[2]))
+    order = np.lexsort((symbols, owner))
+    owner, symbols, values = owner[order], symbols[order], values[order]
+    repeat = (owner[1:] == owner[:-1]) & (symbols[1:] == symbols[:-1])
+    first = np.flatnonzero(np.concatenate(([True], ~repeat)))
+    offsets = np.zeros(sides.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[first], minlength=sides.shape[0]), out=offsets[1:])
+    return offsets, symbols[first], np.add.reduceat(values, first), left + right
+
+
 def merge_cns(cns: Sequence[ConfusionNetwork]) -> ConfusionNetwork:
     """Merge networks for the same line by aligning their best paths.
 
     Scores are treated as raw accumulations (each input's total mass weights
-    its contribution) and corresponding sets are summed; normalization happens
-    once at the very end.
+    its contribution) and corresponding sets are summed, left to right;
+    normalization happens once at the very end.
     """
     if not cns:
         raise ValidationError("nothing to merge")
     if any(cn.normalized for cn in cns):
         raise ValidationError("merge expects raw networks; normalization is final")
-    parts = [_raw_sets(cn) for cn in cns]
-    sets, total = _accumulate(
-        (sets, cn.total_score, _best_positions(sets)) for sets, cn in zip(parts, cns)
-    )
-    raw = ConfusionNetwork._from_arrays(*_flatten_sets(sets), normalized=False, total_score=total)
-    return normalize_cn(raw)
+    acc, total = (cns[0].offsets, cns[0].symbols, cns[0].scores, cns[0].nulls), cns[0].total_score
+    for cn in cns[1:]:
+        acc = _merge_pair(acc, total, (cn.offsets, cn.symbols, cn.scores, cn.nulls), cn.total_score)
+        total += cn.total_score
+    return normalize_cn(ConfusionNetwork._from_arrays(*acc, normalized=False, total_score=total))
 
 
 def smooth(cn: ConfusionNetwork, n: float) -> ConfusionNetwork:
@@ -462,7 +490,7 @@ def prune(cn: ConfusionNetwork, cutoff: float = 0.01) -> ConfusionNetwork:
     if not 0.0 <= cutoff < 1.0:
         raise ValidationError(f"cutoff must be in [0, 1), got {cutoff!r}")
     counts = np.diff(cn.offsets)
-    totals = np.array(cn.totals())
+    totals = _fsum_totals(cn.offsets, cn.scores, cn.nulls)
     probs = cn.scores / np.repeat(totals, counts)
     set_of = np.repeat(np.arange(counts.shape[0]), counts)
     kept = probs > cutoff

@@ -293,7 +293,10 @@ def _beam_batch(
     out = []
     for nodes, masses in final:
         scored = sorted(zip(trie.prefixes(nodes.tolist()), masses.tolist()), key=lambda kv: (-kv[1], kv[0]))
-        entries = [(Labeling(p), math.exp(lm)) for p, lm in scored if math.exp(lm) > 0.0]
+        # check_decoder_input lets rows sum to 1 + ROW_TOL as rounding, which
+        # compounds over the frames: a mass past 1 is read as 1
+        weights = [(p, min(math.exp(lm), 1.0)) for p, lm in scored]
+        entries = [(Labeling(p), w) for p, w in weights if w > 0.0]
         if not entries:
             # all mass underflowed; keep the top prefix with a representable weight
             entries = [(Labeling(scored[0][0]), 5e-324)]
@@ -400,7 +403,8 @@ def decode_line(
             # the beam pruned the greedy labeling mid-segment: list it with its
             # argmax-path mass, a valid under-estimate of its posterior
             peak = np.max(frames[segments[i].start : segments[i].end], axis=1)
-            nbest = NBestList(nbest.entries + ((greedy[i], max(float(np.prod(peak)), 5e-324)),))
+            weight = min(max(float(np.prod(peak)), 5e-324), 1.0)
+            nbest = NBestList(nbest.entries + ((greedy[i], weight),))
         nbests[i] = nbest
     # a confident segment is the one-entry list of weight 1: singleton sets
     folds = [_fold(nbest) for nbest in nbests]

@@ -10,12 +10,13 @@ written from them; a ``set`` line may name each symbol and ``<null>`` once.
 from __future__ import annotations
 
 import io as _io
+import itertools
 from typing import Iterable, TextIO
 
 import numpy as np
 
 from .compiler import CompiledTarget
-from .confusion import ConfusionNetwork, _flatten
+from .confusion import ConfusionNetwork
 from .decoding import Segment
 from .types import (
     Labeling,
@@ -194,49 +195,91 @@ def read_cn(
     except ValueError:
         raise ValidationError(f"bad total {total_text!r}") from None
 
-    local_symbols: list[str] = []
-    index: dict[str, int]
+    offsets, symbols, scores, nulls, names = _parse_sets(set_lines, v)
     if v is None:
-        index = {}
+        local_symbols = [_token_symbol(t) for t in names] or [UNUSED_SYMBOL]
+        v = Vocabulary(tuple(local_symbols) + (BLANK_TOKEN,), blank_index=len(local_symbols))
+    cn = ConfusionNetwork._from_arrays(offsets, symbols, scores, nulls, normalized=normalized, total_score=total)
+    return cn, v, meta
+
+
+def _parses(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_sets(
+    set_lines: list[str], v: Vocabulary | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """(offsets, symbols, scores, nulls, symbol tokens) of the ``set`` lines.
+
+    Without a vocabulary, symbol ids number the tokens in order of first
+    appearance, which the returned tokens list.  Every value is parsed in one
+    pass, and a line is faulty when it is unpaired, holds a bad value or an
+    unknown or blank symbol, or names a token twice.  The first faulty line
+    is then scanned token by token for the error a line-by-line reader raises.
+    """
+    split = [line.split() for line in set_lines]
+    counts = np.fromiter(map(len, split), dtype=np.int64, count=len(split))
+    unpaired = np.flatnonzero((counts == 0) | (counts % 2 == 1))
+    paired = int(unpaired[0]) if unpaired.size else len(split)  # pairs only before it
+    flat = list(itertools.chain.from_iterable(split[:paired]))
+    tokens, texts = flat[0::2], flat[1::2]
+    line_of = np.repeat(np.arange(paired), counts[:paired] // 2)
+    faulty = np.zeros(paired + 1, dtype=bool)
+    faulty[paired] = paired < len(split)
+    try:
+        values = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+    except ValueError:
+        faulty[line_of[[not _parses(t) for t in texts]]] = True
+    names = dict.fromkeys(tokens)
+    names.pop(NULL_TOKEN, None)
+    if v is None:
+        ids = {tok: i for i, tok in enumerate(names)}
     else:
         index = {s: i for i, s in enumerate(v.symbols)}
+        # an unknown symbol is a fault like the blank
+        ids = {tok: index.get(_token_symbol(tok), v.blank) for tok in names}
+    ids[NULL_TOKEN] = -1
+    keys = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    if v is not None:
+        faulty[line_of[keys == v.blank]] = True
+    order = np.lexsort((keys, line_of))
+    keys, line_of = keys[order], line_of[order]
+    faulty[line_of[1:][(np.diff(keys) == 0) & (np.diff(line_of) == 0)]] = True
+    if faulty.any():
+        line = int(np.argmax(faulty))
+        _raise_set_line_fault(line + 1, split[line], v)
+    alt = keys >= 0
+    offsets = np.zeros(paired + 1, dtype=np.int64)
+    np.cumsum(np.bincount(line_of[alt], minlength=paired), out=offsets[1:])
+    nulls = np.zeros(paired)
+    values = values[order]
+    nulls[line_of[~alt]] = values[~alt]
+    return offsets, keys[alt], values[alt], nulls, list(names)
 
-    def resolve(token: str) -> int:
-        display = _token_symbol(token)
-        if v is not None:
+
+def _raise_set_line_fault(line_no: int, tokens: list[str], v: Vocabulary | None) -> None:
+    """Raise the first fault of one ``set`` line, read pair by pair."""
+    if len(tokens) % 2 != 0 or not tokens:
+        raise ValidationError(f"set line {line_no} must hold symbol/value pairs")
+    index = {} if v is None else {s: i for i, s in enumerate(v.symbols)}
+    seen = set()
+    for tok, val in zip(tokens[::2], tokens[1::2]):
+        if not _parses(val):
+            raise ValidationError(f"set line {line_no}: bad value {val!r}")
+        if v is not None and tok != NULL_TOKEN:
+            display = _token_symbol(tok)
             if display not in index:
                 raise ValidationError(f"symbol {display!r} not in vocabulary")
-            sym = index[display]
-            if sym == v.blank:
+            if index[display] == v.blank:
                 raise ValidationError("confusion sets may not contain the blank")
-            return sym
-        if display not in index:
-            index[display] = len(local_symbols)
-            local_symbols.append(display)
-        return index[display]
-
-    alternatives, nulls = [], []
-    for line_no, line in enumerate(set_lines, start=1):
-        tokens = line.split()
-        if len(tokens) % 2 != 0 or not tokens:
-            raise ValidationError(f"set line {line_no} must hold symbol/value pairs")
-        entries: dict[int, float] = {}  # -1 holds the null
-        for tok, val in zip(tokens[::2], tokens[1::2]):
-            try:
-                value = float(val)
-            except ValueError:
-                raise ValidationError(f"set line {line_no}: bad value {val!r}") from None
-            key = -1 if tok == NULL_TOKEN else resolve(tok)
-            if key in entries:
-                raise ValidationError(f"set line {line_no}: repeated {tok!r}")
-            entries[key] = value
-        nulls.append(entries.pop(-1, 0.0))
-        alternatives.append(entries)
-    if v is None:
-        local_symbols = local_symbols or [UNUSED_SYMBOL]
-        v = Vocabulary(tuple(local_symbols) + (BLANK_TOKEN,), blank_index=len(local_symbols))
-    cn = ConfusionNetwork._from_arrays(*_flatten(alternatives, nulls), normalized=normalized, total_score=total)
-    return cn, v, meta
+        if tok in seen:
+            raise ValidationError(f"set line {line_no}: repeated {tok!r}")
+        seen.add(tok)
 
 
 def write_nbest(

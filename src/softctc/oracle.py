@@ -2,11 +2,10 @@
 
 Everything here works by exhaustive enumeration over alignment paths or
 per-set choices, or, for the beam search, the edit-distance aligner, the
-n-best fold and network merge, the network transforms, the target compiler
-and the forward-backward kernel, by the plain loops the fast paths replaced,
-and,
-for long lines whose linear-domain passes underflow, by a dense forward pass
-in the log domain.  None of it shares logic with the fast paths; the only
+n-best fold and network merge, the network transforms, the network parser,
+the target compiler and the forward-backward kernel, by the plain loops the
+fast paths replaced, and, for long lines whose linear-domain passes
+underflow, by a dense forward pass in the log domain.  None of it shares logic with the fast paths; the only
 common ground is the data containers.  Sizes are guarded so a misuse fails
 loudly instead of grinding.
 """
@@ -23,6 +22,15 @@ import scipy.sparse as sp
 
 from .compiler import CompiledTarget
 from .confusion import ConfusionNetwork, ConfusionSet
+from .io import (
+    BLANK_TOKEN,
+    CN_MAGIC,
+    NULL_TOKEN,
+    UNUSED_SYMBOL,
+    _content_lines,
+    _read_lines,
+    _token_symbol,
+)
 from .types import (
     InfeasibleTarget,
     Labeling,
@@ -378,6 +386,85 @@ def reference_merge_cns(cns: list[ConfusionNetwork]) -> ConfusionNetwork:
         ([[dict(s.alternatives), s.null] for s in cn.sets], cn.total_score) for cn in cns
     )
     return reference_normalize_cn(_reference_raw_network(sets, total))
+
+
+def reference_read_cn(
+    path_or_file, v: Vocabulary | None = None
+) -> tuple[ConfusionNetwork, Vocabulary, dict]:
+    """Network file parsing one ``set`` line and one symbol/value pair at a time.
+
+    The reference for :func:`softctc.io.read_cn`: the same network,
+    vocabulary and metadata, and for a malformed file the same first error.
+    """
+    body = _content_lines(_read_lines(path_or_file), CN_MAGIC, "confusion network")
+    meta: dict[str, str] = {}
+    set_lines: list[str] = []
+    expecting = None
+    for line in body:
+        key, _, rest = line.partition(" ")
+        if key == "set":
+            set_lines.append(rest)
+        elif key == "sets":
+            try:
+                expecting = int(rest)
+            except ValueError:
+                raise ValidationError(f"bad sets count {rest!r}") from None
+        else:
+            meta[key] = rest
+    if expecting is not None and expecting != len(set_lines):
+        raise ValidationError(f"expected {expecting} sets, found {len(set_lines)}")
+    normalized_text = meta.pop("normalized", "true")
+    if normalized_text not in ("true", "false"):
+        raise ValidationError(f"normalized must be true or false, got {normalized_text!r}")
+    total_text = meta.pop("total", "1.0")
+    try:
+        total = float(total_text)
+    except ValueError:
+        raise ValidationError(f"bad total {total_text!r}") from None
+
+    local_symbols: list[str] = []
+    index = {} if v is None else {s: i for i, s in enumerate(v.symbols)}
+
+    def resolve(token: str) -> int:
+        display = _token_symbol(token)
+        if v is not None:
+            if display not in index:
+                raise ValidationError(f"symbol {display!r} not in vocabulary")
+            sym = index[display]
+            if sym == v.blank:
+                raise ValidationError("confusion sets may not contain the blank")
+            return sym
+        if display not in index:
+            index[display] = len(local_symbols)
+            local_symbols.append(display)
+        return index[display]
+
+    alternatives, nulls = [], []
+    for line_no, line in enumerate(set_lines, start=1):
+        tokens = line.split()
+        if len(tokens) % 2 != 0 or not tokens:
+            raise ValidationError(f"set line {line_no} must hold symbol/value pairs")
+        entries: dict[int, float] = {}  # -1 holds the null
+        for tok, val in zip(tokens[::2], tokens[1::2]):
+            try:
+                value = float(val)
+            except ValueError:
+                raise ValidationError(f"set line {line_no}: bad value {val!r}") from None
+            key = -1 if tok == NULL_TOKEN else resolve(tok)
+            if key in entries:
+                raise ValidationError(f"set line {line_no}: repeated {tok!r}")
+            entries[key] = value
+        nulls.append(entries.pop(-1, 0.0))
+        alternatives.append(entries)
+    if v is None:
+        local_symbols = local_symbols or [UNUSED_SYMBOL]
+        v = Vocabulary(tuple(local_symbols) + (BLANK_TOKEN,), blank_index=len(local_symbols))
+    cn = ConfusionNetwork(
+        tuple(ConfusionSet(alts, null) for alts, null in zip(alternatives, nulls)),
+        normalized=normalized_text == "true",
+        total_score=total,
+    )
+    return cn, v, meta
 
 
 # (letters, epsilon, blank weight) of one compiled group

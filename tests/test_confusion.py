@@ -20,7 +20,7 @@ from softctc import (
     smooth,
     trivial_cn,
 )
-from softctc.confusion import levenshtein_align
+from softctc.confusion import _fsum_totals, levenshtein_align
 from softctc.oracle import (
     enumerate_cn_strings,
     reference_build_cn,
@@ -198,6 +198,53 @@ class TestArrayNetwork:
         assert cn.totals() == [s.total() for s in cn.sets] == [math.fsum([0.1, 0.2, 0.7]), 1.0]
 
 
+class TestExactTotals:
+    """Sets of one or two values take one IEEE addition, which is exactly
+    rounded; wider sets need ``math.fsum``."""
+
+    # round-to-even pairs: the first sum ties and rounds down to 1.0, the
+    # second lies just past the tie and rounds up
+    EDGES = [(1.0, 2.0**-53), (1.0, 2.0**-53 + 2.0**-105), (2.0**-53, 1.0)]
+
+    def rand_sets(self, rng):
+        """(alternatives, null) of 1-4 values each, at magnitudes from 1e-300 to 1."""
+        sets = []
+        for _ in range(int(rng.integers(1, 30))):
+            if rng.random() < 0.2:
+                values = list(self.EDGES[int(rng.integers(0, len(self.EDGES)))])
+                if rng.random() < 0.5:
+                    values.append(2.0**-105)  # a third value: sequential sums miss it
+            else:
+                values = (10.0 ** rng.uniform(-300, 0, size=int(rng.integers(1, 5)))).tolist()
+            null = values.pop() if len(values) > 1 and rng.random() < 0.5 else 0.0
+            sets.append((values, null))
+        return sets
+
+    def test_matches_per_set_fsum(self):
+        rng = np.random.default_rng(59)
+        widths = {}
+        for _ in range(400):
+            sets = self.rand_sets(rng)
+            offsets = np.cumsum([0] + [len(alts) for alts, _ in sets])
+            scores = np.array([x for alts, _ in sets for x in alts])
+            nulls = np.array([null for _, null in sets])
+            got = _fsum_totals(offsets, scores, nulls).tolist()
+            want = [math.fsum(alts + [null]) for alts, null in sets]
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            for alts, null in sets:
+                key = (len(alts), null > 0.0)
+                widths[key] = widths.get(key, 0) + 1
+        # one alternative alone or with a null, two with or without, three or more
+        assert all(widths.get(key, 0) >= 50 for key in [(1, False), (1, True), (2, False), (2, True), (3, False)])
+
+    def test_three_values_are_not_summed_in_sequence(self):
+        cn = ConfusionNetwork(
+            (ConfusionSet({0: 1.0, 1: 2.0**-53}, 2.0**-105), ConfusionSet({0: 1.0}, 2.0**-53)),
+            normalized=True,
+        )
+        assert cn.totals() == [1.0 + 2.0**-52, 1.0]
+
+
 def rand_network(rng, normalized):
     """Up to 12 sets over 8 symbols, inserted out of order, with nulls, ties
     and sets whose alternatives all sit near zero."""
@@ -368,6 +415,39 @@ def fold_ties(cn):
     return tied, sum(s.null == b for s, b in zip(cn.sets, best))
 
 
+def raw_network(rng, symbols, off_path=False):
+    """A raw network of 1-5 sets over ``symbols``, every set totalling one
+    random mass; with ``off_path``, each set's null outweighs its alternatives."""
+    total = float(rng.uniform(0.1, 1.0))
+    sets = []
+    for _ in range(int(rng.integers(1, 6))):
+        chosen = rng.permutation(symbols)[: int(rng.integers(1, len(symbols) + 1))]
+        values = rng.uniform(0.05, 1.0, size=len(chosen)).tolist()
+        if off_path:
+            null = math.fsum(values) + float(rng.uniform(0.05, 1.0))
+        else:
+            null = float(rng.choice([0.0, rng.uniform(0.05, 1.0)]))
+        scale = total / math.fsum(values + [null])
+        sets.append(ConfusionSet({int(k): scale * v for k, v in zip(chosen, values)}, scale * null))
+    return ConfusionNetwork(tuple(sets), normalized=False, total_score=total)
+
+
+def rand_merge_input(rng):
+    """A raw network for a merge list: a fold over symbols 0-2, a random
+    network over 0-7, one over 8-11 that shares no symbol with those, one
+    whose every set is off its best path, or one with no sets."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        return build_cn(rand_fold_nbest(rng), normalize=False)
+    if kind == 1:
+        return rand_network(rng, normalized=False)
+    if kind == 2:
+        return raw_network(rng, np.arange(8, 12))
+    if kind == 3:
+        return raw_network(rng, np.arange(8), off_path=True)
+    return ConfusionNetwork((), normalized=False, total_score=float(rng.uniform(0.1, 1.0)))
+
+
 class TestFoldMatchesReference:
     """The fold keeps each set's best alternative as it goes; the oracle
     recomputes every best path over every set on every merge."""
@@ -399,6 +479,23 @@ class TestFoldMatchesReference:
             null_ties += sum(fold_ties(cn)[1] for cn in cns)
             assert float_bits(merge_cns(cns)) == float_bits(reference_merge_cns(cns))
         assert null_ties >= 20
+
+        rng = np.random.default_rng(47)
+        cases = ["empty first", "empty inside", "empty last", "all off path", "disjoint", "five or more"]
+        met = dict.fromkeys(cases, 0)
+        for _ in range(200):
+            cns = [rand_merge_input(rng) for _ in range(int(rng.integers(2, 8)))]
+            assert float_bits(merge_cns(cns)) == float_bits(reference_merge_cns(cns))
+            met["empty first"] += not len(cns[0])
+            met["empty inside"] += any(not len(cn) for cn in cns[1:-1])
+            met["empty last"] += not len(cns[-1])
+            met["all off path"] += any(
+                len(cn) and all(s.null > max(s.alternatives.values()) for s in cn.sets) for cn in cns
+            )
+            symbols = [set(cn.symbols.tolist()) for cn in cns if len(cn)]
+            met["disjoint"] += any(not a & b for k, a in enumerate(symbols) for b in symbols[k + 1 :])
+            met["five or more"] += len(cns) >= 5
+        assert min(met.values()) >= 20, met
 
     def test_best_path_reads_the_same_rule(self):
         rng = np.random.default_rng(43)

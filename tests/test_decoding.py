@@ -8,6 +8,7 @@ from softctc import (
     ConfusionNetwork,
     ConfusionSet,
     DecodeConfig,
+    Labeling,
     NBestList,
     NegativeEntry,
     NonFiniteEntry,
@@ -590,6 +591,15 @@ class TestBadPosteriors:
         assert y[1].sum() > 1.0
         decoded = decode_line(PosteriorMatrix(y), self.V4, DecodeConfig(beam_size=2, strategy=strategy))
         assert decoded.nbests[0].entries[0][0].symbols == (2,)
+
+    @pytest.mark.parametrize("strategy", ["full", "partial"])
+    def test_rounding_compounded_over_frames_keeps_weight_one(self, strategy):
+        # every row passes the check, but 40 frames compound the rounding to
+        # a beam mass of about 1 + 2e-5: the decoder reads it as weight 1
+        y = PosteriorMatrix(np.tile([1.0 + 5e-7, 0.0, 0.0, 0.0], (40, 1)))
+        decoded = decode_line(y, self.V4, DecodeConfig(beam_size=2, strategy=strategy))
+        assert decoded.nbests == (NBestList(((Labeling((0,)), 1.0),)),)
+        assert prefix_beam_search(y, self.V4, 2).entries[0] == (Labeling((0,)), 1.0)
 
     def test_rows_need_not_sum_to_one(self):
         y = PosteriorMatrix(self.good() * 0.5)

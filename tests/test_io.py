@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from softctc.io import (
     write_nbest,
     write_posteriors,
 )
+from softctc.oracle import reference_read_cn
 
 V = Vocabulary.from_characters("ab ")
 
@@ -241,6 +243,109 @@ class TestCnRoundTrip:
         text = "# confusion-network v1\nnormalized false\ntotal 0.5\nsets 1\nset a 3.0\n"
         with pytest.raises(ValidationError, match="sums to 3.0, expected 0.5"):
             read_cn(io.StringIO(text), V)
+
+
+VP = Vocabulary(("a", "b", " ", "c", "#", "dd"), blank_index=4)
+SYMBOL_TOKENS = ["a", "b", "<space>", "c", "dd"]
+# the faults rand_cn_text injects, and the message each raises against VP
+FAULTS = {
+    "unpaired": "must hold symbol/value pairs",  # the last token dropped
+    "bad value": "bad value",  # a value float() rejects
+    "unknown": "not in vocabulary",  # without a vocabulary, a new symbol
+    "blank": "may not contain the blank",  # without one, a symbol or a clash
+    "repeated": "repeated",  # a token named twice
+    "bad score": "must be",  # a value float() parses that a set rejects
+}
+
+
+def rand_cn_text(rng, fault_lines, faults_per_line):
+    """A network text of 1-6 set lines of VP symbols and ``<null>`` in any
+    order, with ``faults_per_line`` distinct faults on each of ``fault_lines``
+    lines.  Values come in assorted float spellings, and every set of a raw
+    network totals its ``total``.
+    """
+    normalized = bool(rng.integers(0, 2))
+    total = 1.0 if normalized else float(rng.uniform(0.1, 2.0))
+    lines = []
+    for _ in range(int(rng.integers(max(fault_lines, 1), 7))):
+        tokens = [str(t) for t in rng.permutation(SYMBOL_TOKENS)[: int(rng.integers(1, 5))]]
+        if rng.random() < 0.5:
+            tokens.insert(int(rng.integers(0, len(tokens) + 1)), "<null>")
+        raw = rng.uniform(0.05, 1.0, size=len(tokens)).tolist()
+        scale = total / math.fsum(raw)
+        spell = rng.choice([repr, lambda x: f"{x:.17e}", lambda x: f"{x:.17E}"])
+        lines.append([[tok, spell(scale * x)] for tok, x in zip(tokens, raw)])
+    unpaired = set()
+    for line in rng.choice(len(lines), size=fault_lines, replace=False).tolist():
+        pairs = lines[line]
+        for fault in rng.choice(list(FAULTS), size=faults_per_line, replace=False).tolist():
+            at = int(rng.integers(0, len(pairs)))
+            if fault == "unpaired":
+                unpaired.add(line)
+            elif fault == "bad value":
+                pairs[at][1] = str(rng.choice(["x", "1..5", "0,5", "--1", "<null>"]))
+            elif fault == "unknown":
+                pairs[at][0] = "zz"
+            elif fault == "blank":
+                pairs[at][0] = str(rng.choice(["#", "<blank>"]))
+            elif fault == "repeated":
+                pairs.insert(int(rng.integers(0, len(pairs) + 1)), [pairs[at][0], "0.5"])
+            else:
+                pairs[at][1] = str(rng.choice(["-0.5", "nan", "0", "inf", "-inf"]))
+    body = []
+    for k, pairs in enumerate(lines):
+        tokens = [tok for pair in pairs for tok in pair]
+        body.append(" ".join(["set"] + tokens[: -1 if k in unpaired else None]))
+    head = [f"normalized {'true' if normalized else 'false'}", f"total {total!r}"]
+    if rng.random() < 0.5:
+        head.append("source page-7")
+    if rng.random() < 0.5:
+        head.append(f"sets {len(lines)}")
+    return "\n".join(["# confusion-network v1"] + head + body) + "\n"
+
+
+def read_outcome(reader, text, v):
+    """Every bit of what ``reader`` returns, or its exception type and text."""
+    try:
+        cn, vocab, meta = reader(io.StringIO(text), v)
+    except Exception as exc:
+        return type(exc), str(exc)
+    bits = [cn.offsets.tolist(), cn.symbols.tolist(), [x.hex() for x in cn.scores.tolist()]]
+    return bits + [[x.hex() for x in cn.nulls.tolist()], cn.normalized, cn.total_score.hex(), vocab, meta]
+
+
+class TestReadCnMatchesReference:
+    """The bulk parser against the line-by-line one in the oracle."""
+
+    @pytest.mark.parametrize("v", [VP, None], ids=["vocabulary", "no vocabulary"])
+    def test_valid_texts(self, v):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            text = rand_cn_text(rng, 0, 0)
+            got = read_outcome(read_cn, text, v)
+            assert got == read_outcome(reference_read_cn, text, v)
+            assert isinstance(got[0], list), got
+
+    @pytest.mark.parametrize("v", [VP, None], ids=["vocabulary", "no vocabulary"])
+    @pytest.mark.parametrize("fault_lines, faults_per_line", [(2, 1), (1, 2), (2, 2)])
+    def test_malformed_texts(self, v, fault_lines, faults_per_line):
+        rng = np.random.default_rng(67 + 3 * fault_lines + faults_per_line)
+        raised = dict.fromkeys(FAULTS, 0)
+        for _ in range(300):
+            text = rand_cn_text(rng, fault_lines, faults_per_line)
+            got = read_outcome(read_cn, text, v)
+            assert got == read_outcome(reference_read_cn, text, v), text
+            for fault, message in FAULTS.items():
+                raised[fault] += not isinstance(got[0], list) and message in got[1]
+        # a bad score shows only when no line fails to parse, which against
+        # VP few texts manage; without a vocabulary, unknown symbols and "#"
+        # are symbols like any other
+        if v is not None:
+            expected = ["unpaired", "bad value", "unknown", "blank", "repeated"]
+        else:
+            expected = ["unpaired", "bad value", "repeated", "bad score"]
+        assert min(raised[fault] for fault in expected) >= 10, raised
+        assert sum(raised.values()) >= 200, raised
 
 
 class TestNbestRoundTrip:
