@@ -159,7 +159,8 @@ class ConfusionNetwork:
     def __eq__(self, other):
         if not isinstance(other, ConfusionNetwork):
             return NotImplemented
-        return (self.sets, self.normalized, self.total_score) == (other.sets, other.normalized, other.total_score)
+        fields = ("normalized", "total_score", "offsets", "symbols", "scores", "nulls")
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
     __hash__ = None
 

@@ -10,9 +10,10 @@ is long.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -135,16 +136,12 @@ class _Trie:
             cur[deep] = self.parent[cur[deep]]
         return out
 
-    def prefixes(self, nodes: Iterable[int]) -> list[tuple[int, ...]]:
-        parent, symbol = self.parent.tolist(), self.symbol.tolist()
-        out = []
-        for n in nodes:
-            path = []
-            while symbol[n] >= 0:
-                path.append(symbol[n])
-                n = parent[n]
-            out.append(tuple(reversed(path)))
-        return out
+    def prefixes(self, nodes: np.ndarray) -> list[tuple[int, ...]]:
+        """The symbol tuple of each of ``nodes``."""
+        if not nodes.shape[0]:
+            return []
+        paths = self.padded_paths(nodes, np.full(nodes.shape[0], -1))
+        return [tuple(path[:d]) for path, d in zip(paths.tolist(), self.depth[nodes].tolist())]
 
 
 def _break_ties(
@@ -291,8 +288,11 @@ def _beam_batch(
                 node, lp_b, lp_nb, last = node[:live], lp_b[:live], lp_nb[:live], last[:live]
 
     out = []
+    # every span's prefixes from one walk of the trie
+    prefixes = iter(trie.prefixes(np.concatenate([nodes for nodes, _ in final])))
     for nodes, masses in final:
-        scored = sorted(zip(trie.prefixes(nodes.tolist()), masses.tolist()), key=lambda kv: (-kv[1], kv[0]))
+        scored = sorted(zip(itertools.islice(prefixes, nodes.shape[0]), masses.tolist()),
+                        key=lambda kv: (-kv[1], kv[0]))
         # check_decoder_input lets rows sum to 1 + ROW_TOL as rounding, which
         # compounds over the frames: a mass past 1 is read as 1
         weights = [(p, min(math.exp(lm), 1.0)) for p, lm in scored]

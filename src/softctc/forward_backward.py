@@ -24,15 +24,18 @@ passes and every line.  A row of a block-diagonal product reads only its
 own block, so every line of a group is bitwise the line run as a batch of
 one, and each pass is bitwise the pass run on its own.
 
-The passes meet in the middle.  Before iteration ``T//2`` each iteration
-stores the forward vector it reaches (before the emission multiply) and the
-rescaled backward vector; from then on each iteration reaches two frames
-whose other vectors are stored, and the loop block bins their gradient.  An
-odd frame count also stores the middle frame's backward vector and bins the
-frame in the block that reaches it.  So the store holds one vector per
-frame, and the emissions are gathered one loop block of ``BLOCK_FRAMES``
-iterations at a time: neither the emissions of a whole line nor both
-passes' vectors are ever held.
+The passes meet in the middle.  Each loop block rescales both halves of
+its products, the vectors before the emission multiply, by their frames'
+scales.  Before iteration ``T//2`` each iteration's are stored; from then on
+each iteration reaches two frames whose other vectors are stored, and the
+loop block bins their gradient.  P is affine in each posterior ``y[t, k]``,
+with slope the forward times the backward vector before the multiply,
+summed over the states of symbol ``k``: the gradient never divides by
+``y``, so it is exact where ``y`` is zero.  An odd frame count also stores
+the middle frame's backward vector and bins the frame in the block that
+reaches it.  So the store holds one vector per frame, and the emissions are
+gathered one loop block of ``BLOCK_FRAMES`` iterations at a time: neither
+the emissions of a whole line nor both passes' vectors are ever held.
 
 Rescaling keeps each vector's sum at one but not each entry in the normal
 range (Rabiner 1989, section V.A): mass decaying far from the active states
@@ -107,11 +110,9 @@ def run_batch(lines: Sequence[tuple[np.ndarray, CompiledTarget]]) -> Iterator[Li
 
     The loss is read off the last forward vector against the final weights,
     which keeps it independent of the backward pass.  The gradient bins the
-    state posterior terms (the forward vector before the emission multiply
-    times the backward vector after it) into vocabulary columns, divides by
-    the frame's row total and then by the emission; entries with zero
-    emission get zero.  Dividing by the row total first keeps the divisor
-    from underflowing where a small row total meets a tiny emission.
+    products of both passes' rescaled vectors before the emission multiply
+    by symbol; the row total weights the binned columns by the emissions,
+    and the gradient is minus the columns over the row total.
 
     Raises InfeasibleTarget, naming the first failing line's index, when:
 
@@ -228,18 +229,15 @@ class _Group:
         self.matrix = (2 * states, 2 * states, indptr, indices, data)
 
         # binning matrix: row line * vocab + k sums the line's states of
-        # symbol k, and row lines * vocab + line all of them (the row
-        # total), each in increasing state order
+        # symbol k, in increasing state order
         state_ids = np.concatenate([start + np.arange(size) for start, size in zip(starts, sizes)])
-        line_of = state_ids // self.width
         symbols = np.concatenate([t.state_symbols for t in targets])
-        rows = np.concatenate((line_of * self.vocab + symbols, self.lines * self.vocab + line_of))
-        self.binned_rows = self.lines * (self.vocab + 1)
+        rows = state_ids // self.width * self.vocab + symbols
+        self.binned_rows = self.lines * self.vocab
         onehot_indptr = np.zeros(self.binned_rows + 1, dtype=index)
         np.cumsum(np.bincount(rows, minlength=self.binned_rows), out=onehot_indptr[1:])
         order = np.argsort(rows, kind="stable")
-        self.onehot = (onehot_indptr, np.tile(state_ids, 2)[order].astype(index),
-                       np.ones(rows.shape[0]))
+        self.onehot = (onehot_indptr, state_ids[order].astype(index), np.ones(rows.shape[0]))
 
         self.alpha_init = _padded([t.alpha_hat for t in targets], self.width)
         self.beta_final = _padded([t.beta_hat for t in targets], self.width)
@@ -276,20 +274,20 @@ class _Group:
         # the iteration rescales in place into the vectors the next product
         # reads; row 0 carries the previous block's last vectors
         products = np.empty((BLOCK_FRAMES, 2 * states))
+        product_lines = products.reshape(BLOCK_FRAMES, 2 * lines, self.width)
         vectors = np.empty((BLOCK_FRAMES + 1, 2 * states))
         vector_lines = vectors.reshape(BLOCK_FRAMES + 1, 2 * lines, self.width)
         terms = np.empty(BLOCK_FRAMES * states)  # one binned range's posterior terms
 
-        # frames [0, half): forward vectors before the emission multiply,
-        # unscaled; frames [half, frames): rescaled backward vectors
+        # frames [0, half): forward vectors, frames [half, frames): backward
+        # vectors, both before the emission multiply and rescaled
         store = np.empty((frames, states))
         # each iteration's sums hold every line's forward mass and its
         # padding's, then the same for the backward pass
         sums = np.empty((frames, 4 * lines))
         div = sums.reshape(frames, 2 * lines, 2)[:, :, :1]
-        alpha_div = div[:, :lines]  # forward scales, by frame
         row_totals = np.empty((lines, frames))
-        grads = [np.zeros((frames, self.vocab)) for _ in range(lines)]
+        grads = [np.empty((frames, self.vocab)) for _ in range(lines)]  # every frame is binned once
         for i0 in range(0, frames, BLOCK_FRAMES):
             i1 = min(i0 + BLOCK_FRAMES, frames)
             n = i1 - i0
@@ -311,27 +309,28 @@ class _Group:
                     less(vec, floor, out=decayed)
                     putmask(vec, decayed, 0.0)
             vectors[0] = vectors[n]
+            # what the store keeps and the gradient bins: both halves of each
+            # product, rescaled by their frame's scale
+            divide(product_lines[:n], div[i0:i1], out=product_lines[:n])
 
             stored = min(i1, half) - i0
             if stored > 0:
                 store[i0 : i0 + stored] = products[:stored, :states]
             stored = min(i1, frames - half) - i0
             if stored > 0:
-                store[frames - i0 - stored : frames - i0] = vectors[stored:0:-1, states:]
+                store[frames - i0 - stored : frames - i0] = products[stored - 1 :: -1, states:]
             # forward frames [a, i1) read their backward vectors from the
             # store; so do, for odd frame counts, the middle frame, which
             # this block has just stored
             a = max(i0, half)
             if a < i1:
-                self._bin(products[a - i0 : n, :states], alpha_div[a:i1], store[a:i1],
-                          terms, a, i1, row_totals, grads)
+                self._bin(products[a - i0 : n, :states], store[a:i1], a, i1, terms, row_totals, grads)
             # backward frames [frames - i1, frames - a) read their forward
             # vectors from the store
             a = max(i0, frames - half)
             if a < i1:
                 t0, t1 = frames - i1, frames - a
-                self._bin(store[t0:t1], alpha_div[t0:t1], vectors[n : a - i0 : -1, states:],
-                          terms, t0, t1, row_totals, grads)
+                self._bin(store[t0:t1], products[a - i0 : n, states:][::-1], t0, t1, terms, row_totals, grads)
         final = self._final_mass(vectors[0, :states])
 
         alpha_scales = np.ascontiguousarray(sums[:, : 2 * lines : 2].T)
@@ -353,24 +352,20 @@ class _Group:
         """Each line's mass in its final states, from the last rescaled forward vector."""
         return np.add.reduceat(alpha * self.beta_final, self.bounds[: 2 * self.lines])[::2]
 
-    def _bin(self, alphas, alpha_div, betas, terms, t0, t1, row_totals, grads) -> None:
-        """Row totals and gradient of frames [t0, t1) from their vectors of both passes."""
+    def _bin(self, alphas, betas, t0, t1, terms, row_totals, grads) -> None:
+        """Row totals and gradient of frames [t0, t1) from both passes' rescaled vectors."""
         n = t1 - t0
-        # the frames' forward vectors are read only here: scale them in place
-        alphas_lines = alphas.reshape(n, self.lines, self.width)
-        np.divide(alphas_lines, alpha_div, out=alphas_lines)
         # state-major, as the binning product reads it
         terms = terms[: self.states * n].reshape(self.states, n)
         np.multiply(alphas.T, betas.T, out=terms)
         binned = np.zeros((self.binned_rows, n))
         csr_matvecs(self.binned_rows, self.states, n, *self.onehot,
                     terms.reshape(-1), binned.reshape(-1))
-        split = self.lines * self.vocab
-        row_totals[:, t0:t1] = binned[split:]
-        ratio = binned[:split].reshape(self.lines, self.vocab, n) / -binned[split:, None, :]
-        for y, grad, line_ratio in zip(self.ys, grads, ratio):
-            emitted = y[t0:t1]
-            np.divide(line_ratio.T, emitted, out=grad[t0:t1], where=emitted > 0.0)
+        for y, grad, line_binned, row_total in zip(
+            self.ys, grads, binned.reshape(self.lines, self.vocab, n), row_totals[:, t0:t1]
+        ):
+            np.sum(y[t0:t1] * line_binned.T, axis=1, out=row_total)
+            np.divide(line_binned.T, -row_total[:, None], out=grad[t0:t1])
 
 
 def _failure(alpha_scales: np.ndarray, final: float, beta_scales: np.ndarray) -> str | None:

@@ -137,12 +137,19 @@ def read_posteriors(path_or_file) -> tuple[PosteriorMatrix, Vocabulary]:
 def write_cn(
     path_or_file, cn: ConfusionNetwork, v: Vocabulary, meta: dict | None = None
 ) -> None:
+    """Write a network; metadata read_cn would not read back as given raises ValidationError."""
+    meta = {str(key): str(value) for key, value in (meta or {}).items()}
+    for key, value in meta.items():
+        # a key is one token, no header, and starts no comment; a value is one trimmed line
+        if (key in ("normalized", "total", "sets", "set") or key.split() != [key] or key[0] == "#"
+                or value.strip() != value or "".join(value.splitlines()) != value):
+            raise ValidationError(f"metadata {key!r} {value!r} would not read back as written")
     fh, close = _open_out(path_or_file)
     try:
         fh.write(CN_MAGIC + "\n")
         fh.write(f"normalized {'true' if cn.normalized else 'false'}\n")
         fh.write(f"total {_fmt(cn.total_score)}\n")
-        for key in sorted(meta or {}):
+        for key in sorted(meta):
             fh.write(f"{key} {meta[key]}\n")
         fh.write(f"sets {len(cn)}\n")
         offsets, symbols, scores, nulls = (
@@ -173,7 +180,8 @@ def read_cn(
     set_lines: list[str] = []
     expecting = None
     for line in body:
-        key, _, rest = line.partition(" ")
+        parts = line.split(maxsplit=1)  # the key ends at the first run of whitespace
+        key, rest = parts if len(parts) == 2 else (parts[0], "")
         if key == "set":
             set_lines.append(rest)
         elif key == "sets":

@@ -41,10 +41,10 @@ def soft_ctc_loss(y: PosteriorMatrix, target: CompiledTarget) -> LossResult:
     """Negative log probability of the target distribution and its gradient.
 
     The batch of one of :func:`soft_ctc_batch`: the value is read at the last
-    frame from the forward pass against the final weights; the gradient
-    accumulates state posteriors into vocabulary bins with zero emissions
-    contributing zero.  Raises NonFiniteEntry on a NaN or infinite posterior
-    anywhere in ``y``, used by the target or not.
+    frame from the forward pass against the final weights; the gradient is
+    the exact derivative by every posterior entry, a zero one included.
+    Raises NonFiniteEntry on a NaN or infinite posterior anywhere in ``y``,
+    used by the target or not.
     """
     return soft_ctc_batch([(y, target)])[0]
 
@@ -53,7 +53,7 @@ def soft_ctc_value_at(y: PosteriorMatrix, target: CompiledTarget, t: int) -> flo
     """Target probability evaluated at frame ``t``; constant over frames.
 
     Diagnostic form of the loss: the kernel's log mass at frame ``t``, the
-    unscaled alpha*beta/q sum reassembled from the rescaled passes, read
+    frame's row total reassembled with the scales of the rescaled passes, read
     without the row-total and spread checks so that the invariance check
     sees what they bound.  Returns 0.0 for an instance whose passes find no
     mass instead of raising, so the invariance check covers that case; a
@@ -81,12 +81,7 @@ def soft_ctc_batch(
     product per frame for the whole group (see
     :mod:`softctc.forward_backward`).  A group stores one vector per frame,
     as the passes meet in the middle, and holds at most ``GROUP_BYTES``
-    (2 MiB) of them; a larger line runs alone.  On the benchmark's 16
-    train-step lines (250 frames, 200-400 states, two or three lines per
-    group) the lock-step groups ran the step 1.5x the per-line loop
-    (``BENCH_batch_kernel.json``), and the joint frame loop 1.10x the two
-    separate passes: 277.9 to 305.2 lines per second (medians of 10 pairs,
-    ``BENCH_fused_passes.json``).
+    (2 MiB) of them; a larger line runs alone.
     Each line's result is bitwise the one it gets as a batch of one.  The
     first infeasible line raises InfeasibleTarget naming its index in the
     batch.

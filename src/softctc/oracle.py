@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -401,7 +401,8 @@ def reference_read_cn(
     set_lines: list[str] = []
     expecting = None
     for line in body:
-        key, _, rest = line.partition(" ")
+        parts = line.split(maxsplit=1)  # the key ends at the first run of whitespace
+        key, rest = parts if len(parts) == 2 else (parts[0], "")
         if key == "set":
             set_lines.append(rest)
         elif key == "sets":
@@ -576,38 +577,63 @@ def reference_compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
     )
 
 
+class ReferencePasses(NamedTuple):
+    """One line's rescaled passes, as :func:`reference_run_passes` returns them.
+
+    ``alphas[t]`` and ``betas[t]`` are the vectors after frame ``t``'s
+    emission multiply, which the next product reads; ``pre_alphas[t]`` and
+    ``pre_betas[t]`` the vectors before it, which the gradient bins.  Each
+    is divided by its pass's scale at frame ``t``.
+    """
+
+    loss: float
+    alphas: np.ndarray
+    betas: np.ndarray
+    pre_alphas: np.ndarray
+    pre_betas: np.ndarray
+
+
+def _frame_mass(vec: np.ndarray) -> float:
+    """The sum of ``vec`` in the kernel's order: the first entry plus the rest.
+
+    ``np.add.reduceat`` sums a line's slot that way.  Summing alike makes the
+    passes agree bit for bit with the kernel's wherever it does not flush,
+    which the gradient needs at a zero posterior: there it can reach 1e6 or
+    more, and a one-ulp difference in a scale moves it by more than the
+    pins' absolute bound.
+    """
+    return vec[0] + vec[1:].sum()
+
+
 def reference_run_passes(
     y: np.ndarray,
     transition: sp.csr_matrix,
     state_symbols: np.ndarray,
     alpha_init: np.ndarray,
     beta_final: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> ReferencePasses:
     """Rescaled forward-backward with row-vector products, one frame at a time.
 
     The reference for the passes of :func:`softctc.forward_backward.run_batch`
-    on one line: same recursions, scale checks and messages.  Returns
-    (negative log probability, alphas, betas), where ``alphas[t]`` is the
-    scaled forward vector after the emission multiply, unlike the forward
-    vectors the kernel stores.
+    on one line: same recursions, scale checks and messages, and each
+    frame's mass summed in the kernel's order.  The loss is the negative log
+    probability.
     """
     transition_t = transition.T.tocsr()
     frames = y.shape[0]
     q = y[:, state_symbols]  # (T, S) emission slice per state
 
-    alphas = np.empty_like(q)
+    alphas, pre_alphas = np.empty_like(q), np.empty_like(q)
     alpha_scales = np.empty(frames)
-    vec = alpha_init * q[0]
     for t in range(frames):
-        if t > 0:
-            vec = (vec @ transition) * q[t]
-        scale = vec.sum()
+        pre = alpha_init if t == 0 else alphas[t - 1] @ transition
+        vec = pre * q[t]
+        scale = _frame_mass(vec)
         if not 0.0 < scale < np.inf:  # also catches NaN
             raise InfeasibleTarget(
                 f"forward mass {scale!r} at frame {t}; target admits no alignment"
             )
-        vec = vec / scale
-        alphas[t] = vec
+        alphas[t], pre_alphas[t] = vec / scale, pre / scale
         alpha_scales[t] = scale
 
     final = float(alphas[-1] @ beta_final)
@@ -615,19 +641,15 @@ def reference_run_passes(
         raise InfeasibleTarget(f"final mass {final!r}; no admissible final state reachable")
     loss = -(np.log(alpha_scales).sum() + np.log(final))
 
-    betas = np.empty_like(q)
-    beta_scales = np.empty(frames)
-    vec = beta_final * q[-1]
+    betas, pre_betas = np.empty_like(q), np.empty_like(q)
     for t in range(frames - 1, -1, -1):
-        if t < frames - 1:
-            vec = (vec @ transition_t) * q[t]
-        scale = vec.sum()
+        pre = beta_final if t == frames - 1 else betas[t + 1] @ transition_t
+        vec = pre * q[t]
+        scale = _frame_mass(vec)
         if not 0.0 < scale < np.inf:
             raise InfeasibleTarget(f"backward mass {scale!r} at frame {t}")
-        vec = vec / scale
-        betas[t] = vec
-        beta_scales[t] = scale
-    return float(loss), alphas, betas
+        betas[t], pre_betas[t] = vec / scale, pre / scale
+    return ReferencePasses(float(loss), alphas, betas, pre_alphas, pre_betas)
 
 
 def _log_sum_exp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -665,24 +687,23 @@ def reference_log_loss(
 
 
 def reference_gradient(
-    y: np.ndarray, state_symbols: np.ndarray, alphas: np.ndarray, betas: np.ndarray
+    y: np.ndarray, state_symbols: np.ndarray, pre_alphas: np.ndarray, pre_betas: np.ndarray
 ) -> np.ndarray:
-    """Gradient from :func:`reference_run_passes`, binned one state at a time.
+    """Gradient of -log P from :func:`reference_run_passes`'s ``pre_*`` vectors.
 
-    The terms are alpha*beta/q with 0/0 read as 0; the reference for the
-    gradient of :func:`softctc.forward_backward.run_batch`.
+    P is affine in each entry ``y[t, k]``: its slope there is the sum of
+    pre_alpha*pre_beta over the states of symbol ``k``, times the frame's
+    scales, and P is the sum of the slopes weighted by the row's entries.
+    So the form holds also where ``y`` is 0.  States are binned one at a
+    time; the reference for the gradient of
+    :func:`softctc.forward_backward.run_batch`.
     """
-    q = y[:, state_symbols]
-    terms = np.zeros_like(q)
-    np.divide(alphas * betas, q, out=terms, where=q > 0.0)
-    row_totals = terms.sum(axis=1)
+    terms = pre_alphas * pre_betas
     binned = np.zeros_like(y)
     for s in range(state_symbols.shape[0]):
         binned[:, state_symbols[s]] += terms[:, s]
-    grad = np.zeros_like(y)
-    denom = row_totals[:, None] * y
-    np.divide(-binned, denom, out=grad, where=denom > 0.0)
-    return grad
+    row_totals = (y * binned).sum(axis=1)
+    return -binned / row_totals[:, None]
 
 
 def finite_difference_grad(

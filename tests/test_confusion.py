@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from softctc import (
     trivial_cn,
 )
 from softctc.confusion import _fsum_totals, levenshtein_align
+from softctc.io import read_cn, write_cn
 from softctc.oracle import (
     enumerate_cn_strings,
     reference_build_cn,
@@ -190,6 +192,43 @@ class TestArrayNetwork:
                 getattr(cn, name)[0] = 0
         with pytest.raises(AttributeError):
             cn.normalized = False
+
+    def test_equal_across_constructors_and_a_file_round_trip(self):
+        cn = build_cn(nbest(("cat", 0.6), ("ct", 0.3), ("at", 0.1)))
+        assert ConfusionNetwork(cn.sets) == cn
+        buf = io.StringIO()
+        write_cn(buf, cn, V)
+        back, _, _ = read_cn(io.StringIO(buf.getvalue()), V)
+        assert back == cn and cn == back
+
+    def test_unequal_on_either_field_or_one_score_bit(self):
+        cn = build_cn(nbest(("cat", 0.6), ("ct", 0.4)))
+        raw = ConfusionNetwork(cn.sets, normalized=False, total_score=1.0)
+        assert raw != cn and cn != raw
+        assert raw == ConfusionNetwork(cn.sets, normalized=False, total_score=1.0)
+        assert raw != ConfusionNetwork(cn.sets, normalized=False, total_score=math.nextafter(1.0, 2.0))
+        arrays = [cn.offsets, cn.symbols, cn.scores.copy(), cn.nulls.copy()]
+        for values in arrays[2:]:
+            flipped = values.copy()
+            flipped.view(np.int64)[0] ^= 1  # the last bit of the first entry
+            changed = [flipped if a is values else a for a in arrays]
+            assert ConfusionNetwork._from_arrays(*arrays) == cn
+            assert ConfusionNetwork._from_arrays(*changed) != cn
+
+    def test_other_types_are_not_implemented(self):
+        cn = trivial_cn(lab("cat"))
+        assert cn.__eq__(cn.sets) is NotImplemented
+        assert cn != cn.sets and cn != "cat"
+
+    def test_repr_evaluates_back_to_an_equal_network(self):
+        cn = ConfusionNetwork((ConfusionSet({3: 0.5, 1: 1.5}), ConfusionSet({2: 1.0}, 1.0)),
+                              normalized=False, total_score=2.0)
+        text = repr(cn)
+        assert text == (
+            "ConfusionNetwork((ConfusionSet(alternatives={1: 1.5, 3: 0.5}, null=0.0), "
+            "ConfusionSet(alternatives={2: 1.0}, null=1.0)), normalized=False, total_score=2.0)"
+        )
+        assert eval(text, {"ConfusionNetwork": ConfusionNetwork, "ConfusionSet": ConfusionSet}) == cn
 
     def test_totals_are_exactly_rounded(self):
         cn = ConfusionNetwork(

@@ -1,3 +1,4 @@
+import inspect
 from typing import NamedTuple
 
 import numpy as np
@@ -123,15 +124,15 @@ def pinned(y, target, relative_grad=False):
     """
     args = kernel_inputs(target)
     try:
-        ref_loss, alphas, betas = reference_run_passes(y, *args)
+        ref = reference_run_passes(y, *args)
     except InfeasibleTarget as expected:
         with pytest.raises(InfeasibleTarget) as got:
             run_one(y, target)
         assert str(got.value) == f"line 0: {expected}"
         return False
     passes = run_one(y, target)
-    assert passes.loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
-    ref_grad = reference_gradient(y, args[1], alphas, betas)
+    assert passes.loss == pytest.approx(ref.loss, rel=1e-12, abs=0.0)
+    ref_grad = reference_gradient(y, args[1], ref.pre_alphas, ref.pre_betas)
     bound = 1e-12 * np.maximum(1.0, np.abs(ref_grad)) if relative_grad else 1e-12
     assert np.all(np.abs(passes.grad - ref_grad) <= bound)
     return True
@@ -185,7 +186,7 @@ def test_kernel_matches_reference_on_long_null_chains_and_near_zero_emissions():
         y = near_zero_posteriors(rng, int(rng.integers(60, 251)), floor=1e-20)
         if pinned(y, target, relative_grad=True):
             feasible += 1
-            _, _, betas = reference_run_passes(y, *kernel_inputs(target))
+            betas = reference_run_passes(y, *kernel_inputs(target)).betas
             with_subnormals += bool(subnormal(betas).any())
     assert feasible >= 150
     assert with_subnormals >= 50
@@ -223,7 +224,8 @@ def test_subnormal_row_total_raises_naming_the_frame():
     target = compile_cn(rand_cn(rng), V)
     y = near_zero_posteriors(rng, 144, floor=1e-60)
     assert target.num_states == 17
-    _, alphas, betas = reference_run_passes(y, *kernel_inputs(target))
+    ref = reference_run_passes(y, *kernel_inputs(target))
+    alphas, betas = ref.alphas, ref.betas
     q = y[:, target.state_symbols]
     row_totals = np.divide(alphas * betas, q, out=np.zeros_like(q), where=q > 0.0).sum(axis=1)
     assert int(np.flatnonzero(row_totals < TINY)[0]) == 69
@@ -245,21 +247,69 @@ def test_gradient_survives_tiny_row_total_times_tiny_emission():
     assert np.einsum("tk,tk->t", y, result.grad) == pytest.approx(np.full(frames, -1.0), rel=1e-12)
 
 
+def one_sided_difference(y, target, t, k, step=1e-3):
+    """d(-log P)/dy[t, k] from the log-domain judge, stepping up only.
+
+    P is affine in each entry, so P(y + step e_tk) / P(y) - 1 is step times
+    dP/dy[t, k] / P exactly: the quotient has no truncation error, and an
+    entry at 0 needs no step below it.
+    """
+    args = kernel_inputs(target)
+    shifted = y.copy()
+    shifted[t, k] += step
+    return -np.expm1(reference_log_loss(y, *args) - reference_log_loss(shifted, *args)) / step
+
+
+def test_gradient_is_exact_where_a_used_posterior_is_zero():
+    # the target uses "a" at frame 1, where its posterior is 0: P is
+    # 0.6*0.5*0.5 + 0.3*0.5*0.3 = 0.195 and dP/dy[1, a] 0.72
+    v = Vocabulary.from_characters("ab")
+    y = np.array([[0.6, 0.1, 0.3], [0.0, 0.5, 0.5], [0.3, 0.2, 0.5]])
+    grad = ctc_loss(PosteriorMatrix(y), Labeling((0,)), v).grad
+    target = compile_nbest(NBestList(((Labeling((0,)), 1.0),)), v)
+    assert one_sided_difference(y, target, 1, 0) == pytest.approx(-48 / 13, rel=1e-9)
+    assert grad[1, 0] == pytest.approx(-48 / 13, rel=1e-12)
+
+
+def test_gradient_matches_one_sided_differences_at_zero_posteriors():
+    # seeded short lines of every kind, with zeros in the columns the
+    # targets use; every entry is judged, the zeros most of all
+    rng = np.random.default_rng(157)
+    lines = used_zeros = 0
+    for i in range(60):
+        target = rand_target(rng, LONG_LINE_KINDS[i % len(LONG_LINE_KINDS)])
+        y = rand_posteriors(rng, int(rng.integers(3, 9)), zeros=0.25)
+        try:
+            grad = run_one(y, target).grad
+        except InfeasibleTarget:
+            continue
+        lines += 1
+        for t, k in np.ndindex(*y.shape):
+            expected = one_sided_difference(y, target, t, k)
+            assert abs(grad[t, k] - expected) <= 1e-8 * max(1.0, abs(expected)), (i, t, k)
+            used_zeros += y[t, k] == 0.0 and expected != 0.0
+        assert np.abs(np.einsum("tk,tk->t", y, grad) + 1.0).max() <= 1e-12
+    assert lines >= 30
+    assert used_zeros >= 50
+
+
 class Recorded(NamedTuple):
     """One line's kernel result and the rescaled vectors of its passes.
 
     Each product reads one stacked vector: the forward vector of frame
     ``i`` in its first half, the backward vector of frame ``T-1-i`` in its
     second.  ``forward`` holds the first halves (frames 0..T-2) and
-    ``backward`` the second (frames T-1..1).  ``betas`` holds the backward
-    vectors of frames 0..T-1 as the gradient binning reads them, each
-    binned range placed at its frames, and ``last`` the forward vector of
-    frame T-1, which the final mass reads.
+    ``backward`` the second (frames T-1..1).  ``alphas`` and ``betas`` hold
+    the vectors of frames 0..T-1 before the emission multiply, scaled, as
+    the gradient binning multiplies them, each binned range placed at its
+    frames, and ``last`` the forward vector of frame T-1, which the final
+    mass reads.
     """
 
     passes: fb.LinePasses
     forward: np.ndarray
     backward: np.ndarray
+    alphas: np.ndarray
     betas: np.ndarray
     last: np.ndarray
 
@@ -267,14 +317,16 @@ class Recorded(NamedTuple):
 def recorded_run(monkeypatch, y, target):
     reads, blocks, last = [], [], []
     matvec, binning, final_mass = fb.csr_matvec, fb._Group._bin, fb._Group._final_mass
+    bin_signature = inspect.signature(binning)
 
     def recording(*call):
         reads.append(call[5].copy())
         matvec(*call)
 
-    def recording_bin(self, alphas, alpha_div, betas, terms, t0, t1, *rest):
-        blocks.append((t0, t1, betas.copy()))
-        binning(self, alphas, alpha_div, betas, terms, t0, t1, *rest)
+    def recording_bin(*args, **kwargs):
+        call = bin_signature.bind(*args, **kwargs).arguments
+        blocks.append((call["t0"], call["t1"], call["alphas"].copy(), call["betas"].copy()))
+        binning(*args, **kwargs)
 
     def recording_final(self, alpha):
         last.append(alpha.copy())
@@ -288,13 +340,13 @@ def recorded_run(monkeypatch, y, target):
     frames, width = y.shape[0], target.num_states + 1
     stacked = np.array(reads).reshape(len(reads), 2, width)
     # the binned ranges cover every frame once
-    betas = np.full((frames, width), np.nan)
+    alphas, betas = np.full((2, frames, width), np.nan)
     binned = np.zeros(frames, dtype=int)
-    for t0, t1, block in blocks:
-        betas[t0:t1] = block
+    for t0, t1, alpha_block, beta_block in blocks:
+        alphas[t0:t1], betas[t0:t1] = alpha_block, beta_block
         binned[t0:t1] += 1
     assert np.all(binned == 1)
-    return Recorded(passes, stacked[:, 0], stacked[:, 1], betas, last[0])
+    return Recorded(passes, stacked[:, 0], stacked[:, 1], alphas, betas, last[0])
 
 
 def test_flush_leaves_no_subnormal_in_network_passes(monkeypatch):
@@ -306,7 +358,8 @@ def test_flush_leaves_no_subnormal_in_network_passes(monkeypatch):
         y = near_zero_posteriors(rng, 200, floor=1e-20)
         args = kernel_inputs(target)
         assert target.transition.nnz > fb.FLUSH_MIN_NNZ_PER_STATE * target.num_states
-        _, ref_alphas, ref_betas = reference_run_passes(y, *args)
+        ref = reference_run_passes(y, *args)
+        ref_alphas, ref_betas = ref.alphas, ref.betas
         assert subnormal(ref_alphas).any() and subnormal(ref_betas).any()  # unflushed passes
         # seed 442's also hold subnormals in the two vectors no product
         # reads, and the kernel's would too without the flush there
@@ -316,7 +369,8 @@ def test_flush_leaves_no_subnormal_in_network_passes(monkeypatch):
         assert run.forward.shape[0] == run.backward.shape[0] == y.shape[0] - 1
         assert not subnormal(run.forward).any()
         assert not subnormal(run.backward).any()
-        assert run.betas.shape[0] == y.shape[0]
+        assert run.alphas.shape[0] == run.betas.shape[0] == y.shape[0]
+        assert not subnormal(run.alphas).any()
         assert not subnormal(run.betas).any()
         assert not subnormal(run.last).any()
     assert edges == 1
@@ -342,15 +396,17 @@ def test_chains_are_not_flushed(monkeypatch):
         assert np.array_equal(run.passes.grad, unflushed.passes.grad)
         assert np.array_equal(run.passes.log_mass, unflushed.passes.log_mass)
         # the recorded halves are the passes' rescaled vectors
-        _, ref_alphas, ref_betas = reference_run_passes(y, *kernel_inputs(target))
+        ref = reference_run_passes(y, *kernel_inputs(target))
         n = target.num_states
         close = dict(rtol=1e-9, atol=1e-290)  # subnormals keep fewer digits
-        assert np.allclose(run.forward[:, :n], ref_alphas[:-1], **close)
-        assert np.allclose(run.backward[:, :n], ref_betas[:0:-1], **close)
-        assert np.allclose(run.betas[:, :n], ref_betas, **close)
-        assert np.allclose(run.last[:n], ref_alphas[-1], **close)
+        assert np.allclose(run.forward[:, :n], ref.alphas[:-1], **close)
+        assert np.allclose(run.backward[:, :n], ref.betas[:0:-1], **close)
+        assert np.allclose(run.alphas[:, :n], ref.pre_alphas, **close)
+        assert np.allclose(run.betas[:, :n], ref.pre_betas, **close)
+        assert np.allclose(run.last[:n], ref.alphas[-1], **close)
         assert np.array_equal(run.forward, unflushed.forward)
         assert np.array_equal(run.backward, unflushed.backward)
+        assert np.array_equal(run.alphas, unflushed.alphas)
         assert np.array_equal(run.betas, unflushed.betas)
         assert np.array_equal(run.last, unflushed.last)
     assert with_subnormals >= 8
@@ -370,7 +426,7 @@ def test_flushed_path_that_later_carries_the_line_raises(monkeypatch):
     y[6:, V.blank] = 1.0
     args = kernel_inputs(target)
     # the unflushed reference keeps the path and gets the line right
-    ref_loss, _, _ = reference_run_passes(y, *args)
+    ref_loss = reference_run_passes(y, *args).loss
     assert ref_loss == pytest.approx(reference_log_loss(y, *args), rel=1e-12)
     with monkeypatch.context() as unchecked:
         unchecked.setattr(fb, "_mass_failure", lambda row_totals, log_mass: None)

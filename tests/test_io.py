@@ -123,6 +123,38 @@ class TestCnRoundTrip:
         assert meta == {"line": "17", "source": "beam"}
         assert back.sets == cn.sets
 
+    @pytest.mark.parametrize("gap", ["\t", "  ", " \t "])
+    def test_keys_end_at_the_first_run_of_whitespace(self, gap):
+        text = (f"# confusion-network v1\nnormalized{gap}true\nsource{gap}page  7\n"
+                f"sets{gap}2\nset{gap}a 1.0\nset b 1.0\n")
+        for reader in (read_cn, reference_read_cn):
+            cn, _, meta = reader(io.StringIO(text), V)
+            assert [s.alternatives for s in cn.sets] == [{0: 1.0}, {1: 1.0}]
+            assert meta == {"source": "page  7"}
+
+    def test_set_count_after_a_tab_is_checked(self):
+        text = "# confusion-network v1\nsets\t2\nset a 1.0\n"
+        for reader in (read_cn, reference_read_cn):
+            with pytest.raises(ValidationError, match="expected 2 sets, found 1"):
+                reader(io.StringIO(text), V)
+
+    def test_metadata_values_keep_inner_spaces_and_read_back_as_text(self):
+        cn = ConfusionNetwork((ConfusionSet({0: 1.0}),), normalized=True)
+        _, _, meta = roundtrip_cn(cn, V, meta={"note": "two  words", "merged": 2})
+        assert meta == {"merged": "2", "note": "two  words"}
+
+    @pytest.mark.parametrize("meta", [
+        {"normalized": "false"}, {"total": "2.0"}, {"sets": "1"}, {"set": "a 1.0"},
+        {"": "x"}, {"two words": "x"}, {"tab\tkey": "x"}, {"#note": "x"},
+        {"note": "two\nlines"}, {"note": "two\rlines"}, {"note": " padded"}, {"note": "x\t"},
+    ])
+    def test_write_rejects_metadata_that_would_not_read_back(self, meta):
+        cn = ConfusionNetwork((ConfusionSet({0: 1.0}),), normalized=True)
+        buf = io.StringIO()
+        with pytest.raises(ValidationError, match="metadata"):
+            write_cn(buf, cn, V, {"line": "17", **meta})
+        assert buf.getvalue() == ""
+
     def test_without_vocabulary_symbols_come_from_the_file(self):
         cn = ConfusionNetwork((ConfusionSet({0: 0.5, 2: 0.5}),), normalized=True)
         buf = io.StringIO()
