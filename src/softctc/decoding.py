@@ -137,7 +137,6 @@ class _Trie:
         return out
 
     def prefixes(self, nodes: np.ndarray) -> list[tuple[int, ...]]:
-        """The symbol tuple of each of ``nodes``."""
         if not nodes.shape[0]:
             return []
         paths = self.padded_paths(nodes, np.full(nodes.shape[0], -1))

@@ -24,16 +24,15 @@ passes and every line.  A row of a block-diagonal product reads only its
 own block, so every line of a group is bitwise the line run as a batch of
 one, and each pass is bitwise the pass run on its own.
 
-The passes meet in the middle.  Each loop block rescales both halves of
-its products, the vectors before the emission multiply, by their frames'
-scales.  Before iteration ``T//2`` each iteration's are stored; from then on
-each iteration reaches two frames whose other vectors are stored, and the
-loop block bins their gradient.  P is affine in each posterior ``y[t, k]``,
-with slope the forward times the backward vector before the multiply,
-summed over the states of symbol ``k``: the gradient never divides by
-``y``, so it is exact where ``y`` is zero.  An odd frame count also stores
-the middle frame's backward vector and bins the frame in the block that
-reaches it.  So the store holds one vector per frame, and the emissions are
+The passes meet in the middle.  Each loop block rescales both halves of its
+products, the vectors before the emission multiply; before iteration
+``T//2`` they are stored, and from then on each iteration reaches two
+frames whose other vectors are stored and the loop block bins their
+gradient.  P is affine in each ``y[t, k]``, with slope the two vectors'
+product summed over the states of symbol ``k``: the gradient never divides
+by ``y`` and is exact where it is zero.  An odd frame count also stores the
+middle frame's backward vector and bins the frame in the block that reaches
+it.  So the store holds one vector per frame, and the emissions are
 gathered one loop block of ``BLOCK_FRAMES`` iterations at a time: neither
 the emissions of a whole line nor both passes' vectors are ever held.
 
@@ -119,8 +118,8 @@ def run_batch(lines: Sequence[tuple[np.ndarray, CompiledTarget]]) -> Iterator[Li
     - a forward or backward scale is not a finite positive number (no
       alignment carries mass, or non-finite posteriors), or no admissible
       final state is reachable;
-    - a frame's row total is zero or subnormal: its gradient keeps few
-      digits;
+    - a frame's row total is zero or subnormal (its gradient keeps few
+      digits), or infinite (both scales tiny: the binned products overflow);
     - the target probability ``log P_t = log(row_total_t) + sum(log
       alpha_scales[:t+1]) + sum(log beta_scales[t:])``, the same at every
       frame in exact arithmetic, spreads over the frames by more than
@@ -309,8 +308,7 @@ class _Group:
                     less(vec, floor, out=decayed)
                     putmask(vec, decayed, 0.0)
             vectors[0] = vectors[n]
-            # what the store keeps and the gradient bins: both halves of each
-            # product, rescaled by their frame's scale
+            # both halves rescaled by their frame's scales: what the store keeps and the gradient bins
             divide(product_lines[:n], div[i0:i1], out=product_lines[:n])
 
             stored = min(i1, half) - i0
@@ -330,7 +328,8 @@ class _Group:
             a = max(i0, frames - half)
             if a < i1:
                 t0, t1 = frames - i1, frames - a
-                self._bin(store[t0:t1], products[a - i0 : n, states:][::-1], t0, t1, terms, row_totals, grads)
+                self._bin(store[t0:t1], products[a - i0 : n, states:][::-1], t0, t1,
+                          terms, row_totals, grads)
         final = self._final_mass(vectors[0, :states])
 
         alpha_scales = np.ascontiguousarray(sums[:, : 2 * lines : 2].T)
@@ -399,8 +398,10 @@ def _mass_failure(row_totals: np.ndarray, log_mass: np.ndarray) -> str | None:
     normal = (row_totals >= TINY) & (row_totals < np.inf)
     if not normal.all():
         t = int(np.argmin(normal))
+        cause = ("the binned products overflowed" if row_totals[t] == np.inf
+                 else "mass was lost to underflow in one pass")
         return (f"the passes share {float(row_totals[t])!r} mass at frame {t}, "
-                "outside the normal range; mass was lost to underflow in one pass")
+                f"outside the normal range; {cause}")
     spread = float(np.ptp(log_mass))
     if spread > MASS_SPREAD_RTOL * max(1.0, abs(float(log_mass[-1]))):
         # the loss is read at the last frame: name the frame farthest from it

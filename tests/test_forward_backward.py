@@ -247,6 +247,24 @@ def test_gradient_survives_tiny_row_total_times_tiny_emission():
     assert np.einsum("tk,tk->t", y, result.grad) == pytest.approx(np.full(frames, -1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("tiny, raises", [(1e-100, False), (1e-160, True)])
+def test_frame_where_both_scales_are_tiny_returns_or_names_the_overflow(tiny, raises):
+    # every symbol the target allows at frame 1 has posterior `tiny`, so both
+    # passes' scales there are about `tiny`: the rescaled vectors reach
+    # 1/tiny each, and below about 1e-154 their products overflow
+    v = Vocabulary.from_characters("ab")
+    y = np.array([[0.6, 0.1, 0.3], [tiny, 1.0, tiny], [0.3, 0.2, 0.5]])
+    if raises:
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            InfeasibleTarget, match="frame 1, outside the normal range; the binned products overflowed"
+        ):
+            ctc_loss(PosteriorMatrix(y), Labeling((0,)), v)
+    else:
+        # P is 1.11 tiny and dP/dy[1, a] 0.72
+        grad = ctc_loss(PosteriorMatrix(y), Labeling((0,)), v).grad
+        assert grad[1, 0] == pytest.approx(-24 / 37 / tiny, rel=1e-9)
+
+
 def one_sided_difference(y, target, t, k, step=1e-3):
     """d(-log P)/dy[t, k] from the log-domain judge, stepping up only.
 
