@@ -24,17 +24,15 @@ passes and every line.  A row of a block-diagonal product reads only its
 own block, so every line of a group is bitwise the line run as a batch of
 one, and each pass is bitwise the pass run on its own.
 
-The passes meet in the middle.  Each loop block rescales both halves of its
-products, the vectors before the emission multiply; before iteration
-``T//2`` they are stored, and from then on each iteration reaches two
-frames whose other vectors are stored and the loop block bins their
-gradient.  P is affine in each ``y[t, k]``, with slope the two vectors'
-product summed over the states of symbol ``k``: the gradient never divides
-by ``y`` and is exact where it is zero.  An odd frame count also stores the
-middle frame's backward vector and bins the frame in the block that reaches
-it.  So the store holds one vector per frame, and the emissions are
-gathered one loop block of ``BLOCK_FRAMES`` iterations at a time: neither
-the emissions of a whole line nor both passes' vectors are ever held.
+The passes meet in the middle.  Before iteration ``T//2`` each iteration
+stores both halves of its product, the vectors before the emission
+multiply; from then on each iteration reaches two frames whose other
+vectors are stored, and the loop block bins their gradient, which never
+divides by ``y``.  An odd frame count also stores the middle frame's
+backward vector and bins the frame in the block that reaches it.  So the
+store holds one vector per frame, and the emissions are gathered one loop
+block of ``BLOCK_FRAMES`` iterations at a time: neither the emissions of a
+whole line nor both passes' vectors are ever held.
 
 Rescaling keeps each vector's sum at one but not each entry in the normal
 range (Rabiner 1989, section V.A): mass decaying far from the active states
@@ -109,20 +107,22 @@ def run_batch(lines: Sequence[tuple[np.ndarray, CompiledTarget]]) -> Iterator[Li
 
     The loss is read off the last forward vector against the final weights,
     which keeps it independent of the backward pass.  The gradient bins the
-    products of both passes' rescaled vectors before the emission multiply
-    by symbol; the row total weights the binned columns by the emissions,
-    and the gradient is minus the columns over the row total.
+    products of both passes' vectors before the emission multiply by symbol,
+    divided by the frame's two scales: P is affine in each ``y[t, k]``, and
+    these are its slopes up to a factor per frame.  The row total weights
+    them by the emissions, and the gradient is minus them over the row
+    total, exact also where ``y`` is zero.
 
     Raises InfeasibleTarget, naming the first failing line's index, when:
 
     - a forward or backward scale is not a finite positive number (no
       alignment carries mass, or non-finite posteriors), or no admissible
       final state is reachable;
-    - a frame's row total is zero or subnormal (its gradient keeps few
-      digits), or infinite (both scales tiny: the binned products overflow);
-    - the target probability ``log P_t = log(row_total_t) + sum(log
-      alpha_scales[:t+1]) + sum(log beta_scales[t:])``, the same at every
-      frame in exact arithmetic, spreads over the frames by more than
+    - a frame's row total is zero or subnormal: its gradient keeps few
+      digits;
+    - the target probability ``log P_t``, read at each frame from its row
+      total and the scales, the same at every frame in exact arithmetic,
+      spreads over the frames by more than
       ``MASS_SPREAD_RTOL * max(1, |log P|)``: mass was lost to underflow or
       to the flush in one pass and not the other, so the loss cannot be
       trusted.
@@ -273,18 +273,18 @@ class _Group:
         # the iteration rescales in place into the vectors the next product
         # reads; row 0 carries the previous block's last vectors
         products = np.empty((BLOCK_FRAMES, 2 * states))
-        product_lines = products.reshape(BLOCK_FRAMES, 2 * lines, self.width)
         vectors = np.empty((BLOCK_FRAMES + 1, 2 * states))
         vector_lines = vectors.reshape(BLOCK_FRAMES + 1, 2 * lines, self.width)
         terms = np.empty(BLOCK_FRAMES * states)  # one binned range's posterior terms
 
         # frames [0, half): forward vectors, frames [half, frames): backward
-        # vectors, both before the emission multiply and rescaled
+        # vectors, both before the emission multiply
         store = np.empty((frames, states))
         # each iteration's sums hold every line's forward mass and its
         # padding's, then the same for the backward pass
         sums = np.empty((frames, 4 * lines))
         div = sums.reshape(frames, 2 * lines, 2)[:, :, :1]
+        alpha_div, beta_div = div[:, :lines], div[::-1, lines:]  # each pass's scales, by frame
         row_totals = np.empty((lines, frames))
         grads = [np.empty((frames, self.vocab)) for _ in range(lines)]  # every frame is binned once
         for i0 in range(0, frames, BLOCK_FRAMES):
@@ -308,28 +308,25 @@ class _Group:
                     less(vec, floor, out=decayed)
                     putmask(vec, decayed, 0.0)
             vectors[0] = vectors[n]
-            # both halves rescaled by their frame's scales: what the store keeps and the gradient bins
-            divide(product_lines[:n], div[i0:i1], out=product_lines[:n])
 
-            stored = min(i1, half) - i0
-            if stored > 0:
-                store[i0 : i0 + stored] = products[:stored, :states]
-            stored = min(i1, frames - half) - i0
-            if stored > 0:
-                store[frames - i0 - stored : frames - i0] = products[stored - 1 :: -1, states:]
+            stored = max(0, min(i1, half) - i0)
+            store[i0 : i0 + stored] = products[:stored, :states]
+            stored = max(0, min(i1, frames - half) - i0)
+            store[frames - i0 - stored : frames - i0] = products[:stored, states:][::-1]
             # forward frames [a, i1) read their backward vectors from the
             # store; so do, for odd frame counts, the middle frame, which
             # this block has just stored
             a = max(i0, half)
             if a < i1:
-                self._bin(products[a - i0 : n, :states], store[a:i1], a, i1, terms, row_totals, grads)
+                self._bin(products[a - i0 : n, :states], store[a:i1], a, i1,
+                          _divisors(alpha_div[a:i1], beta_div[a:i1]), terms, row_totals, grads)
             # backward frames [frames - i1, frames - a) read their forward
             # vectors from the store
             a = max(i0, frames - half)
             if a < i1:
                 t0, t1 = frames - i1, frames - a
                 self._bin(store[t0:t1], products[a - i0 : n, states:][::-1], t0, t1,
-                          terms, row_totals, grads)
+                          _divisors(alpha_div[t0:t1], beta_div[t0:t1]), terms, row_totals, grads)
         final = self._final_mass(vectors[0, :states])
 
         alpha_scales = np.ascontiguousarray(sums[:, : 2 * lines : 2].T)
@@ -351,9 +348,12 @@ class _Group:
         """Each line's mass in its final states, from the last rescaled forward vector."""
         return np.add.reduceat(alpha * self.beta_final, self.bounds[: 2 * self.lines])[::2]
 
-    def _bin(self, alphas, betas, t0, t1, terms, row_totals, grads) -> None:
-        """Row totals and gradient of frames [t0, t1) from both passes' rescaled vectors."""
+    def _bin(self, alphas, betas, t0, t1, divisors, terms, row_totals, grads) -> None:
+        """Row totals and gradient of frames [t0, t1) from their vectors of both passes."""
         n = t1 - t0
+        # the frames' forward vectors are read only here: scale them in place
+        alphas_lines = alphas.reshape(n, self.lines, self.width)
+        np.divide(alphas_lines, divisors, out=alphas_lines)
         # state-major, as the binning product reads it
         terms = terms[: self.states * n].reshape(self.states, n)
         np.multiply(alphas.T, betas.T, out=terms)
@@ -384,13 +384,22 @@ def _failure(alpha_scales: np.ndarray, final: float, beta_scales: np.ndarray) ->
     return None
 
 
+def _divisors(alpha_scales: np.ndarray, beta_scales: np.ndarray) -> np.ndarray:
+    """Each frame's divisor of its binned products: its two scales' product.
+
+    Floored at 2^-1000, where every symbol the frame allows is below about
+    1e-154: no entry of a vector before the emission multiply exceeds one.
+    """
+    return np.maximum(alpha_scales * beta_scales, 2.0**-1000)
+
+
 def _log_mass(
     row_totals: np.ndarray, alpha_scales: np.ndarray, beta_scales: np.ndarray
 ) -> np.ndarray:
     """log of the unscaled total probability read at each frame; -inf where a row is 0."""
-    log_mass = np.log(row_totals)
-    log_mass += np.cumsum(np.log(alpha_scales))
-    log_mass += np.cumsum(np.log(beta_scales)[::-1])[::-1]
+    log_mass = np.log(row_totals) + np.log(_divisors(alpha_scales, beta_scales))
+    log_mass[1:] += np.cumsum(np.log(alpha_scales[:-1]))
+    log_mass[:-1] += np.cumsum(np.log(beta_scales[:0:-1]))[::-1]
     return log_mass
 
 
@@ -398,10 +407,8 @@ def _mass_failure(row_totals: np.ndarray, log_mass: np.ndarray) -> str | None:
     normal = (row_totals >= TINY) & (row_totals < np.inf)
     if not normal.all():
         t = int(np.argmin(normal))
-        cause = ("the binned products overflowed" if row_totals[t] == np.inf
-                 else "mass was lost to underflow in one pass")
         return (f"the passes share {float(row_totals[t])!r} mass at frame {t}, "
-                f"outside the normal range; {cause}")
+                "outside the normal range; mass was lost to underflow in one pass")
     spread = float(np.ptp(log_mass))
     if spread > MASS_SPREAD_RTOL * max(1.0, abs(float(log_mass[-1]))):
         # the loss is read at the last frame: name the frame farthest from it

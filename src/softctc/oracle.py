@@ -581,9 +581,11 @@ class ReferencePasses(NamedTuple):
     """One line's rescaled passes, as :func:`reference_run_passes` returns them.
 
     ``alphas[t]`` and ``betas[t]`` are the vectors after frame ``t``'s
-    emission multiply, which the next product reads; ``pre_alphas[t]`` and
-    ``pre_betas[t]`` the vectors before it, which the gradient bins.  Each
-    is divided by its pass's scale at frame ``t``.
+    emission multiply, divided by their pass's scale at frame ``t``
+    (``alpha_scales[t]``, ``beta_scales[t]``), which the next product reads;
+    ``pre_alphas[t]`` and ``pre_betas[t]`` the vectors before it, which the
+    gradient bins: the initial or final weights, or the product of the
+    neighbouring frame's rescaled vector.
     """
 
     loss: float
@@ -591,16 +593,19 @@ class ReferencePasses(NamedTuple):
     betas: np.ndarray
     pre_alphas: np.ndarray
     pre_betas: np.ndarray
+    alpha_scales: np.ndarray
+    beta_scales: np.ndarray
 
 
 def _frame_mass(vec: np.ndarray) -> float:
     """The sum of ``vec`` in the kernel's order: the first entry plus the rest.
 
-    ``np.add.reduceat`` sums a line's slot that way.  Summing alike makes the
-    passes agree bit for bit with the kernel's wherever it does not flush,
-    which the gradient needs at a zero posterior: there it can reach 1e6 or
-    more, and a one-ulp difference in a scale moves it by more than the
-    pins' absolute bound.
+    ``np.add.reduceat`` sums a line's slot that way inside numpy, an
+    implementation detail rather than a documented order.  Summing alike
+    makes the passes agree bit for bit with the kernel's wherever it does
+    not flush, which the gradient pins need at a zero posterior: there the
+    gradient can reach 1e6 or more, and a one-ulp difference in a scale
+    moves it by more than the pins' absolute bound.
     """
     return vec[0] + vec[1:].sum()
 
@@ -633,7 +638,7 @@ def reference_run_passes(
             raise InfeasibleTarget(
                 f"forward mass {scale!r} at frame {t}; target admits no alignment"
             )
-        alphas[t], pre_alphas[t] = vec / scale, pre / scale
+        alphas[t], pre_alphas[t] = vec / scale, pre
         alpha_scales[t] = scale
 
     final = float(alphas[-1] @ beta_final)
@@ -642,14 +647,18 @@ def reference_run_passes(
     loss = -(np.log(alpha_scales).sum() + np.log(final))
 
     betas, pre_betas = np.empty_like(q), np.empty_like(q)
+    beta_scales = np.empty(frames)
     for t in range(frames - 1, -1, -1):
         pre = beta_final if t == frames - 1 else betas[t + 1] @ transition_t
         vec = pre * q[t]
         scale = _frame_mass(vec)
         if not 0.0 < scale < np.inf:
             raise InfeasibleTarget(f"backward mass {scale!r} at frame {t}")
-        betas[t], pre_betas[t] = vec / scale, pre / scale
-    return ReferencePasses(float(loss), alphas, betas, pre_alphas, pre_betas)
+        betas[t], pre_betas[t] = vec / scale, pre
+        beta_scales[t] = scale
+    return ReferencePasses(
+        float(loss), alphas, betas, pre_alphas, pre_betas, alpha_scales, beta_scales
+    )
 
 
 def _log_sum_exp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -687,18 +696,21 @@ def reference_log_loss(
 
 
 def reference_gradient(
-    y: np.ndarray, state_symbols: np.ndarray, pre_alphas: np.ndarray, pre_betas: np.ndarray
+    y: np.ndarray, state_symbols: np.ndarray, passes: ReferencePasses
 ) -> np.ndarray:
     """Gradient of -log P from :func:`reference_run_passes`'s ``pre_*`` vectors.
 
     P is affine in each entry ``y[t, k]``: its slope there is the sum of
-    pre_alpha*pre_beta over the states of symbol ``k``, times the frame's
-    scales, and P is the sum of the slopes weighted by the row's entries.
-    So the form holds also where ``y`` is 0.  States are binned one at a
-    time; the reference for the gradient of
+    pre_alpha*pre_beta over the states of symbol ``k``, times the scales of
+    the other frames, and P is the sum of the slopes weighted by the row's
+    entries.  So the form holds also where ``y`` is 0, and any factor per
+    frame cancels: the terms are divided by the frame's two scales, as the
+    kernel divides them, which keeps them near the row total's range.
+    States are binned one at a time; the reference for the gradient of
     :func:`softctc.forward_backward.run_batch`.
     """
-    terms = pre_alphas * pre_betas
+    scales = passes.alpha_scales * passes.beta_scales
+    terms = passes.pre_alphas / scales[:, None] * passes.pre_betas
     binned = np.zeros_like(y)
     for s in range(state_symbols.shape[0]):
         binned[:, state_symbols[s]] += terms[:, s]

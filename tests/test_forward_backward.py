@@ -132,7 +132,7 @@ def pinned(y, target, relative_grad=False):
         return False
     passes = run_one(y, target)
     assert passes.loss == pytest.approx(ref.loss, rel=1e-12, abs=0.0)
-    ref_grad = reference_gradient(y, args[1], ref.pre_alphas, ref.pre_betas)
+    ref_grad = reference_gradient(y, args[1], ref)
     bound = 1e-12 * np.maximum(1.0, np.abs(ref_grad)) if relative_grad else 1e-12
     assert np.all(np.abs(passes.grad - ref_grad) <= bound)
     return True
@@ -247,22 +247,18 @@ def test_gradient_survives_tiny_row_total_times_tiny_emission():
     assert np.einsum("tk,tk->t", y, result.grad) == pytest.approx(np.full(frames, -1.0), rel=1e-12)
 
 
-@pytest.mark.parametrize("tiny, raises", [(1e-100, False), (1e-160, True)])
-def test_frame_where_both_scales_are_tiny_returns_or_names_the_overflow(tiny, raises):
+@pytest.mark.parametrize("tiny", [1e-100, 1e-160, 1e-300])
+def test_frame_where_both_scales_are_tiny_keeps_its_gradient(tiny):
     # every symbol the target allows at frame 1 has posterior `tiny`, so both
-    # passes' scales there are about `tiny`: the rescaled vectors reach
-    # 1/tiny each, and below about 1e-154 their products overflow
+    # passes' scales there are about `tiny` and their product underflows
+    # below about 1e-154: the binning divides by a floor instead
     v = Vocabulary.from_characters("ab")
     y = np.array([[0.6, 0.1, 0.3], [tiny, 1.0, tiny], [0.3, 0.2, 0.5]])
-    if raises:
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
-            InfeasibleTarget, match="frame 1, outside the normal range; the binned products overflowed"
-        ):
-            ctc_loss(PosteriorMatrix(y), Labeling((0,)), v)
-    else:
-        # P is 1.11 tiny and dP/dy[1, a] 0.72
-        grad = ctc_loss(PosteriorMatrix(y), Labeling((0,)), v).grad
-        assert grad[1, 0] == pytest.approx(-24 / 37 / tiny, rel=1e-9)
+    # P is 1.11 tiny, dP/dy[1, a] 0.72 and dP/dy[1, blank] 0.39
+    result = ctc_loss(PosteriorMatrix(y), Labeling((0,)), v)
+    assert result.loss == pytest.approx(-np.log(1.11 * tiny), rel=1e-12)
+    assert result.grad[1, 0] == pytest.approx(-24 / 37 / tiny, rel=1e-12)
+    assert result.grad[1, v.blank] == pytest.approx(-13 / 37 / tiny, rel=1e-12)
 
 
 def one_sided_difference(y, target, t, k, step=1e-3):
@@ -318,10 +314,10 @@ class Recorded(NamedTuple):
     ``i`` in its first half, the backward vector of frame ``T-1-i`` in its
     second.  ``forward`` holds the first halves (frames 0..T-2) and
     ``backward`` the second (frames T-1..1).  ``alphas`` and ``betas`` hold
-    the vectors of frames 0..T-1 before the emission multiply, scaled, as
-    the gradient binning multiplies them, each binned range placed at its
-    frames, and ``last`` the forward vector of frame T-1, which the final
-    mass reads.
+    the vectors of frames 0..T-1 before the emission multiply, as the
+    gradient binning receives them (it divides the forward ones by their
+    frame's two scales), each binned range placed at its frames, and
+    ``last`` the forward vector of frame T-1, which the final mass reads.
     """
 
     passes: fb.LinePasses
