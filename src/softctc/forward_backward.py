@@ -387,8 +387,9 @@ def _failure(alpha_scales: np.ndarray, final: float, beta_scales: np.ndarray) ->
 def _divisors(alpha_scales: np.ndarray, beta_scales: np.ndarray) -> np.ndarray:
     """Each frame's divisor of its binned products: its two scales' product.
 
-    Floored at 2^-1000, where every symbol the frame allows is below about
-    1e-154: no entry of a vector before the emission multiply exceeds one.
+    It underflows where every symbol the frame allows is below about 1e-154;
+    over a floor of 2^-1000 the binned products stay below 2^1000, as no
+    entry of a vector before the emission multiply exceeds one.
     """
     return np.maximum(alpha_scales * beta_scales, 2.0**-1000)
 

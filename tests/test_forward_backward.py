@@ -307,6 +307,30 @@ def test_gradient_matches_one_sided_differences_at_zero_posteriors():
     assert used_zeros >= 50
 
 
+def test_gradient_matches_one_sided_differences_where_a_frame_is_tiny():
+    # one whole frame scaled by 1e-200: both passes' scales there are about
+    # 1e-200, their product underflows, and the binning divides by the floor
+    rng = np.random.default_rng(163)
+    lines = 0
+    for i in range(24):
+        target = rand_target(rng, LONG_LINE_KINDS[i % len(LONG_LINE_KINDS)])
+        y = rand_posteriors(rng, int(rng.integers(3, 7)))
+        t = int(rng.integers(0, y.shape[0]))
+        y[t] *= 1e-200
+        try:
+            result = run_one(y, target)
+        except InfeasibleTarget:
+            continue
+        lines += 1
+        args = kernel_inputs(target)
+        assert result.loss == pytest.approx(reference_log_loss(y, *args), rel=1e-12), i
+        for k in range(y.shape[1]):
+            expected = one_sided_difference(y, target, t, k)
+            assert abs(result.grad[t, k] - expected) <= 1e-8 * max(1.0, abs(expected)), (i, k)
+        assert np.abs(np.einsum("tk,tk->t", y, result.grad) + 1.0).max() <= 1e-12
+    assert lines >= 12
+
+
 class Recorded(NamedTuple):
     """One line's kernel result and the rescaled vectors of its passes.
 
