@@ -6,23 +6,23 @@ one.  Recursions stay in the linear domain; each frame's vectors are divided
 by their sum and the log scale factors are accumulated, so the matrix
 products never touch the log semiring.
 
-Consecutive lines with the same frame count and vocabulary form a group,
-which runs in lock step as one block-diagonal matrix: each line's states
-fill a slot of ``width`` states, its own count plus at least one padding
-state that no arc touches.  Given the emissions, the forward and backward
-recursions are independent (Rabiner 1989, section III.A), so one frame loop
-runs both: iteration ``i`` advances the forward pass to frame ``i`` and the
-backward pass to frame ``T-1-i`` with one CSR matrix-vector product on a
-stacked matrix, whose first ``S`` rows are the group's transpose (forward)
-and whose last ``S`` rows are the matrix itself (backward), shifted by
-``S``.  The product calls scipy's ``csr_matvec`` routine on the CSR arrays
-directly and writes into preallocated rows, so an iteration allocates
-nothing and skips the sparse-matrix operator dispatch.  One emission
-multiply, one ``np.add.reduceat`` over each line's slot (the line's scale)
-and one broadcast divide, which the padding makes possible, then cover both
-passes and every line.  A row of a block-diagonal product reads only its
-own block, so every line of a group is bitwise the line run as a batch of
-one, and each pass is bitwise the pass run on its own.
+Lines with the same frame count and vocabulary, packed in ascending order of
+state count, form groups that each run in lock step as one block-diagonal
+matrix: each line's states fill a slot of ``width`` states, its own count
+plus at least one padding state that no arc touches.  Given the emissions,
+the forward and backward recursions are independent (Rabiner 1989, section
+III.A), so one frame loop runs both: iteration ``i`` advances the forward
+pass to frame ``i`` and the backward pass to frame ``T-1-i`` with one CSR
+matrix-vector product on a stacked matrix, whose first ``S`` rows are the
+group's transpose (forward) and whose last ``S`` rows are the matrix itself
+(backward), shifted by ``S``.  The product calls scipy's ``csr_matvec``
+routine on the CSR arrays directly, into preallocated rows, so an iteration
+allocates nothing and skips the sparse operator dispatch.  One emission
+multiply, one ``np.add.reduceat`` over each line's slot (its scale) and one
+broadcast divide, which the padding makes possible, then cover both passes
+and every line.  A row of a block-diagonal product reads only its own
+block, so every line of a group is bitwise the line run as a batch of one,
+and each pass is bitwise the pass run on its own.
 
 The passes meet in the middle.  Before iteration ``T//2`` each iteration
 stores both halves of its product, the vectors before the emission
@@ -64,31 +64,16 @@ TINY = np.finfo(float).tiny
 # largest spread of log P_t over frames, relative to max(1, |log P|), that
 # run_batch accepts as rounding
 MASS_SPREAD_RTOL = 1e-9
-# Stored vectors (frames x lines x width x 8 bytes: one per frame, forward
-# or backward) allowed in one group; a line larger than this runs alone.  The
-# lock-step loop pays a frame's numpy calls once per group, and the store is
-# most of the memory a group adds.  On the benchmark's 16 train-step lines (250 frames, 200-400
-# states; a shared 2-CPU x86 host, perfbench's reference host speed) against
-# the per-line loop's 182 lines/s at 78.3 MiB peak: 1 MiB
-# (mostly one line per group) ran 218 at 75.5 MiB, 2 MiB (two or three
-# lines) 302 at 77.5, 3 MiB 317 at 80.4, and one group of 16 lines 343 at
-# 92.3.  2 MiB takes most of the gain at no more peak memory.
+# Stored vectors (frames x lines x width x 8 bytes) that one packed group may
+# hold, unless it is a single line (trials in CHANGES.md, pairs in
+# BENCH_batch_kernel.json and BENCH_packed_groups.json).
 GROUP_BYTES = 2 * 2**20
-# Iterations per loop block: the frames each gather of emissions covers in
-# both passes, and the most frames one gradient binning covers.  A block's
-# calls are paid once per block, the later half of the blocks bins two
-# ranges, and the loop buffers, twice as wide as a single pass's, grow with
-# it.  Paired in-process (one tree, 31 alternating rounds, ratio of kernel
-# times; a shared 2-CPU x86 host): 32 against 16 ran 0.97x on the 16
-# train-step lines, 0.95x on pseudolabel lines and 0.99x on merged lines;
-# 64 against 32 ran 1.00x, 0.98x and 1.06x; 24 against 32 1.00x, 1.01x
-# and 1.00x.  perfbench lines per second, one run per seed on five seeds
-# (two for 8), perfbench's reference host speed -- train-step: 8 frames
-# 299-305, 16 290-337 (median 310), 32 308-351 (313); pseudolabel: 114-116,
-# 115-126 (120), 116-127 (124); merge-transform: 38.5-38.8, 36.5-40.4
-# (39.3), 38.0-39.9 (38.4).  Peak memory at 32 was 0.3-0.5 MiB above 16 on
-# train-step and pseudolabel and level on merge-transform.
+# Iterations per loop block: the frames each emission gather and gradient
+# binning covers (trials in CHANGES.md, pairs in BENCH_fused_passes.json).
 BLOCK_FRAMES = 32
+
+
+Line = tuple[np.ndarray, CompiledTarget]
 
 
 class LinePasses(NamedTuple):
@@ -99,11 +84,12 @@ class LinePasses(NamedTuple):
     log_mass: np.ndarray
 
 
-def run_batch(lines: Sequence[tuple[np.ndarray, CompiledTarget]]) -> Iterator[LinePasses]:
+def run_batch(lines: Sequence[Line]) -> Iterator[tuple[int, LinePasses]]:
     """Run both passes and the gradient over (posteriors, target) lines.
 
-    Yields each line's result in order, one group at a time, so a caller
-    that copies each result holds one group's gradients at a time.
+    Packs the lines into groups (see :func:`_groups`) and yields each line's
+    ``(index in lines, result)`` one group at a time, so a caller that copies
+    each result holds one group's gradients at a time.
 
     The loss is read off the last forward vector against the final weights,
     which keeps it independent of the backward pass.  The gradient bins the
@@ -113,7 +99,8 @@ def run_batch(lines: Sequence[tuple[np.ndarray, CompiledTarget]]) -> Iterator[Li
     them by the emissions, and the gradient is minus them over the row
     total, exact also where ``y`` is zero.
 
-    Raises InfeasibleTarget, naming the first failing line's index, when:
+    After every group has run, raises InfeasibleTarget naming the failing
+    line of smallest index, with the text it raises as a batch of one, when:
 
     - a forward or backward scale is not a finite positive number (no
       alignment carries mass, or non-finite posteriors), or no admissible
@@ -127,8 +114,15 @@ def run_batch(lines: Sequence[tuple[np.ndarray, CompiledTarget]]) -> Iterator[Li
       to the flush in one pass and not the other, so the loss cannot be
       trusted.
     """
-    for first, last in _groups(lines):
-        yield from _run_group(lines[first:last], first, check_mass=True)
+    failures = []
+    for indices in _groups(lines):
+        results, failed = _Group(lines, indices).run(check_mass=True)
+        failures += failed
+        yield from results
+        del results  # so no raw gradient is held while the next group runs
+    if failures:
+        index, reason = min(failures)
+        raise InfeasibleTarget(f"line {index}: {reason}")
 
 
 def log_mass(y: np.ndarray, target: CompiledTarget) -> np.ndarray:
@@ -138,45 +132,40 @@ def log_mass(y: np.ndarray, target: CompiledTarget) -> np.ndarray:
     when a pass finds no mass, and returns what the row-total and spread
     checks would judge, so a caller can measure the spread they bound.
     """
-    (passes,) = _run_group([(y, target)], 0, check_mass=False)
-    return passes.log_mass
+    results, failures = _Group([(y, target)], [0]).run(check_mass=False)
+    if failures:
+        raise InfeasibleTarget(f"line 0: {failures[0][1]}")
+    return results[0][1].log_mass
 
 
-def _run_group(pairs, first: int, check_mass: bool) -> list[LinePasses]:
-    group = _Group(pairs)
-    # a failed line's 0/0 and log(0) stay in its own block; overflow in a
-    # gradient still warns
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return group.run(first, check_mass)
+def _groups(lines: Sequence[Line]) -> list[list[int]]:
+    """The input indices of each group's lines, in the order the groups run.
 
-
-def _groups(lines: Sequence[tuple[np.ndarray, CompiledTarget]]) -> list[tuple[int, int]]:
-    """[first, last) bounds of consecutive lines that run as one group."""
-    bounds = []
-    first, width = 0, 0
-    for i, (y, target) in enumerate(lines):
-        grown = max(width, target.num_states + 1)
-        if i > first and (
-            y.shape != lines[first][0].shape
-            or 8 * y.shape[0] * (i + 1 - first) * grown > GROUP_BYTES
-        ):
-            bounds.append((first, i))
-            first, grown = i, target.num_states + 1
-        width = grown
-    if lines:
-        bounds.append((first, len(lines)))
-    return bounds
-
-
-def _padded(vectors: list[np.ndarray], width: int) -> np.ndarray:
-    out = np.zeros((len(vectors), width))
-    for line, vec in enumerate(vectors):
-        out[line, : vec.shape[0]] = vec
-    return out.reshape(-1)
+    Lines of one (frame count, vocabulary) class are taken in ascending
+    order of their state counts, ties in input order, and cut into groups
+    whose stored vectors fit ``GROUP_BYTES``; the classes run in the order
+    they first appear.  Sorting keeps lines of similar size, and so little
+    padding, in one group.
+    """
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, (y, _) in enumerate(lines):
+        classes.setdefault(y.shape, []).append(i)
+    groups = []
+    for (frames, _), members in classes.items():
+        members.sort(key=lambda i: lines[i][1].num_states)
+        group: list[int] = []
+        for i in members:
+            width = lines[i][1].num_states + 1  # the widest slot so far
+            if group and 8 * frames * (len(group) + 1) * width > GROUP_BYTES:
+                groups.append(group)
+                group = []
+            group.append(i)
+        groups.append(group)
+    return groups
 
 
 class _Group:
-    """One group's block-diagonal layout and its two passes.
+    """The block-diagonal layout of ``lines[indices]`` and its two passes.
 
     Line ``l``'s states are ``l * width + s`` for ``s < num_states``; the
     rest of its slot is padding, which no arc touches and no total reads.
@@ -184,9 +173,10 @@ class _Group:
     then the backward pass's, each in this layout.
     """
 
-    def __init__(self, pairs: Sequence[tuple[np.ndarray, CompiledTarget]]):
-        self.ys = [y for y, _ in pairs]
-        targets = [target for _, target in pairs]
+    def __init__(self, lines: Sequence[Line], indices: list[int]):
+        self.indices = indices
+        self.ys = [lines[i][0] for i in indices]
+        targets = [lines[i][1] for i in indices]
         self.frames, self.vocab = self.ys[0].shape
         self.lines = len(targets)
         sizes = np.array([t.num_states for t in targets])
@@ -238,8 +228,11 @@ class _Group:
         order = np.argsort(rows, kind="stable")
         self.onehot = (onehot_indptr, state_ids[order].astype(index), np.ones(rows.shape[0]))
 
-        self.alpha_init = _padded([t.alpha_hat for t in targets], self.width)
-        self.beta_final = _padded([t.beta_hat for t in targets], self.width)
+        # the first iteration's product: the initial weights, then the final ones
+        weights = np.zeros((2, self.lines, self.width))
+        for line, t in enumerate(targets):
+            weights[:, line, : t.num_states] = t.alpha_hat, t.beta_hat
+        self.weights = weights.reshape(-1)
         flushes = [t.transition.nnz > FLUSH_MIN_NNZ_PER_STATE * t.num_states for t in targets]
         self.flush = any(flushes)
         # a line that does not flush gets floor 0, which no entry is below;
@@ -258,7 +251,11 @@ class _Group:
             emissions[:, 0, line] = y[i0:i1].take(columns, axis=1)
             emissions[:, 1, line] = y[frames - i1 : frames - i0][::-1].take(columns, axis=1)
 
-    def run(self, first: int, check_mass: bool) -> list[LinePasses]:
+    # a failed line's 0/0 and log(0) stay in its own block; overflow in a
+    # gradient still warns
+    @np.errstate(divide="ignore", invalid="ignore")
+    def run(self, check_mass: bool):
+        """``(index, LinePasses)`` of each feasible line and ``(index, reason)`` of each other."""
         frames, states, lines = self.frames, self.states, self.lines
         bounds, flush, floor, matrix = self.bounds, self.flush, self.floor, self.matrix
         # iterations before `half` reach forward frames [0, half) and
@@ -293,8 +290,7 @@ class _Group:
             self._gather(i0, i1, vectors[1 : n + 1])
             products[:n].fill(0.0)
             if i0 == 0:
-                products[0, :states] = self.alpha_init
-                products[0, states:] = self.beta_final
+                products[0] = self.weights
             for i, before, product, vec, vec_lines, row_sums, row_div in zip(
                 range(i0, i1), vectors[:n], products, vectors[1 : n + 1],
                 vector_lines[1 : n + 1], sums[i0:i1], div[i0:i1],
@@ -331,22 +327,24 @@ class _Group:
 
         alpha_scales = np.ascontiguousarray(sums[:, : 2 * lines : 2].T)
         beta_scales = np.ascontiguousarray(sums[::-1, 2 * lines :: 2].T)
-        results = []
-        for line in range(lines):
+        results, failures = [], []
+        for line, index in enumerate(self.indices):
             reason = _failure(alpha_scales[line], float(final[line]), beta_scales[line])
             if reason is None:
                 log_mass = _log_mass(row_totals[line], alpha_scales[line], beta_scales[line])
                 if check_mass:
                     reason = _mass_failure(row_totals[line], log_mass)
             if reason is not None:
-                raise InfeasibleTarget(f"line {first + line}: {reason}")
+                failures.append((index, reason))
+                continue
             loss = -(np.log(alpha_scales[line]).sum() + np.log(final[line]))
-            results.append(LinePasses(float(loss), grads[line], log_mass))
-        return results
+            results.append((index, LinePasses(float(loss), grads[line], log_mass)))
+        return results, failures
 
     def _final_mass(self, alpha: np.ndarray) -> np.ndarray:
         """Each line's mass in its final states, from the last rescaled forward vector."""
-        return np.add.reduceat(alpha * self.beta_final, self.bounds[: 2 * self.lines])[::2]
+        final = self.weights[self.states :]
+        return np.add.reduceat(alpha * final, self.bounds[: 2 * self.lines])[::2]
 
     def _bin(self, alphas, betas, t0, t1, divisors, terms, row_totals, grads) -> None:
         """Row totals and gradient of frames [t0, t1) from their vectors of both passes."""

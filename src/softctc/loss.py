@@ -76,18 +76,18 @@ def soft_ctc_batch(
 
     Every pair is checked first, so a NaN or infinite posterior anywhere in
     the batch raises NonFiniteEntry before any line runs.  The kernel then
-    runs consecutive lines with the same frame count and vocabulary as one
-    group in lock step, one frame loop for both passes with one sparse
-    product per frame for the whole group (see
-    :mod:`softctc.forward_backward`).  A group stores one vector per frame,
-    as the passes meet in the middle, and holds at most ``GROUP_BYTES``
-    (2 MiB) of them; a larger line runs alone.
-    Each line's result is bitwise the one it gets as a batch of one.  The
-    first infeasible line raises InfeasibleTarget naming its index in the
-    batch.
+    runs lines with the same frame count and vocabulary in lock step, packed
+    by state count into groups of at most ``GROUP_BYTES`` (2 MiB) of stored
+    vectors (see :mod:`softctc.forward_backward`).  Results come back in
+    input order, each bitwise its line's batch of one.  After every group
+    has run, the infeasible line of smallest index raises InfeasibleTarget
+    naming that index.
     """
     lines = [(_checked(y, target), target) for y, target in items]
-    return [LossResult(passes.loss, passes.grad) for passes in fb.run_batch(lines)]
+    results = [None] * len(lines)
+    for index, passes in fb.run_batch(lines):
+        results[index] = LossResult(passes.loss, passes.grad)
+    return results
 
 
 def ctc_loss(y: PosteriorMatrix, l: Labeling, v: Vocabulary) -> LossResult:

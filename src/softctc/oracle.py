@@ -597,17 +597,17 @@ class ReferencePasses(NamedTuple):
     beta_scales: np.ndarray
 
 
-def _frame_mass(vec: np.ndarray) -> float:
-    """The sum of ``vec`` in the kernel's order: the first entry plus the rest.
+def _frame_mass(vec: np.ndarray) -> np.float64:
+    """The sum of ``vec`` as the kernel takes a line's scale.
 
-    ``np.add.reduceat`` sums a line's slot that way inside numpy, an
-    implementation detail rather than a documented order.  Summing alike
-    makes the passes agree bit for bit with the kernel's wherever it does
-    not flush, which the gradient pins need at a zero posterior: there the
-    gradient can reach 1e6 or more, and a one-ulp difference in a scale
+    The kernel sums each line's slot with ``np.add.reduceat``; calling it over
+    the one slot, rather than copying the order in which numpy happens to sum
+    inside it, makes the passes agree bit for bit with the kernel's wherever
+    it does not flush.  The gradient pins need that at a zero posterior: there
+    the gradient can reach 1e6 or more, and a one-ulp difference in a scale
     moves it by more than the pins' absolute bound.
     """
-    return vec[0] + vec[1:].sum()
+    return np.add.reduceat(vec, [0])[0]
 
 
 def reference_run_passes(

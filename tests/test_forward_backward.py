@@ -112,7 +112,7 @@ def rand_target(rng, kind):
 
 def run_one(y, target):
     """The kernel's result for one line, run as a batch of one."""
-    (passes,) = fb.run_batch([(y, target)])
+    ((_, passes),) = fb.run_batch([(y, target)])
     return passes
 
 
@@ -537,7 +537,7 @@ def test_batch_lines_equal_their_batch_of_one(monkeypatch):
     for trial in range(60):
         size = int(rng.integers(2, 9))
         if trial % 2:
-            frames = rng.choice([6, 9, 14], size=size)  # groups split where frames change
+            frames = rng.choice([6, 9, 14], size=size)  # one class per frame count
         else:
             frames = np.full(size, int(rng.integers(6, 30)))
         lines = []
@@ -553,15 +553,16 @@ def test_batch_lines_equal_their_batch_of_one(monkeypatch):
             patched.setattr(fb, "GROUP_BYTES", cap)
             batch = [(y, target) for y, target, _ in lines]
             groups = fb._groups(batch)
-            got = list(fb.run_batch(batch))
-        assert len(got) == len(lines)
-        for (_, _, single), passes in zip(lines, got):
+            got = dict(fb.run_batch(batch))
+        assert sorted(got) == list(range(len(lines)))
+        for i, (_, _, single) in enumerate(lines):
+            passes = got[i]
             assert passes.loss == single.loss
             assert np.array_equal(passes.grad, single.grad)
             assert np.array_equal(passes.log_mass, single.log_mass)
         lines_seen += len(lines)
         spanning += len(groups) > 1
-        mixed += any(last - first > 1 for first, last in groups)
+        mixed += any(len(group) > 1 for group in groups)
     assert lines_seen >= 200
     assert spanning >= 30 and mixed >= 30
 
@@ -635,6 +636,73 @@ def test_batch_runs_lines_in_lock_step(monkeypatch):
     assert len(calls) == 4 * (frames - 1)
 
 
+def test_batches_pack_by_class_and_size(monkeypatch):
+    rng = np.random.default_rng(157)
+    targets = [rand_target(rng, kind) for kind in LONG_LINE_KINDS for _ in range(4)]
+    scattered = 0
+    for trial in range(200):
+        size = int(rng.integers(1, 13))
+        lines = [
+            (np.empty((int(rng.choice([3, 5, 8])), len(V) + int(rng.integers(2)))),
+             targets[int(rng.integers(len(targets)))])
+            for _ in range(size)
+        ]
+        cap = fb.GROUP_BYTES if trial % 4 == 0 else int(rng.integers(200, 3000))
+        with monkeypatch.context() as patched:
+            patched.setattr(fb, "GROUP_BYTES", cap)
+            groups = fb._groups(lines)
+        # every line lands in exactly one group
+        assert sorted(i for group in groups for i in group) == list(range(size))
+        for group in groups:
+            shapes = {lines[i][0].shape for i in group}
+            assert len(shapes) == 1  # one (frames, vocabulary) class
+            sizes = [lines[i][1].num_states for i in group]
+            assert sizes == sorted(sizes)
+            ((frames, _),) = shapes
+            assert len(group) == 1 or 8 * frames * len(group) * (max(sizes) + 1) <= cap
+        # lines that are not neighbours in the batch share a group
+        scattered += any(sorted(group) != list(range(min(group), max(group) + 1)) for group in groups)
+    assert scattered >= 50
+
+
+def test_interleaved_frame_counts_form_one_group_each():
+    rng = np.random.default_rng(163)
+    target = compile_nbest(NBestList(((Labeling((0, 1)), 1.0),)), V)
+    lines = [(rand_posteriors(rng, frames), target) for frames in (9, 7, 9, 7)]
+    assert fb._groups(lines) == [[0, 2], [1, 3]]
+    got = dict(fb.run_batch(lines))
+    for i, (y, _) in enumerate(lines):
+        single = run_one(y, target)
+        assert got[i].loss == single.loss
+        assert np.array_equal(got[i].grad, single.grad)
+
+
+def test_infeasible_lines_name_the_smallest_index(monkeypatch):
+    # lines 1 and 2 both fail; packing by size runs line 2 first, whether
+    # the two share a group or each runs alone
+    rng = np.random.default_rng(167)
+    short = compile_nbest(NBestList(((Labeling((0, 1)), 1.0),)), V)
+    long = compile_nbest(NBestList(((Labeling((0, 1, 0, 1)), 1.0),)), V)
+    blocked = rand_posteriors(rng, 3)
+    blocked[1] = np.eye(len(V))[2]  # frame 1 allows only "c"
+    lines = [(rand_posteriors(rng, 3), compile_nbest(NBestList(((Labeling((0,)), 1.0),)), V)),
+             (rand_posteriors(rng, 3), long), (blocked, short)]
+    texts = []
+    for y, target in lines[1:]:
+        with pytest.raises(InfeasibleTarget) as single:
+            run_one(y, target)
+        texts.append(str(single.value).removeprefix("line 0: "))
+    assert texts[0].startswith("final mass") and texts[1].startswith("forward mass")
+    for cap in (fb.GROUP_BYTES, 1):
+        with monkeypatch.context() as patched:
+            patched.setattr(fb, "GROUP_BYTES", cap)
+            order = [i for group in fb._groups(lines) for i in group]
+            assert order.index(2) < order.index(1)
+            with pytest.raises(InfeasibleTarget) as got:
+                soft_ctc_batch([(PosteriorMatrix(y), target) for y, target in lines])
+        assert str(got.value) == "line 1: " + texts[0]
+
+
 EDGE_KINDS = ("chain", "nbest", "null-chain", "merged")
 B = fb.BLOCK_FRAMES
 
@@ -659,9 +727,11 @@ def test_frame_counts_at_the_loop_edges(frames):
     assert all(len(lines) >= 4 for lines in feasible.values()), {k: len(v) for k, v in feasible.items()}
     # every kind shares a group with the others, bitwise its batch of one
     lines = [line for group in zip(*feasible.values()) for line in group]
-    got = list(fb.run_batch(lines))
+    got = dict(fb.run_batch(lines))
     assert len(fb._groups(lines)) < len(lines)
-    for (y, target), passes in zip(lines, got):
+    assert sorted(got) == list(range(len(lines)))
+    for i, (y, target) in enumerate(lines):
+        passes = got[i]
         single = run_one(y, target)
         assert passes.loss == single.loss
         assert np.array_equal(passes.grad, single.grad)
