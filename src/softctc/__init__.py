@@ -43,7 +43,6 @@ from .loss import (
     soft_ctc_value_at,
 )
 from .types import (
-    DegenerateSet,
     InfeasibleTarget,
     Labeling,
     LossResult,
@@ -88,7 +87,6 @@ __all__ = [
     "soft_ctc_batch",
     "soft_ctc_loss",
     "soft_ctc_value_at",
-    "DegenerateSet",
     "InfeasibleTarget",
     "Labeling",
     "LossResult",

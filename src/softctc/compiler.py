@@ -13,15 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .confusion import ConfusionNetwork
-from .types import (
-    DegenerateSet,
-    NBestList,
-    ValidationError,
-    Vocabulary,
-)
-
-EPSILON_FLOOR = 1e-9
+from .confusion import ConfusionNetwork, _fsum_totals
+from .types import NBestList, ValidationError, Vocabulary
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,9 +43,9 @@ class _Layout:
     Each set becomes a group: its blank at ``offsets[g]``, then one state per
     letter, sorted by symbol, up to ``offsets[g + 1]``; a letterless terminal
     group of epsilon 0 comes last.  ``epsilon`` is a group's skip mass,
-    ``entry`` a state's entry mass: one minus epsilon for a blank, the letter
-    probability for a letter.  ``symbols`` lists the letters' symbols in
-    state order.
+    ``entry`` a state's entry mass: the set's letter mass over its total for
+    a blank, the letter probability for a letter.  ``symbols`` lists the
+    letters' symbols in state order.
     """
 
     epsilon: np.ndarray
@@ -68,13 +61,11 @@ def _layout(cn: ConfusionNetwork) -> _Layout:
     if not cn.normalized:
         raise ValidationError("compile targets require a normalized network")
     # each set is renormalized exactly so later telescoping sums close to
-    # machine precision
+    # machine precision; the blank's entry is the exactly rounded letter sum
+    # over the total, which keeps its digits where 1 - epsilon would cancel
     totals = np.array(cn.totals())
+    letter_mass = _fsum_totals(cn.offsets, cn.scores, np.zeros_like(cn.nulls))
     epsilon = np.append(cn.nulls / totals, 0.0)  # the terminal group last
-    degenerate = np.flatnonzero(epsilon >= 1.0 - EPSILON_FLOOR)
-    if degenerate.size:
-        i = int(degenerate[0])
-        raise DegenerateSet(f"set {i} is null with probability {float(epsilon[i])!r}")
     letter_counts = np.append(np.diff(cn.offsets), 0)
     letter_p = cn.scores / np.repeat(totals, letter_counts[:-1])
     offsets = np.zeros(epsilon.shape[0] + 1, dtype=np.int64)
@@ -84,7 +75,7 @@ def _layout(cn: ConfusionNetwork) -> _Layout:
     is_blank = np.zeros(total_states, dtype=bool)
     is_blank[offsets[:-1]] = True
     entry = np.empty(total_states)
-    entry[offsets[:-1]] = 1.0 - epsilon
+    entry[offsets[:-1]] = np.append(letter_mass / totals, 1.0)
     entry[~is_blank] = letter_p
     return _Layout(epsilon, letter_counts, offsets, group_index, is_blank, entry, cn.symbols)
 
@@ -144,15 +135,16 @@ def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
 
     Each set becomes a group of one blank state and one state per letter;
     the set's null mass is the group's skip mass epsilon and its blank's
-    entry weight is one minus epsilon.  Within a group the blank feeds each
+    entry weight is the set's letter mass over its total, which is one minus
+    epsilon without the cancellation.  Within a group the blank feeds each
     letter with the letter's conditional probability.  Across groups only
     letters have outgoing edges; each jump pays the skip mass of the groups
     it hops over and the entry mass of its destination, stopping at the
     first unskippable group.  Same-symbol jumps are dropped so repeated
     letters must pass through a blank, exactly as in the plain chain.  Arcs
     of zero weight are left out.  Raises ValidationError on a raw network
-    and on an invalid symbol, and DegenerateSet on a set whose null mass
-    reaches one.
+    and on an invalid symbol; every other normalized network compiles, a
+    set of null mass near one included.
     """
     layout = _layout(cn)
     total_states = layout.entry.shape[0]
@@ -168,8 +160,8 @@ def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
     state_symbols = np.full(total_states, v.blank, dtype=np.int64)
     state_symbols[letters] = symbols
 
-    # blank to letter within a group; DegenerateSet keeps every blank
-    # weight at least EPSILON_FLOOR
+    # blank to letter within a group: the letter's share of the set's letter
+    # mass, never a division by zero, as every set holds a positive letter
     inner_src = layout.offsets[letter_group]
     inner_w = layout.entry[letters] / layout.entry[inner_src]
 

@@ -473,13 +473,17 @@ _Group = tuple[list[tuple[int, float]], float, float]
 
 
 def _reference_groups(cn: ConfusionNetwork) -> list[_Group]:
-    """(letters, epsilon, blank weight) per set, then the terminal group."""
+    """(letters, epsilon, blank weight) per set, then the terminal group.
+
+    The blank weight is the set's exactly rounded letter sum over its total:
+    one minus epsilon, formed without subtracting from one.
+    """
     groups = []
     for s in cn.sets:
         total = s.total()
         epsilon = s.null / total
         letters = [(sym, p / total) for sym, p in sorted(s.alternatives.items())]
-        groups.append((letters, epsilon, 1.0 - epsilon))
+        groups.append((letters, epsilon, math.fsum(s.alternatives.values()) / total))
     groups.append(([], 0.0, 1.0))
     return groups
 
@@ -517,7 +521,7 @@ def reference_compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
     states, arcs, weights and boundary vectors, with every product formed in
     the same order, so the two agree bitwise.  Its one check is the
     invalid-symbol raise, with the same message; it does not check that the
-    network is normalized or that a set keeps some letter mass.
+    network is normalized.
     """
     groups = _reference_groups(cn)
     sizes = [1 + len(letters) for letters, _, _ in groups]

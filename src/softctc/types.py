@@ -50,10 +50,6 @@ class InfeasibleTarget(Exception):
     """The target admits no alignment with nonzero probability."""
 
 
-class DegenerateSet(ValidationError):
-    """A confusion set puts essentially all mass on null."""
-
-
 class TooLarge(ValidationError):
     """Requested enumeration exceeds the oracle size guard."""
 

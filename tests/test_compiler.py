@@ -6,7 +6,7 @@ import pytest
 from softctc import (
     ConfusionNetwork,
     ConfusionSet,
-    DegenerateSet,
+    DecodeConfig,
     InfeasibleTarget,
     Labeling,
     NBestList,
@@ -16,13 +16,14 @@ from softctc import (
     build_cn,
     compile_cn,
     compile_nbest,
+    decode_to_cn,
     merge_cns,
     multi_ctc,
     smooth,
     soft_ctc_loss,
     trivial_cn,
 )
-from softctc.oracle import enumerate_ctc, reference_compile_cn
+from softctc.oracle import enumerate_ctc, oracle_softctc, reference_compile_cn
 
 V3 = Vocabulary.from_characters("abc")
 
@@ -64,12 +65,36 @@ class TestSetWeights:
         blank_row = target.transition[0]
         assert math.fsum(blank_row.data) - 1.0 == pytest.approx(1.0, abs=1e-15)
 
-    def test_degenerate_null_set_rejected(self):
-        cn = ConfusionNetwork(
-            (ConfusionSet({0: 1e-12}, 1.0 - 1e-12),), normalized=True
+    @pytest.mark.parametrize("case", ["letter 1e-12", "letter 5e-324", "build_cn", "decode_to_cn"])
+    def test_set_of_null_mass_near_one_compiles(self, case):
+        # a blank weight of 1 - epsilon would keep few or no digits here; the
+        # last two are a fold and a decode that emit a set past 1 - 1e-9
+        vab = Vocabulary.from_characters("ab")
+        y_ab = PosteriorMatrix(
+            np.array([[0.995, 0.0025, 0.0025], [0.28, 5e-10, 0.72 - 5e-10], [0.0025, 0.995, 0.0025]])
         )
-        with pytest.raises(DegenerateSet, match="set 0 is null"):
-            compile_cn(cn, V3)
+        y_abc = PosteriorMatrix(np.array([[0.3, 0.2, 0.1, 0.4], [0.1, 0.5, 0.1, 0.3], [0.25] * 4]))
+        nbest = NBestList(((Labeling(()), 0.6), (Labeling((0,)), 0.4 - 5e-10), (Labeling((1,)), 5e-10)))
+        y, v, cn = {
+            "letter 1e-12": (y_abc, V3, cn_of(({0: 1e-12}, 1.0 - 1e-12))),
+            "letter 5e-324": (y_abc, V3, cn_of(({0: 5e-324}, 1.0))),
+            "build_cn": (y_ab, vab, build_cn(nbest)),
+            "decode_to_cn": (y_ab, vab, decode_to_cn(y_ab, vab, DecodeConfig(16, "partial"))),
+        }[case]
+        assert max(s.null for s in cn.sets) > 1.0 - 1e-9
+        target = compile_cn(cn, v)
+        # a group's blank weight: the first group's start weight, and the
+        # others' arc from the previous group's first letter, which hops nothing
+        blanks = np.flatnonzero(target.is_blank)[:-1]
+        got = [target.alpha_hat[blanks[0]]]
+        got += [target.transition[a + 1, b] for a, b in zip(blanks, blanks[1:])]
+        assert got == [math.fsum(s.alternatives.values()) / s.total() for s in cn.sets]
+        try:
+            loss = soft_ctc_loss(y, target).loss
+        except InfeasibleTarget as err:
+            assert "underflow" in str(err)
+        else:
+            assert loss == pytest.approx(-math.log(oracle_softctc(y, cn, v)), rel=1e-12)
 
     def test_raw_network_rejected(self):
         raw = ConfusionNetwork((ConfusionSet({0: 2.0}),), normalized=False, total_score=2.0)

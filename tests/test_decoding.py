@@ -18,17 +18,22 @@ from softctc import (
     ShapeMismatch,
     ValidationError,
     Vocabulary,
+    compile_cn,
     ctc_loss,
     decode_line,
     decode_to_cn,
     greedy_decode,
+    merge_cns,
     normalize_cn,
     prefix_beam_search,
+    prune,
     segment_line,
+    smooth,
+    soft_ctc_loss,
     validate_posteriors,
 )
 from softctc.decoding import _beam_batch
-from softctc.oracle import reference_build_cn, reference_prefix_beam_search
+from softctc.oracle import oracle_softctc, reference_build_cn, reference_prefix_beam_search
 
 VA = Vocabulary.from_characters("a")  # a=0, blank=1
 VAB = Vocabulary.from_characters("ab")  # a=0, b=1, blank=2
@@ -648,6 +653,60 @@ class TestDecodeLineFoldsLikeTheReference:
             cfg = DecodeConfig(beam_size=int(rng.choice([1, 2, 4, 8])), strategy="full" if n % 5 == 0 else "partial")
             decoded = decode_line(PosteriorMatrix(np.array(rows)), v, cfg, normalize)
             assert network_bits(decoded.network) == network_bits(reference_decoded_network(decoded, normalize))
+
+
+def assert_scores_like_the_oracle(y, cn, v):
+    """The network compiles, and its loss is the oracle's to 1e-9 of max(1, |log P|)."""
+    want = -math.log(oracle_softctc(y, cn, v))
+    got = soft_ctc_loss(y, compile_cn(cn, v)).loss
+    assert abs(got - want) <= 1e-9 * max(1.0, want), (got, want)
+
+
+class TestDecodedNetworksScore:
+    """Every network the decoder and the transforms emit compiles and scores."""
+
+    V = Vocabulary.from_characters("abc")
+
+    def test_segments_led_by_the_empty_hypothesis_with_tiny_tails(self):
+        # each segment's beam is led by "" and its last hypothesis lies below
+        # 1e-9 of its mass, so the fold opens a set of null mass past 1 - 1e-9
+        rng = np.random.default_rng(211)
+        for _ in range(12):
+            rows = [row(3)]
+            for _ in range(int(rng.integers(1, 3))):
+                for _ in range(int(rng.integers(1, 3))):
+                    tail = 10.0 ** rng.uniform(-14.0, -9.5)
+                    rows.append(row(3, **{"0": rng.uniform(0.1, 0.25), "1": tail}))
+                rows.append(row(3))
+            y = PosteriorMatrix(np.array(rows))
+            decoded = decode_line(y, VAB, DecodeConfig(beam_size=4))
+            doubtful = [nb for seg, nb in zip(decoded.segments, decoded.nbests) if not seg.confident]
+            assert doubtful
+            for nbest in doubtful:
+                assert nbest.entries[0][0].symbols == ()
+                assert min(w for _, w in nbest) < 1e-9 * nbest.total_weight
+            assert max(s.null for s in decoded.network.sets) > 1.0 - 1e-9
+            for strategy in ("partial", "full"):
+                assert_scores_like_the_oracle(y, decode_to_cn(y, VAB, DecodeConfig(4, strategy)), VAB)
+
+    def test_random_decodes_and_their_transforms(self):
+        rng = np.random.default_rng(223)
+        for _ in range(150):
+            frames = int(rng.integers(2, 7))
+            temperature = float(rng.choice([1.0, 0.25, 1 / 12, 1 / 30]))
+            logits = rng.normal(size=(frames, 4))
+            logits[:, self.V.blank] += rng.uniform(0.0, 1.0, size=frames)  # blank-heavy
+            y = np.exp((logits - logits.max(axis=1, keepdims=True)) / temperature)
+            y[(rng.random(y.shape) < 0.15) & (y < 1.0)] = 0.0  # zeroed entries, never the peak
+            y = PosteriorMatrix(y / y.sum(axis=1, keepdims=True))
+            raws = []
+            for strategy in ("partial", "full"):
+                cfg = DecodeConfig(beam_size=4, strategy=strategy)
+                assert_scores_like_the_oracle(y, decode_to_cn(y, self.V, cfg), self.V)
+                raws.append(decode_to_cn(y, self.V, cfg, normalize=False))
+            merged = merge_cns(raws)
+            for cn in (merged, prune(merged, 0.01), smooth(merged, 2.0)):
+                assert_scores_like_the_oracle(y, cn, self.V)
 
 
 class TestDecodeConfig:

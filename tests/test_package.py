@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 import json
 import os
@@ -16,6 +17,34 @@ def test_every_exported_name_resolves_to_a_non_module():
     for name in softctc.__all__:
         assert not isinstance(getattr(softctc, name), types.ModuleType), name
 
+
+
+def _raised_classes():
+    """The classes that ``raise`` statements under src/softctc name."""
+    raised = set()
+    for path in Path(softctc.__file__).parent.glob("*.py"):
+        # __main__ would run the CLI on import, and raises nothing itself
+        if path.stem in ("__init__", "__main__"):
+            namespace = vars(softctc)
+        else:
+            namespace = vars(importlib.import_module(f"softctc.{path.stem}"))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(namespace.get(exc.id, getattr(builtins, exc.id, None)))
+    return {cls for cls in raised if isinstance(cls, type)}
+
+
+def test_every_exported_error_is_raised():
+    # an exported error type that nothing raises promises callers a failure
+    # the library never reports
+    raised = _raised_classes()
+    exported = [getattr(softctc, name) for name in softctc.__all__]
+    errors = [cls for cls in exported if isinstance(cls, type) and issubclass(cls, Exception)]
+    assert errors
+    unraised = [cls.__name__ for cls in errors if not any(issubclass(r, cls) for r in raised)]
+    assert not unraised, unraised
 
 
 def test_import_does_not_load_scipy_special():
