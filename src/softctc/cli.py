@@ -114,6 +114,12 @@ def _load_posteriors(path):
     return m, v
 
 
+def _load_cn(path, v: Vocabulary | None = None) -> tuple[ConfusionNetwork, Vocabulary]:
+    """A network file, normalized if it holds a raw network."""
+    cn, v, _ = formats.read_cn(path, v)
+    return (cn if cn.normalized else normalize_cn(cn)), v
+
+
 def cmd_decode(args) -> int:
     m, v = _load_posteriors(args.posteriors)
     cfg = DecodeConfig(beam_size=args.beam, strategy=args.strategy, confidence=args.confidence)
@@ -139,10 +145,7 @@ def cmd_loss(args) -> int:
     if args.transcript is not None:
         result = ctc_loss(m, v.encode(args.transcript), v)
     elif args.cn is not None:
-        cn, _, _ = formats.read_cn(args.cn, v)
-        if not cn.normalized:
-            cn = normalize_cn(cn)
-        result = soft_ctc_loss(m, compile_cn(cn, v))
+        result = soft_ctc_loss(m, compile_cn(_load_cn(args.cn, v)[0], v))
     else:
         groups = formats.read_nbest(args.nbest, v)
         if len(groups) != 1:
@@ -185,9 +188,7 @@ def cmd_transform(args) -> int:
         cn = merge_cns(networks)
         meta["merged"] = len(networks)
     else:
-        cn, v, _ = formats.read_cn(args.cn)
-        if not cn.normalized:
-            cn = normalize_cn(cn)
+        cn, v = _load_cn(args.cn)
     if args.prune is not None:
         cn = prune(cn, args.prune)
         meta["prune"] = repr(args.prune)
@@ -235,18 +236,13 @@ def cmd_oracle(args) -> int:
         value = enumerate_ctc(m, v.encode(args.transcript), v)
         print(f"probability {value!r}")
     elif args.oracle_command == "strings":
-        cn, v, _ = formats.read_cn(args.cn)
-        if not cn.normalized:
-            cn = normalize_cn(cn)
+        cn, v = _load_cn(args.cn)
         for labeling, weight in enumerate_cn_strings(cn):
             text = "".join(v.symbols[s] for s in labeling)
             print(f"{weight!r} {text}")
     else:
         m, v = _load_posteriors(args.posteriors)
-        cn, _, _ = formats.read_cn(args.cn, v)
-        if not cn.normalized:
-            cn = normalize_cn(cn)
-        value = oracle_softctc(m, cn, v)
+        value = oracle_softctc(m, _load_cn(args.cn, v)[0], v)
         print(f"probability {value!r}")
     return EXIT_OK
 

@@ -36,51 +36,9 @@ class CompiledTarget:
         return self.state_symbols.shape[0]
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Compiled state order of a network, as flat per-group and per-state arrays.
-
-    Each set becomes a group: its blank at ``offsets[g]``, then one state per
-    letter, sorted by symbol, up to ``offsets[g + 1]``; a letterless terminal
-    group of epsilon 0 comes last.  ``epsilon`` is a group's skip mass,
-    ``entry`` a state's entry mass: the set's letter mass over its total for
-    a blank, the letter probability for a letter.  ``symbols`` lists the
-    letters' symbols in state order.
-    """
-
-    epsilon: np.ndarray
-    letter_counts: np.ndarray
-    offsets: np.ndarray
-    group_index: np.ndarray
-    is_blank: np.ndarray
-    entry: np.ndarray
-    symbols: np.ndarray
-
-
-def _layout(cn: ConfusionNetwork) -> _Layout:
-    if not cn.normalized:
-        raise ValidationError("compile targets require a normalized network")
-    # each set is renormalized exactly so later telescoping sums close to
-    # machine precision; the blank's entry is the exactly rounded letter sum
-    # over the total, which keeps its digits where 1 - epsilon would cancel
-    totals = np.array(cn.totals())
-    letter_mass = _fsum_totals(cn.offsets, cn.scores, np.zeros_like(cn.nulls))
-    epsilon = np.append(cn.nulls / totals, 0.0)  # the terminal group last
-    letter_counts = np.append(np.diff(cn.offsets), 0)
-    letter_p = cn.scores / np.repeat(totals, letter_counts[:-1])
-    offsets = np.zeros(epsilon.shape[0] + 1, dtype=np.int64)
-    np.cumsum(letter_counts + 1, out=offsets[1:])
-    total_states = int(offsets[-1])
-    group_index = np.repeat(np.arange(epsilon.shape[0], dtype=np.int64), letter_counts + 1)
-    is_blank = np.zeros(total_states, dtype=bool)
-    is_blank[offsets[:-1]] = True
-    entry = np.empty(total_states)
-    entry[offsets[:-1]] = np.append(letter_mass / totals, 1.0)
-    entry[~is_blank] = letter_p
-    return _Layout(epsilon, letter_counts, offsets, group_index, is_blank, entry, cn.symbols)
-
-
-def _boundary(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+def _boundary(
+    epsilon: np.ndarray, group_index: np.ndarray, entry: np.ndarray, is_blank: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Start and end weights per state, in compiled state order.
 
     An alignment may start inside group g after skipping everything before it
@@ -88,21 +46,22 @@ def _boundary(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
     terminal blank always accepts endings at full weight, which is what makes
     a network of singleton sets behave exactly like the plain chain.
     """
-    eps = layout.epsilon
-    real = eps.shape[0] - 1  # the terminal group is never skipped over
+    real = epsilon.shape[0] - 1  # the terminal group is never skipped over
     # prefix_eps[g]: product of the epsilons before g, front to back;
     # suffix_eps[g]: product over the real groups after g, back to front
-    prefix_eps = np.cumprod(np.concatenate(([1.0], eps[:-1])))
-    suffix_eps = np.zeros(eps.shape[0])
+    prefix_eps = np.cumprod(np.concatenate(([1.0], epsilon[:-1])))
+    suffix_eps = np.zeros(epsilon.shape[0])
     if real:
-        suffix_eps[:real] = np.cumprod(np.concatenate(([1.0], eps[real - 1 : 0 : -1])))[::-1]
-    alpha = prefix_eps[layout.group_index] * layout.entry
-    beta = np.where(layout.is_blank, 0.0, suffix_eps[layout.group_index])
+        suffix_eps[:real] = np.cumprod(np.concatenate(([1.0], epsilon[real - 1 : 0 : -1])))[::-1]
+    alpha = prefix_eps[group_index] * entry
+    beta = np.where(is_blank, 0.0, suffix_eps[group_index])
     beta[-1] = 1.0  # terminal blank accepts endings freely
     return alpha, beta
 
 
-def _skip_pairs(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _skip_pairs(
+    epsilon: np.ndarray, letter_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(source group, destination group, hop) for every cross-group jump.
 
     ``hop`` is the skip mass of the groups strictly between the two.  All
@@ -111,16 +70,15 @@ def _skip_pairs(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     after the first destination that drives its hop to zero or at the last
     group.
     """
-    eps = layout.epsilon
-    last = eps.shape[0] - 1
-    src = np.flatnonzero(layout.letter_counts[:-1] > 0)
+    last = epsilon.shape[0] - 1
+    src = np.flatnonzero(letter_counts[:-1] > 0)
     hop = np.ones(src.shape[0])
     parts = []
     hops = 1
     while src.size:
         dst = src + hops
         parts.append((src, dst, hop))
-        hop = hop * eps[dst]
+        hop = hop * epsilon[dst]
         live = np.flatnonzero((hop != 0.0) & (dst < last))
         src, hop = src[live], hop[live]
         hops += 1
@@ -133,50 +91,70 @@ def _skip_pairs(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
     """Materialize the sparse transition matrix for a normalized network.
 
-    Each set becomes a group of one blank state and one state per letter;
-    the set's null mass is the group's skip mass epsilon and its blank's
-    entry weight is the set's letter mass over its total, which is one minus
-    epsilon without the cancellation.  Within a group the blank feeds each
-    letter with the letter's conditional probability.  Across groups only
-    letters have outgoing edges; each jump pays the skip mass of the groups
-    it hops over and the entry mass of its destination, stopping at the
-    first unskippable group.  Same-symbol jumps are dropped so repeated
-    letters must pass through a blank, exactly as in the plain chain.  Arcs
-    of zero weight are left out.  Raises ValidationError on a raw network
-    and on an invalid symbol; every other normalized network compiles, a
-    set of null mass near one included.
+    Each set becomes a group of one blank state and one state per letter,
+    sorted by symbol; a letterless terminal group of skip mass 0 comes last.
+    The set's null mass over its total is the group's skip mass epsilon, and
+    its blank's entry weight is the set's letter mass over its total, which
+    is one minus epsilon without the cancellation.  Within a group the blank
+    feeds each letter with the letter's conditional probability.  Across
+    groups only letters have outgoing edges; each jump pays the skip mass of
+    the groups it hops over and the entry mass of its destination, stopping
+    at the first unskippable group.  Same-symbol jumps are dropped so
+    repeated letters must pass through a blank, exactly as in the plain
+    chain.  Arcs of zero weight are left out.  Raises ValidationError on a
+    raw network and on an invalid symbol; every other normalized network
+    compiles, a set of null mass near one included.
     """
-    layout = _layout(cn)
-    total_states = layout.entry.shape[0]
-    letters = np.flatnonzero(~layout.is_blank)
-    letter_group = layout.group_index[letters]
-    symbols = layout.symbols
+    if not cn.normalized:
+        raise ValidationError("compile targets require a normalized network")
+    # group g (the terminal one last) skips with epsilon[g] and holds its blank
+    # at state offsets[g], then letter_counts[g] letters up to offsets[g + 1];
+    # a state's entry mass is the letter probability for a letter and the
+    # exactly rounded letter sum over the set's total for a blank, which
+    # keeps its digits where 1 - epsilon would cancel.  Exact totals make
+    # later telescoping sums close to machine precision.
+    totals = np.array(cn.totals())
+    letter_mass = _fsum_totals(cn.offsets, cn.scores, np.zeros_like(cn.nulls))
+    epsilon = np.append(cn.nulls / totals, 0.0)
+    letter_counts = np.append(np.diff(cn.offsets), 0)
+    letter_p = cn.scores / np.repeat(totals, letter_counts[:-1])
+    offsets = np.zeros(epsilon.shape[0] + 1, dtype=np.int64)
+    np.cumsum(letter_counts + 1, out=offsets[1:])
+    total_states = int(offsets[-1])
+    group_index = np.repeat(np.arange(epsilon.shape[0], dtype=np.int64), letter_counts + 1)
+    is_blank = np.zeros(total_states, dtype=bool)
+    is_blank[offsets[:-1]] = True
+    entry = np.empty(total_states)
+    entry[offsets[:-1]] = np.append(letter_mass / totals, 1.0)
+    entry[~is_blank] = letter_p
+
+    letters = np.flatnonzero(~is_blank)
+    letter_group = group_index[letters]
+    symbols = cn.symbols
     invalid = np.flatnonzero((symbols < 0) | (symbols >= len(v)) | (symbols == v.blank))
     if invalid.size:
         first = invalid[0]
-        raise ValidationError(
-            f"set {letter_group[first]} contains an invalid symbol {symbols[first]}"
-        )
+        raise ValidationError(f"set {letter_group[first]} contains an invalid symbol {symbols[first]}")
     state_symbols = np.full(total_states, v.blank, dtype=np.int64)
     state_symbols[letters] = symbols
 
     # blank to letter within a group: the letter's share of the set's letter
     # mass, never a division by zero, as every set holds a positive letter
-    inner_src = layout.offsets[letter_group]
-    inner_w = layout.entry[letters] / layout.entry[inner_src]
+    inner_src = offsets[letter_group]
+    inner_w = entry[letters] / entry[inner_src]
 
     # letter to every state of a later group: each (source, destination)
     # group pair expands to source letters x destination states
-    src_group, dst_group, hop = _skip_pairs(layout)
-    dst_sizes = layout.letter_counts[dst_group] + 1
-    arcs = layout.letter_counts[src_group] * dst_sizes
+    src_group, dst_group, hop = _skip_pairs(epsilon, letter_counts)
+    dst_sizes = letter_counts[dst_group] + 1
+    arcs = letter_counts[src_group] * dst_sizes
     pair = np.repeat(np.arange(arcs.shape[0]), arcs)
     source_letter, dest_state = np.divmod(
         np.arange(pair.shape[0]) - (np.cumsum(arcs) - arcs)[pair], dst_sizes[pair]
     )
-    cross_src = (layout.offsets[src_group] + 1)[pair] + source_letter
-    cross_dst = layout.offsets[dst_group][pair] + dest_state
-    cross_w = hop[pair] * layout.entry[cross_dst]
+    cross_src = (offsets[src_group] + 1)[pair] + source_letter
+    cross_dst = offsets[dst_group][pair] + dest_state
+    cross_w = hop[pair] * entry[cross_dst]
 
     diagonal = np.arange(total_states)
     rows = np.concatenate((diagonal, inner_src, cross_src))
@@ -190,10 +168,8 @@ def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
     rows, cols, vals = rows[kept], cols[kept], vals[kept]
     transition = sp.csr_matrix((vals, (rows, cols)), shape=(total_states, total_states))
     transition.sort_indices()
-    alpha_hat, beta_hat = _boundary(layout)
-    return CompiledTarget(
-        transition, state_symbols, layout.group_index, layout.is_blank, alpha_hat, beta_hat
-    )
+    alpha_hat, beta_hat = _boundary(epsilon, group_index, entry, is_blank)
+    return CompiledTarget(transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat)
 
 
 def compile_nbest(nbest: NBestList, v: Vocabulary) -> CompiledTarget:
@@ -266,6 +242,4 @@ def compile_nbest(nbest: NBestList, v: Vocabulary) -> CompiledTarget:
     beta_hat = np.zeros(total_states)
     beta_hat[lasts] = 1.0
     beta_hat[final_state] = 1.0
-    return CompiledTarget(
-        transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat
-    )
+    return CompiledTarget(transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat)

@@ -103,7 +103,7 @@ class ConfusionNetwork:
     Set ``i`` offers ``symbols[offsets[i]:offsets[i + 1]]`` (ascending) with
     the matching ``scores`` and skip mass ``nulls[i]``.  ``total_score`` is
     the per-set mass a raw network conserves (the sum of folded hypothesis
-    weights); it is 1.0 for normalized networks.  Every set must total 1.0
+    weights); it must be 1.0 for normalized networks.  Every set must total 1.0
     (normalized) or ``total_score`` (raw) to within 1e-6 relative.  The
     arrays are read-only; ``sets`` is a view of them as ``ConfusionSet``
     values, built on first access.
@@ -132,6 +132,8 @@ class ConfusionNetwork:
             _unpack(self, ConfusionSet)  # the first bad set raises its own error
         if not 0.0 < self.total_score < math.inf:  # also catches NaN
             raise ValidationError(f"total score must be positive and finite, got {self.total_score!r}")
+        if self.normalized and self.total_score != 1.0:
+            raise ValidationError(f"a normalized network totals 1.0, got {self.total_score!r}")
         expected = 1.0 if self.normalized else self.total_score
         totals = np.add.reduceat(self.scores, self.offsets[:-1]) + self.nulls
         off = np.flatnonzero(~(np.abs(totals - expected) <= 1e-6 * expected))

@@ -200,7 +200,6 @@ def _beam_batch(
     node = np.arange(1, count + 1)[:, None]
     lp_b = np.zeros((count, 1))
     lp_nb = np.full((count, 1), NEG_INF)
-    last = np.full((count, 1), -1)  # -1 marks the empty prefix
     impossible = np.empty((count, vocab), dtype=bool)
     span_rows = np.arange(count)[:, None]
     final: list = [None] * count
@@ -211,6 +210,7 @@ def _beam_batch(
             row = log_y[starts[:live] + t]
             at = span_rows[:live]
             width = node.shape[1]
+            last = trie.symbol[node]  # -1 for the empty prefix and padding
             total = np.logaddexp(lp_b, lp_nb)
             stay_b = total + row[:, blank, None]
             # the empty prefix has lp_nb = -inf, so its row[-1] pick stays -inf
@@ -267,7 +267,6 @@ def _beam_batch(
             new_node = node[at, w]
             lp_b = np.where(stay, stay_b[at, w], NEG_INF)
             lp_nb = np.where(stay, stay_nb[at, w], -picked)
-            last = np.where(stay, last[at, w], k)
             valid = ~np.isnan(picked)
             grown = valid & ~stay
             new_node[grown] = trie.extend(new_node[grown], k[grown])
@@ -275,16 +274,16 @@ def _beam_batch(
             if not valid.all():
                 # pad the missing candidates and move them last
                 pad = ~valid
-                node[pad], lp_b[pad], lp_nb[pad], last[pad] = 0, np.nan, np.nan, -1
+                node[pad], lp_b[pad], lp_nb[pad] = 0, np.nan, np.nan
                 keep = np.argsort(pad, axis=1, kind="stable")[:, : int(valid.sum(axis=1).max())]
-                node, lp_b, lp_nb, last = (a[at, keep] for a in (node, lp_b, lp_nb, last))
+                node, lp_b, lp_nb = (a[at, keep] for a in (node, lp_b, lp_nb))
 
             ended, live = live, live_after[t]
             for i in range(live, ended):
                 kept = node[i] > 0
                 final[order[i]] = (node[i, kept], np.logaddexp(lp_b[i, kept], lp_nb[i, kept]))
             if live < ended:
-                node, lp_b, lp_nb, last = node[:live], lp_b[:live], lp_nb[:live], last[:live]
+                node, lp_b, lp_nb = node[:live], lp_b[:live], lp_nb[:live]
 
     out = []
     # every span's prefixes from one walk of the trie

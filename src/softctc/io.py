@@ -9,9 +9,10 @@ written from them; a ``set`` line may name each symbol and ``<null>`` once.
 
 from __future__ import annotations
 
+import contextlib
 import io as _io
 import itertools
-from typing import Iterable, TextIO
+from typing import ContextManager, Iterable, TextIO
 
 import numpy as np
 
@@ -57,10 +58,16 @@ def _token_symbol(token: str) -> str:
     return " " if token == SPACE_TOKEN else token
 
 
-def _open_out(path_or_file) -> tuple[TextIO, bool]:
+def _writing(path_or_file) -> ContextManager[TextIO]:
+    """A path opened for writing; a file given as such is left open."""
     if hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(path_or_file)
+    return open(path_or_file, "w", encoding="utf-8")
+
+
+def _first_invalid(symbols: Iterable[int], v: Vocabulary) -> int | None:
+    """The first id that is out of range for ``v`` or its blank, which no reader takes."""
+    return next((s for s in symbols if not 0 <= s < len(v) or s == v.blank), None)
 
 
 def _read_lines(path_or_file) -> list[str]:
@@ -92,8 +99,7 @@ def write_gradient(path_or_file, grad: np.ndarray, v: Vocabulary) -> None:
 def _write_matrix(path_or_file, magic: str, arr: np.ndarray, v: Vocabulary) -> None:
     if arr.shape[1] != len(v):
         raise ValidationError("matrix width does not match vocabulary")
-    fh, close = _open_out(path_or_file)
-    try:
+    with _writing(path_or_file) as fh:
         fh.write(magic + "\n")
         tokens = [
             BLANK_TOKEN if i == v.blank else _symbol_token(s)
@@ -102,9 +108,6 @@ def _write_matrix(path_or_file, magic: str, arr: np.ndarray, v: Vocabulary) -> N
         fh.write(" ".join(tokens) + "\n")
         for row in arr:
             fh.write(" ".join(_fmt(x) for x in row) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def read_posteriors(path_or_file) -> tuple[PosteriorMatrix, Vocabulary]:
@@ -144,25 +147,24 @@ def write_cn(
         if (key in ("normalized", "total", "sets", "set") or key.split() != [key] or key[0] == "#"
                 or value.strip() != value or "".join(value.splitlines()) != value):
             raise ValidationError(f"metadata {key!r} {value!r} would not read back as written")
-    fh, close = _open_out(path_or_file)
-    try:
+    offsets, symbols, scores, nulls = (a.tolist() for a in (cn.offsets, cn.symbols, cn.scores, cn.nulls))
+    distinct = dict.fromkeys(symbols)
+    bad = _first_invalid(distinct, v)
+    if bad is not None:
+        at = int(np.searchsorted(cn.offsets, symbols.index(bad), side="right")) - 1
+        raise ValidationError(f"set {at} contains an invalid symbol {bad}")
+    tokens = {sym: _symbol_token(v.symbols[sym]) for sym in distinct}
+    with _writing(path_or_file) as fh:
         fh.write(CN_MAGIC + "\n")
         fh.write(f"normalized {'true' if cn.normalized else 'false'}\n")
         fh.write(f"total {_fmt(cn.total_score)}\n")
         for key in sorted(meta):
             fh.write(f"{key} {meta[key]}\n")
         fh.write(f"sets {len(cn)}\n")
-        offsets, symbols, scores, nulls = (
-            a.tolist() for a in (cn.offsets, cn.symbols, cn.scores, cn.nulls)
-        )
-        tokens = {sym: _symbol_token(v.symbols[sym]) for sym in dict.fromkeys(symbols)}
         entries = [f"{tokens[sym]} {x!r}" for sym, x in zip(symbols, scores)]
         for a, b, null in zip(offsets, offsets[1:], nulls):
             tail = f" {NULL_TOKEN} {null!r}\n" if null > 0.0 else "\n"
             fh.write("set " + " ".join(entries[a:b]) + tail)
-    finally:
-        if close:
-            fh.close()
 
 
 def read_cn(
@@ -291,20 +293,30 @@ def _raise_set_line_fault(line_no: int, tokens: list[str], v: Vocabulary | None)
 
 
 def write_nbest(
-    path_or_file, groups: Iterable[tuple[Segment, NBestList]], v: Vocabulary
+    path_or_file, groups: Iterable[tuple[Segment | None, NBestList]], v: Vocabulary
 ) -> None:
-    fh, close = _open_out(path_or_file)
-    try:
+    """Write n-best groups; a leading group without a segment is written without a header.
+
+    A later group without one raises ValidationError, as read_nbest would fold
+    it into the group before it.
+    """
+    groups = list(groups)
+    for g, (seg, nbest) in enumerate(groups):
+        if seg is None and g > 0:
+            raise ValidationError(f"n-best group {g} has no segment, and only the first may lack one")
+        for i, (labeling, _) in enumerate(nbest):
+            bad = _first_invalid(labeling, v)
+            if bad is not None:
+                raise ValidationError(f"group {g} variant {i} contains an invalid symbol {bad}")
+    with _writing(path_or_file) as fh:
         fh.write(NBEST_MAGIC + "\n")
         for seg, nbest in groups:
-            kind = "confident" if seg.confident else "unconfident"
-            fh.write(f"segment {seg.start} {seg.end} {kind}\n")
+            if seg is not None:
+                kind = "confident" if seg.confident else "unconfident"
+                fh.write(f"segment {seg.start} {seg.end} {kind}\n")
             for labeling, weight in nbest:
                 tokens = [_symbol_token(v.symbols[s]) for s in labeling]
                 fh.write(" ".join([_fmt(weight)] + tokens) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def read_nbest(

@@ -5,9 +5,10 @@ per-set choices, or, for the beam search, the edit-distance aligner, the
 n-best fold and network merge, the network transforms, the network parser,
 the target compiler and the forward-backward kernel, by the plain loops the
 fast paths replaced, and, for long lines whose linear-domain passes
-underflow, by a dense forward pass in the log domain.  None of it shares logic with the fast paths; the only
-common ground is the data containers.  Sizes are guarded so a misuse fails
-loudly instead of grinding.
+underflow, by a dense forward pass in the log domain.  None of it shares
+logic with the fast paths; the only common ground is the data containers and
+the file formats' constants.  Sizes are guarded so a misuse fails loudly
+instead of grinding.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from .io import (
     BLANK_TOKEN,
     CN_MAGIC,
     NULL_TOKEN,
+    SPACE_TOKEN,
     UNUSED_SYMBOL,
-    _content_lines,
-    _read_lines,
-    _token_symbol,
 )
 from .types import (
     InfeasibleTarget,
@@ -396,11 +395,20 @@ def reference_read_cn(
     The reference for :func:`softctc.io.read_cn`: the same network,
     vocabulary and metadata, and for a malformed file the same first error.
     """
-    body = _content_lines(_read_lines(path_or_file), CN_MAGIC, "confusion network")
+    if hasattr(path_or_file, "read"):
+        text = path_or_file.read()
+    else:
+        with open(path_or_file, encoding="utf-8") as fh:
+            text = fh.read()
+    lines = [line.strip() for line in text.splitlines()]
+    if not lines or lines[0] != CN_MAGIC:
+        raise ValidationError(f"not a confusion network file (missing {CN_MAGIC!r} header)")
     meta: dict[str, str] = {}
     set_lines: list[str] = []
     expecting = None
-    for line in body:
+    for line in lines:
+        if not line or line[0] == "#":
+            continue
         parts = line.split(maxsplit=1)  # the key ends at the first run of whitespace
         key, rest = parts if len(parts) == 2 else (parts[0], "")
         if key == "set":
@@ -427,7 +435,7 @@ def reference_read_cn(
     index = {} if v is None else {s: i for i, s in enumerate(v.symbols)}
 
     def resolve(token: str) -> int:
-        display = _token_symbol(token)
+        display = " " if token == SPACE_TOKEN else token
         if v is not None:
             if display not in index:
                 raise ValidationError(f"symbol {display!r} not in vocabulary")

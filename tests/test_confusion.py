@@ -124,6 +124,11 @@ class TestNetworkValidation:
         with pytest.raises(ValidationError, match=f"got {total!r}"):
             ConfusionNetwork((ConfusionSet({0: 0.5}),), normalized=False, total_score=total)
 
+    def test_normalized_network_must_total_one(self):
+        # a normalized network's sets are distributions, so its total is 1.0
+        with pytest.raises(ValidationError, match="a normalized network totals 1.0, got 2.0"):
+            ConfusionNetwork((ConfusionSet({0: 1.0}),), normalized=True, total_score=2.0)
+
     def test_trivial_cn(self):
         cn = trivial_cn(lab("cat"))
         assert len(cn) == 3

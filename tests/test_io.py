@@ -271,6 +271,21 @@ class TestCnRoundTrip:
         assert cn.symbols.tolist() == [0, 2] and cn.scores.tolist() == [0.5, 0.25]
         assert cn.nulls.tolist() == [0.25]
 
+    @pytest.mark.parametrize("reader", [read_cn, reference_read_cn])
+    def test_rejects_normalized_network_of_another_total(self, reader):
+        text = "# confusion-network v1\nnormalized true\ntotal 7.5\nsets 1\nset a 1.0\n"
+        with pytest.raises(ValidationError, match="a normalized network totals 1.0, got 7.5"):
+            reader(io.StringIO(text), V)
+
+    # V's blank is 3; 4 and 9 are out of range, and -1 would index from the end
+    @pytest.mark.parametrize("symbol", [3, 4, 9, -1])
+    def test_write_rejects_a_symbol_read_cn_would_not_take(self, symbol, tmp_path):
+        cn = ConfusionNetwork((ConfusionSet({0: 1.0}), ConfusionSet({1: 0.5, symbol: 0.25}, 0.25)))
+        path = tmp_path / "out.cn"
+        with pytest.raises(ValidationError, match=f"set 1 contains an invalid symbol {symbol}"):
+            write_cn(path, cn, V)
+        assert not path.exists()
+
     def test_rejects_raw_set_that_misses_the_total(self):
         text = "# confusion-network v1\nnormalized false\ntotal 0.5\nsets 1\nset a 3.0\n"
         with pytest.raises(ValidationError, match="sums to 3.0, expected 0.5"):
@@ -408,6 +423,34 @@ class TestNbestRoundTrip:
         seg, nbest = back[0]
         assert seg is None
         assert nbest.entries[0] == (Labeling((0, 1)), 0.75)
+
+    @pytest.mark.parametrize("text", [
+        "# nbest v1\n0.75 a b\n0.25 a\n",
+        "# nbest v1\n1.0 a\nsegment 1 3 unconfident\n0.5 b\n0.25 <space>\n",
+    ])
+    def test_headerless_group_writes_back_as_read(self, text):
+        buf = io.StringIO()
+        write_nbest(buf, read_nbest(io.StringIO(text), V), V)
+        assert buf.getvalue() == text
+
+    def test_write_rejects_a_later_group_without_a_segment(self):
+        # read_nbest would fold its entries into the group before it
+        nbest = NBestList(((Labeling((0,)), 1.0),))
+        with pytest.raises(ValidationError, match="n-best group 1 has no segment"):
+            write_nbest(io.StringIO(), [(Segment(0, 2, confident=True), nbest), (None, nbest)], V)
+
+    # V's blank is 3; 4 and 9 are out of range
+    @pytest.mark.parametrize("symbol", [3, 4, 9])
+    def test_write_rejects_a_symbol_read_nbest_would_not_take(self, symbol, tmp_path):
+        groups = [
+            (Segment(0, 2, confident=True), NBestList(((Labeling((0,)), 1.0),))),
+            (Segment(2, 5, confident=False),
+             NBestList(((Labeling((1,)), 0.5), (Labeling((0, symbol)), 0.25)))),
+        ]
+        path = tmp_path / "out.nbest"
+        with pytest.raises(ValidationError, match=f"group 1 variant 1 contains an invalid symbol {symbol}"):
+            write_nbest(path, groups, V)
+        assert not path.exists()
 
     def test_empty_labeling_entry(self):
         text = "# nbest v1\n1.0\n"
