@@ -173,8 +173,7 @@ def _read_cns_union(paths: list[str]) -> tuple[list[ConfusionNetwork], Vocabular
     texts = []
     union: dict[str, None] = {}  # ordered set of display strings
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            texts.append(fh.read())
+        texts.append("\n".join(formats._read_lines(path)))
         _, v, _ = formats.read_cn(StringIO(texts[-1]))
         union.update((s, None) for i, s in enumerate(v.symbols) if i != v.blank)
     vocab = Vocabulary(tuple(union) + (formats.BLANK_TOKEN,), blank_index=len(union))

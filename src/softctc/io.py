@@ -1,22 +1,21 @@
-"""Text formats for posteriors, confusion networks, n-best lists, and targets.
+"""Text formats for posteriors, confusion networks and n-best lists.
 
 All numbers are written with shortest round-trip formatting, so parse(write(x))
 reproduces x bit for bit and serialized output is byte-identical across runs.
 Symbols are display strings; ``<blank>``, ``<null>``, and ``<space>`` are the
 only reserved tokens.  A network is read into its flat arrays and
 written from them; a ``set`` line may name each symbol and ``<null>`` once.
+Every writer checks and renders its whole file before it writes, so a writer
+that raises has created no file and written nothing to a stream.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io as _io
 import itertools
-from typing import ContextManager, Iterable, TextIO
+from typing import Iterable
 
 import numpy as np
 
-from .compiler import CompiledTarget
 from .confusion import ConfusionNetwork
 from .decoding import Segment
 from .types import (
@@ -37,7 +36,6 @@ UNUSED_SYMBOL = "<unused>"
 POSTERIOR_MAGIC = "# posteriors v1"
 CN_MAGIC = "# confusion-network v1"
 NBEST_MAGIC = "# nbest v1"
-TARGET_MAGIC = "# compiled-target v1"
 
 
 def _fmt(x: float) -> str:
@@ -58,11 +56,14 @@ def _token_symbol(token: str) -> str:
     return " " if token == SPACE_TOKEN else token
 
 
-def _writing(path_or_file) -> ContextManager[TextIO]:
-    """A path opened for writing; a file given as such is left open."""
+def _write(path_or_file, lines: list[str]) -> None:
+    """The lines, each ending in a newline, in one write; a file given as such is left open."""
+    text = "\n".join(lines) + "\n"
     if hasattr(path_or_file, "write"):
-        return contextlib.nullcontext(path_or_file)
-    return open(path_or_file, "w", encoding="utf-8")
+        path_or_file.write(text)
+    else:
+        with open(path_or_file, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _first_invalid(symbols: Iterable[int], v: Vocabulary) -> int | None:
@@ -99,15 +100,8 @@ def write_gradient(path_or_file, grad: np.ndarray, v: Vocabulary) -> None:
 def _write_matrix(path_or_file, magic: str, arr: np.ndarray, v: Vocabulary) -> None:
     if arr.shape[1] != len(v):
         raise ValidationError("matrix width does not match vocabulary")
-    with _writing(path_or_file) as fh:
-        fh.write(magic + "\n")
-        tokens = [
-            BLANK_TOKEN if i == v.blank else _symbol_token(s)
-            for i, s in enumerate(v.symbols)
-        ]
-        fh.write(" ".join(tokens) + "\n")
-        for row in arr:
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+    tokens = [BLANK_TOKEN if i == v.blank else _symbol_token(s) for i, s in enumerate(v.symbols)]
+    _write(path_or_file, [magic, " ".join(tokens)] + [" ".join(_fmt(x) for x in row) for row in arr])
 
 
 def read_posteriors(path_or_file) -> tuple[PosteriorMatrix, Vocabulary]:
@@ -117,6 +111,8 @@ def read_posteriors(path_or_file) -> tuple[PosteriorMatrix, Vocabulary]:
     tokens = body[0].split()
     if tokens.count(BLANK_TOKEN) != 1:
         raise ValidationError(f"header must contain {BLANK_TOKEN} exactly once")
+    if NULL_TOKEN in tokens:
+        raise ValidationError(f"header may not contain {NULL_TOKEN}")
     blank_index = tokens.index(BLANK_TOKEN)
     symbols = tuple(
         BLANK_TOKEN if i == blank_index else _token_symbol(t)
@@ -154,17 +150,15 @@ def write_cn(
         at = int(np.searchsorted(cn.offsets, symbols.index(bad), side="right")) - 1
         raise ValidationError(f"set {at} contains an invalid symbol {bad}")
     tokens = {sym: _symbol_token(v.symbols[sym]) for sym in distinct}
-    with _writing(path_or_file) as fh:
-        fh.write(CN_MAGIC + "\n")
-        fh.write(f"normalized {'true' if cn.normalized else 'false'}\n")
-        fh.write(f"total {_fmt(cn.total_score)}\n")
-        for key in sorted(meta):
-            fh.write(f"{key} {meta[key]}\n")
-        fh.write(f"sets {len(cn)}\n")
-        entries = [f"{tokens[sym]} {x!r}" for sym, x in zip(symbols, scores)]
-        for a, b, null in zip(offsets, offsets[1:], nulls):
-            tail = f" {NULL_TOKEN} {null!r}\n" if null > 0.0 else "\n"
-            fh.write("set " + " ".join(entries[a:b]) + tail)
+    entries = [f"{tokens[sym]} {x!r}" for sym, x in zip(symbols, scores)]
+    lines = [CN_MAGIC, f"normalized {'true' if cn.normalized else 'false'}", f"total {_fmt(cn.total_score)}"]
+    lines += [f"{key} {meta[key]}" for key in sorted(meta)]
+    lines.append(f"sets {len(cn)}")
+    lines += [
+        "set " + " ".join(entries[a:b]) + (f" {NULL_TOKEN} {null!r}" if null > 0.0 else "")
+        for a, b, null in zip(offsets, offsets[1:], nulls)
+    ]
+    _write(path_or_file, lines)
 
 
 def read_cn(
@@ -297,10 +291,13 @@ def write_nbest(
 ) -> None:
     """Write n-best groups; a leading group without a segment is written without a header.
 
-    A later group without one raises ValidationError, as read_nbest would fold
-    it into the group before it.
+    No groups, or a later group without a segment, raises ValidationError:
+    read_nbest would reject the first and fold the second into the group
+    before it.
     """
     groups = list(groups)
+    if not groups:
+        raise ValidationError("no n-best groups to write")
     for g, (seg, nbest) in enumerate(groups):
         if seg is None and g > 0:
             raise ValidationError(f"n-best group {g} has no segment, and only the first may lack one")
@@ -308,15 +305,14 @@ def write_nbest(
             bad = _first_invalid(labeling, v)
             if bad is not None:
                 raise ValidationError(f"group {g} variant {i} contains an invalid symbol {bad}")
-    with _writing(path_or_file) as fh:
-        fh.write(NBEST_MAGIC + "\n")
-        for seg, nbest in groups:
-            if seg is not None:
-                kind = "confident" if seg.confident else "unconfident"
-                fh.write(f"segment {seg.start} {seg.end} {kind}\n")
-            for labeling, weight in nbest:
-                tokens = [_symbol_token(v.symbols[s]) for s in labeling]
-                fh.write(" ".join([_fmt(weight)] + tokens) + "\n")
+    lines = [NBEST_MAGIC]
+    for seg, nbest in groups:
+        if seg is not None:
+            kind = "confident" if seg.confident else "unconfident"
+            lines.append(f"segment {seg.start} {seg.end} {kind}")
+        for labeling, weight in nbest:
+            lines.append(" ".join([_fmt(weight)] + [_symbol_token(v.symbols[s]) for s in labeling]))
+    _write(path_or_file, lines)
 
 
 def read_nbest(
@@ -357,23 +353,3 @@ def read_nbest(
         raise ValidationError("n-best file has no entries")
     return out
 
-
-def dump_target(target: CompiledTarget, v: Vocabulary) -> str:
-    """Deterministic listing of a compiled target for golden comparisons."""
-    out = _io.StringIO()
-    out.write(TARGET_MAGIC + "\n")
-    out.write(f"states {target.num_states}\n")
-    for s in range(target.num_states):
-        role = "blank" if target.is_blank[s] else "letter"
-        sym = target.state_symbols[s]
-        token = BLANK_TOKEN if sym == v.blank else _symbol_token(v.symbols[sym])
-        out.write(f"state {s} group {target.group_index[s]} {role} {token}\n")
-    for name, vec in (("alpha", target.alpha_hat), ("beta", target.beta_hat)):
-        for s in np.flatnonzero(vec):
-            out.write(f"{name} {s} {_fmt(vec[s])}\n")
-    coo = target.transition.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    out.write(f"edges {coo.nnz}\n")
-    for i in order:
-        out.write(f"edge {coo.row[i]} {coo.col[i]} {_fmt(coo.data[i])}\n")
-    return out.getvalue()

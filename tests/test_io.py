@@ -13,11 +13,9 @@ from softctc import (
     Segment,
     ValidationError,
     Vocabulary,
-    compile_cn,
     trivial_cn,
 )
 from softctc.io import (
-    dump_target,
     read_cn,
     read_nbest,
     read_posteriors,
@@ -36,6 +34,16 @@ def roundtrip_cn(cn, v, meta=None):
     write_cn(buf, cn, v, meta)
     buf.seek(0)
     return read_cn(buf, v)
+
+
+def assert_writes_nothing(write, tmp_path, match):
+    """``write(out)`` raises, leaving no file at a path and nothing in a stream."""
+    path, buf = tmp_path / "out", io.StringIO()
+    for out in (path, buf):
+        with pytest.raises(ValidationError, match=match):
+            write(out)
+    assert not path.exists()
+    assert buf.getvalue() == ""
 
 
 class TestPosteriorRoundTrip:
@@ -93,6 +101,13 @@ class TestPosteriorRoundTrip:
         with pytest.raises(ValidationError):
             read_posteriors(io.StringIO("# posteriors v1\na <blank>\n"))
 
+    def test_rejects_the_null_token_in_the_header(self):
+        # no writer takes such a vocabulary, and a network naming it could not
+        # be told from null mass
+        text = "# posteriors v1\na <null> <blank>\n0.2 0.3 0.5\n"
+        with pytest.raises(ValidationError, match="<null>"):
+            read_posteriors(io.StringIO(text))
+
 
 class TestCnRoundTrip:
     def test_normalized_network_round_trips(self):
@@ -148,12 +163,9 @@ class TestCnRoundTrip:
         {"": "x"}, {"two words": "x"}, {"tab\tkey": "x"}, {"#note": "x"},
         {"note": "two\nlines"}, {"note": "two\rlines"}, {"note": " padded"}, {"note": "x\t"},
     ])
-    def test_write_rejects_metadata_that_would_not_read_back(self, meta):
+    def test_write_rejects_metadata_that_would_not_read_back(self, meta, tmp_path):
         cn = ConfusionNetwork((ConfusionSet({0: 1.0}),), normalized=True)
-        buf = io.StringIO()
-        with pytest.raises(ValidationError, match="metadata"):
-            write_cn(buf, cn, V, {"line": "17", **meta})
-        assert buf.getvalue() == ""
+        assert_writes_nothing(lambda out: write_cn(out, cn, V, {"line": "17", **meta}), tmp_path, "metadata")
 
     def test_without_vocabulary_symbols_come_from_the_file(self):
         cn = ConfusionNetwork((ConfusionSet({0: 0.5, 2: 0.5}),), normalized=True)
@@ -281,10 +293,9 @@ class TestCnRoundTrip:
     @pytest.mark.parametrize("symbol", [3, 4, 9, -1])
     def test_write_rejects_a_symbol_read_cn_would_not_take(self, symbol, tmp_path):
         cn = ConfusionNetwork((ConfusionSet({0: 1.0}), ConfusionSet({1: 0.5, symbol: 0.25}, 0.25)))
-        path = tmp_path / "out.cn"
-        with pytest.raises(ValidationError, match=f"set 1 contains an invalid symbol {symbol}"):
-            write_cn(path, cn, V)
-        assert not path.exists()
+        assert_writes_nothing(
+            lambda out: write_cn(out, cn, V), tmp_path, f"set 1 contains an invalid symbol {symbol}"
+        )
 
     def test_rejects_raw_set_that_misses_the_total(self):
         text = "# confusion-network v1\nnormalized false\ntotal 0.5\nsets 1\nset a 3.0\n"
@@ -433,11 +444,15 @@ class TestNbestRoundTrip:
         write_nbest(buf, read_nbest(io.StringIO(text), V), V)
         assert buf.getvalue() == text
 
-    def test_write_rejects_a_later_group_without_a_segment(self):
+    def test_write_rejects_a_later_group_without_a_segment(self, tmp_path):
         # read_nbest would fold its entries into the group before it
         nbest = NBestList(((Labeling((0,)), 1.0),))
-        with pytest.raises(ValidationError, match="n-best group 1 has no segment"):
-            write_nbest(io.StringIO(), [(Segment(0, 2, confident=True), nbest), (None, nbest)], V)
+        groups = [(Segment(0, 2, confident=True), nbest), (None, nbest)]
+        assert_writes_nothing(lambda out: write_nbest(out, groups, V), tmp_path, "n-best group 1 has no segment")
+
+    def test_write_rejects_no_groups(self, tmp_path):
+        # read_nbest rejects a file with no entries
+        assert_writes_nothing(lambda out: write_nbest(out, [], V), tmp_path, "no n-best groups")
 
     # V's blank is 3; 4 and 9 are out of range
     @pytest.mark.parametrize("symbol", [3, 4, 9])
@@ -447,10 +462,9 @@ class TestNbestRoundTrip:
             (Segment(2, 5, confident=False),
              NBestList(((Labeling((1,)), 0.5), (Labeling((0, symbol)), 0.25)))),
         ]
-        path = tmp_path / "out.nbest"
-        with pytest.raises(ValidationError, match=f"group 1 variant 1 contains an invalid symbol {symbol}"):
-            write_nbest(path, groups, V)
-        assert not path.exists()
+        assert_writes_nothing(
+            lambda out: write_nbest(out, groups, V), tmp_path, f"group 1 variant 1 contains an invalid symbol {symbol}"
+        )
 
     def test_empty_labeling_entry(self):
         text = "# nbest v1\n1.0\n"
@@ -478,27 +492,17 @@ class TestNbestRoundTrip:
             read_nbest(io.StringIO(text), V)
 
 
-class TestDumpTarget:
-    def test_linear_chain_structure(self):
-        target = compile_cn(trivial_cn(Labeling((0,))), V)
-        text = dump_target(target, V)
-        lines = text.splitlines()
-        assert lines[0] == "# compiled-target v1"
-        assert lines[1] == "states 3"
-        assert "state 1 group 0 letter a" in lines
-        assert any(ln.startswith("edges ") for ln in lines)
-        # unit diagonal shows up as self edges
-        assert "edge 0 0 1.0" in lines
-        assert "edge 1 1 1.0" in lines
+# each writer on one frame or one line that uses symbol 1
+WRITERS = {
+    "posteriors": lambda out, v: write_posteriors(out, PosteriorMatrix(np.full((1, 3), 1 / 3)), v),
+    "gradient": lambda out, v: write_gradient(out, np.zeros((1, 3)), v),
+    "nbest": lambda out, v: write_nbest(out, [(None, NBestList(((Labeling((0, 1)), 1.0),)))], v),
+    "cn": lambda out, v: write_cn(out, trivial_cn(Labeling((0, 1))), v),
+}
 
-    def test_dump_is_deterministic(self):
-        cn = ConfusionNetwork(
-            (ConfusionSet({0: 0.6, 1: 0.4}), ConfusionSet({2: 0.9}, 0.1)),
-            normalized=True,
-        )
-        target = compile_cn(cn, V)
-        assert dump_target(target, V) == dump_target(target, V)
 
-    def test_blank_states_use_the_reserved_token(self):
-        target = compile_cn(trivial_cn(Labeling((0,))), V)
-        assert "<blank>" in dump_target(target, V)
+@pytest.mark.parametrize("symbol", ["b c", "<null>"])
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writers_refuse_a_symbol_no_reader_takes_back(writer, symbol, tmp_path):
+    v = Vocabulary(("a", symbol, "<blank>"), blank_index=2)
+    assert_writes_nothing(lambda out: WRITERS[writer](out, v), tmp_path, repr(symbol))

@@ -112,6 +112,30 @@ def test_oracle_imports_no_private_name():
     assert not _private_imports(Path(softctc.__file__).parent / "oracle.py")
 
 
+def _open_callers():
+    """``module.function`` of the innermost function around each ``open`` call under src/softctc."""
+    callers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            callers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(softctc.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
+    return callers
+
+
+def test_files_are_opened_in_one_place_each_way():
+    # a writer leaves no partial file only because it writes through io._write,
+    # after all of its checks; the oracle reads on its own, as it shares no
+    # helper with the readers it judges
+    assert set(_open_callers()) == {"io._write", "io._read_lines", "oracle.reference_read_cn"}
+
+
 def _resolve(module, name):
     """``module.name`` as an attribute or a submodule; None when neither exists."""
     if hasattr(module, name):
