@@ -10,7 +10,9 @@ nulls), and the transforms, network merging included, are array operations on
 them.  Per-set totals are exactly rounded and powers are Python's ``**``, so
 results match the per-set loops kept in :mod:`softctc.oracle` bit for bit.
 Only the n-best fold, whose networks hold a handful of sets, folds mutable
-per-set dicts.  All operations are pure; networks are never mutated in place.
+per-set dicts, and only it caches its alignments (see :func:`_fold_align`);
+:func:`levenshtein_align` and :func:`merge_cns` do not.  All operations are
+pure; networks are never mutated in place.
 """
 
 from __future__ import annotations
@@ -306,6 +308,30 @@ def levenshtein_align(a: Sequence[int], b: Sequence[int]) -> list[tuple[str, int
     return ops
 
 
+# how many equality patterns _fold_align keeps: a fold's hypotheses differ
+# from its best path by a few edits, so few distinct patterns occur and
+# they recur across lines (594 for the 10,653 alignments of the 96
+# benchmark pseudolabel lines)
+FOLD_ALIGN_CACHE = 2048
+
+
+def _fold_align(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[str, int, int], ...]:
+    """``levenshtein_align(a, b)``, cached by the pair's equality pattern.
+
+    The aligner only compares symbols for equality, so relabelling both
+    sides by first occurrence (across ``a`` then ``b``) keeps its result.
+    """
+    ids: dict[int, int] = {}
+    return _pattern_align(
+        tuple([ids.setdefault(s, len(ids)) for s in a]), tuple([ids.setdefault(s, len(ids)) for s in b])
+    )
+
+
+@functools.lru_cache(maxsize=FOLD_ALIGN_CACHE)
+def _pattern_align(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[str, int, int], ...]:
+    return tuple(levenshtein_align(a, b))
+
+
 @dataclass(slots=True)
 class _RawSet:
     """A mutable confusion set that takes ownership of ``alternatives``.
@@ -335,7 +361,7 @@ def _merge_hypothesis(
     positions = [i for i, s in enumerate(sets) if not s.null > s.best_score]
     out: list[_RawSet] = []
     ca = 0
-    for kind, i, j in levenshtein_align([sets[p].best for p in positions], labeling):
+    for kind, i, j in _fold_align([sets[p].best for p in positions], labeling):
         if kind == INSERT:
             sym = labeling[j]
             out.append(_RawSet({sym: weight}, total, sym, weight))
@@ -360,16 +386,16 @@ def _merge_hypothesis(
     return out
 
 
-def _fold(nbest: NBestList) -> tuple[list[_RawSet], float]:
-    """Raw sets and per-set total of an n-best list, folded by descending weight.
+def _fold(entries: Iterable[tuple[tuple[int, ...], float]]) -> tuple[list[_RawSet], float]:
+    """Raw sets and per-set total of (symbols, weight) hypotheses, folded by descending weight.
 
     The top hypothesis seeds one singleton set per symbol, and each following
-    one is merged in as a one-path network whose best path is its labeling.
+    one is merged in as a one-path network whose best path is its symbols.
     """
-    (top, total), *rest = sorted(nbest.entries, key=lambda e: (-e[1], e[0].symbols))
+    (top, total), *rest = sorted(entries, key=lambda e: (-e[1], e[0]))
     sets = [_RawSet({s: total}, 0.0, s, total) for s in top]
-    for labeling, weight in rest:
-        sets = _merge_hypothesis(sets, total, labeling.symbols, weight)
+    for symbols, weight in rest:
+        sets = _merge_hypothesis(sets, total, symbols, weight)
         total += weight
     return sets, total
 
@@ -382,7 +408,7 @@ def build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
     best path and accumulated, and per-set normalization runs once at the end
     (skipped when ``normalize`` is false so networks can still be merged).
     """
-    sets, total = _fold(nbest)
+    sets, total = _fold([(labeling.symbols, weight) for labeling, weight in nbest])
     if normalize:
         return _normalized(*_flatten_sets(sets))
     return ConfusionNetwork._from_arrays(*_flatten_sets(sets), normalized=False, total_score=total)

@@ -6,6 +6,14 @@ weights are accumulated posterior mass and never exceed the true posterior
 of the labeling.  All unconfident segments of a line are searched as one
 batch, in lock step, so the frame loop runs as often as the longest segment
 is long.
+
+The search and the n-best fold pass hypotheses as plain (symbols tuple,
+weight) pairs.  :func:`decode_line` and :func:`prefix_beam_search` wrap
+them into checked ``Labeling`` and ``NBestList`` objects, while
+:func:`decode_to_cn` builds none.  The fold aligns each hypothesis with the
+network's best path through a cache keyed by the pair's equality pattern
+(symbols renumbered by first occurrence across both sides), bounded at
+``confusion.FOLD_ALIGN_CACHE`` entries.
 """
 
 from __future__ import annotations
@@ -64,8 +72,12 @@ class Segment:
             raise ValidationError(f"bad segment bounds [{self.start}, {self.end})")
 
 
-def _collapse(path: np.ndarray, starts: Sequence[int], blank: int) -> list[Labeling]:
-    """Greedy labelings of the runs of an argmax ``path`` that begin at ``starts``.
+# a decoder hypothesis: its symbols and its weight
+_Hypothesis = tuple[tuple[int, ...], float]
+
+
+def _collapse(path: np.ndarray, starts: Sequence[int], blank: int) -> list[tuple[int, ...]]:
+    """Greedy symbols of the runs of an argmax ``path`` that begin at ``starts``.
 
     Each run ends where the next begins, the last at the end of the path.
     Repeats merge within a run, never across a run start; then blanks drop.
@@ -77,12 +89,12 @@ def _collapse(path: np.ndarray, starts: Sequence[int], blank: int) -> list[Label
     kept = np.flatnonzero(keep & (path != blank))
     bounds = np.searchsorted(kept, list(starts) + [path.shape[0]]).tolist()
     symbols = path[kept].tolist()
-    return [Labeling(tuple(symbols[a:b])) for a, b in zip(bounds, bounds[1:])]
+    return [tuple(symbols[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def greedy_decode(y: PosteriorMatrix, v: Vocabulary) -> Labeling:
     """Best path decode: frame-wise argmax, collapse repeats, drop blanks."""
-    return _collapse(np.argmax(y.frames, axis=1), [0], v.blank)[0]
+    return Labeling(_collapse(np.argmax(y.frames, axis=1), [0], v.blank)[0])
 
 
 class _Trie:
@@ -177,7 +189,7 @@ def _break_ties(
 
 def _beam_batch(
     frames: np.ndarray, spans: Sequence[tuple[int, int]], blank: int, beam_size: int
-) -> list[NBestList]:
+) -> list[list[_Hypothesis]]:
     """:func:`prefix_beam_search` of every frame span ``[start, end)`` of ``frames``, in lock step.
 
     Frame ``t`` of every span still running is one (spans, slots, vocabulary)
@@ -294,11 +306,9 @@ def _beam_batch(
         # check_decoder_input lets rows sum to 1 + ROW_TOL as rounding, which
         # compounds over the frames: a mass past 1 is read as 1
         weights = [(p, min(math.exp(lm), 1.0)) for p, lm in scored]
-        entries = [(Labeling(p), w) for p, w in weights if w > 0.0]
-        if not entries:
-            # all mass underflowed; keep the top prefix with a representable weight
-            entries = [(Labeling(scored[0][0]), 5e-324)]
-        out.append(NBestList(tuple(entries)))
+        entries = [(p, w) for p, w in weights if w > 0.0]
+        # if all mass underflowed, keep the top prefix with a representable weight
+        out.append(entries or [(scored[0][0], 5e-324)])
     return out
 
 
@@ -327,7 +337,11 @@ def prefix_beam_search(y: PosteriorMatrix, v: Vocabulary, beam_size: int) -> NBe
     if beam_size < 1:
         raise ValidationError("beam size must be at least 1")
     check_decoder_input(y, v)
-    return _beam_batch(y.frames, [(0, y.num_frames)], v.blank, beam_size)[0]
+    return _nbest_list(_beam_batch(y.frames, [(0, y.num_frames)], v.blank, beam_size)[0])
+
+
+def _nbest_list(hypotheses: list[_Hypothesis]) -> NBestList:
+    return NBestList(tuple((Labeling(symbols), weight) for symbols, weight in hypotheses))
 
 
 def segment_line(y: PosteriorMatrix, v: Vocabulary, threshold: float = 0.99) -> list[Segment]:
@@ -386,6 +400,24 @@ def decode_line(
     product is floored at the smallest normal double, so a line whose
     confidence underflows keeps its per-set proportions.
     """
+    segments, hypotheses, network = _decode(y, v, cfg, normalize)
+    return DecodedLine(segments, tuple(map(_nbest_list, hypotheses)), network)
+
+
+def decode_to_cn(
+    y: PosteriorMatrix, v: Vocabulary, cfg: DecodeConfig, normalize: bool = True
+) -> ConfusionNetwork:
+    """Decode a line into a confusion network; see :func:`decode_line`.
+
+    The same decode, without building the n-best lists as objects.
+    """
+    return _decode(y, v, cfg, normalize)[2]
+
+
+def _decode(
+    y: PosteriorMatrix, v: Vocabulary, cfg: DecodeConfig, normalize: bool
+) -> tuple[tuple[Segment, ...], list[list[_Hypothesis]], ConfusionNetwork]:
+    """:func:`decode_line` on plain hypotheses: segments, each one's hypotheses, network."""
     check_decoder_input(y, v)
     frames = y.frames
     if cfg.strategy == "full":
@@ -393,24 +425,23 @@ def decode_line(
     else:
         segments = tuple(segment_line(y, v, cfg.confidence))
     greedy = _collapse(np.argmax(frames, axis=1), [seg.start for seg in segments], v.blank)
-    nbests = [NBestList(((labeling, 1.0),)) for labeling in greedy]
+    hypotheses = [[(symbols, 1.0)] for symbols in greedy]
     doubtful = [i for i, seg in enumerate(segments) if not seg.confident]
     spans = [(segments[i].start, segments[i].end) for i in doubtful]
-    for i, nbest in zip(doubtful, _beam_batch(frames, spans, v.blank, cfg.beam_size) if spans else []):
-        if not any(lab.symbols == greedy[i].symbols for lab, _ in nbest):
+    for i, beam in zip(doubtful, _beam_batch(frames, spans, v.blank, cfg.beam_size) if spans else []):
+        if not any(symbols == greedy[i] for symbols, _ in beam):
             # the beam pruned the greedy labeling mid-segment: list it with its
             # argmax-path mass, a valid under-estimate of its posterior
             peak = np.max(frames[segments[i].start : segments[i].end], axis=1)
-            weight = min(max(float(np.prod(peak)), 5e-324), 1.0)
-            nbest = NBestList(nbest.entries + ((greedy[i], weight),))
-        nbests[i] = nbest
+            beam.append((greedy[i], min(max(float(np.prod(peak)), 5e-324), 1.0)))
+        hypotheses[i] = beam
     # a confident segment is the one-entry list of weight 1: singleton sets
-    folds = [_fold(nbest) for nbest in nbests]
+    folds = [_fold(h) for h in hypotheses]
     offsets, symbols, scores, nulls = _flatten_sets([s for sets, _ in folds for s in sets])
     if normalize:
         network = _normalized(offsets, symbols, scores, nulls)
     else:
-        masses = [nb.total_weight for seg, nb in zip(segments, nbests) if not seg.confident]
+        masses = [sum(w for _, w in h) for seg, h in zip(segments, hypotheses) if not seg.confident]
         line_confidence = max(float(np.prod(masses)) if masses else 1.0, np.finfo(float).tiny)
         # each segment's sets total its fold's mass: rescale them per set
         factor = np.repeat([line_confidence / t for _, t in folds], [len(f) for f, _ in folds])
@@ -418,11 +449,4 @@ def decode_line(
         network = ConfusionNetwork._from_arrays(
             offsets, symbols, scores, nulls * factor, normalized=False, total_score=line_confidence
         )
-    return DecodedLine(segments, tuple(nbests), network)
-
-
-def decode_to_cn(
-    y: PosteriorMatrix, v: Vocabulary, cfg: DecodeConfig, normalize: bool = True
-) -> ConfusionNetwork:
-    """Decode a line into a confusion network; see :func:`decode_line`."""
-    return decode_line(y, v, cfg, normalize).network
+    return segments, hypotheses, network

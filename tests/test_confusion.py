@@ -21,7 +21,7 @@ from softctc import (
     smooth,
     trivial_cn,
 )
-from softctc.confusion import _fsum_totals, levenshtein_align
+from softctc.confusion import _fold_align, _fsum_totals, _pattern_align, levenshtein_align
 from softctc.io import read_cn, write_cn
 from softctc.oracle import (
     enumerate_cn_strings,
@@ -174,6 +174,21 @@ class TestLevenshteinAlign:
             a = rng.integers(0, letters, size=n).tolist()
             b = rng.integers(0, letters, size=m).tolist()
             assert levenshtein_align(a, b) == reference_levenshtein_align(a, b), (a, b)
+
+    def test_the_fold_aligner_is_the_aligner_on_relabelled_pairs(self):
+        # the fold caches alignments by equality pattern: a relabelled copy of
+        # a pair reuses the pair's entry and still gets its own alignment
+        rng = np.random.default_rng(19)
+        _pattern_align.cache_clear()
+        for _ in range(2000):
+            letters = int(rng.integers(1, 5))
+            a, b = (rng.integers(0, letters, size=int(rng.integers(0, 9))).tolist() for _ in range(2))
+            assert list(_fold_align(a, b)) == levenshtein_align(a, b), (a, b)
+            relabel = rng.permutation(100)[:letters].tolist()
+            a, b = [relabel[s] for s in a], [relabel[s] for s in b]
+            hits = _pattern_align.cache_info().hits
+            assert list(_fold_align(a, b)) == levenshtein_align(a, b), (a, b)
+            assert _pattern_align.cache_info().hits == hits + 1
 
 
 class TestArrayNetwork:

@@ -32,6 +32,7 @@ from softctc import (
     soft_ctc_loss,
     validate_posteriors,
 )
+from softctc.confusion import _pattern_align
 from softctc.decoding import _beam_batch
 from softctc.oracle import oracle_softctc, reference_build_cn, reference_prefix_beam_search
 
@@ -186,6 +187,11 @@ class TestAgainstReferenceBeamSearch:
         assert_same_nbest(nbest, reference_prefix_beam_search(y, v, 3))
 
 
+def as_nbest(hypotheses):
+    """The plain (symbols, weight) hypotheses of ``_beam_batch`` as a checked n-best list."""
+    return NBestList(tuple((Labeling(symbols), weight) for symbols, weight in hypotheses))
+
+
 def beam_batches(rng, count):
     """Random (posteriors, spans, vocabulary, beam) batches for the lock-step search.
 
@@ -229,7 +235,8 @@ class TestBatchedBeamSearch:
         for frames, spans, v, beam in beam_batches(rng, 120):
             got = _beam_batch(frames, spans, v.blank, beam)
             assert len(got) == len(spans)
-            for (start, end), nbest in zip(spans, got):
+            for (start, end), hypotheses in zip(spans, got):
+                nbest = as_nbest(hypotheses)
                 part = PosteriorMatrix(frames[start:end])
                 if end - start < 1000:
                     assert_same_nbest(nbest, reference_prefix_beam_search(part, v, beam))
@@ -246,8 +253,10 @@ class TestBatchedBeamSearch:
             [rng.dirichlet(np.ones(6), size=4), rng.dirichlet(np.ones(6), size=1000), np.full((3, 6), 1 / 6)]
         )
         spans = [(0, 4), (4, 1004), (1004, 1007)]
-        for (start, end), nbest in zip(spans, _beam_batch(frames, spans, v.blank, 3)):
-            assert_same_nbest(nbest, reference_prefix_beam_search(PosteriorMatrix(frames[start:end]), v, 3))
+        for (start, end), hypotheses in zip(spans, _beam_batch(frames, spans, v.blank, 3)):
+            assert_same_nbest(
+                as_nbest(hypotheses), reference_prefix_beam_search(PosteriorMatrix(frames[start:end]), v, 3)
+            )
 
     def test_decode_line_runs_one_selection_per_frame_of_its_longest_segment(self, monkeypatch):
         # three unconfident segments of 3, 5 and 2 frames between confident blanks
@@ -653,6 +662,60 @@ class TestDecodeLineFoldsLikeTheReference:
             cfg = DecodeConfig(beam_size=int(rng.choice([1, 2, 4, 8])), strategy="full" if n % 5 == 0 else "partial")
             decoded = decode_line(PosteriorMatrix(np.array(rows)), v, cfg, normalize)
             assert network_bits(decoded.network) == network_bits(reference_decoded_network(decoded, normalize))
+
+
+V5 = Vocabulary.from_characters("abcde")
+
+
+def bursty_lines(rng, count):
+    """(posteriors, beam) pairs over ``V5``: ambiguous bursts between
+    confident symbols and confident blanks, so lines hold several doubtful
+    segments whose beams differ from their best paths by a few edits."""
+    for _ in range(count):
+        rows = [np.eye(6)[V5.blank]]
+        for _ in range(int(rng.integers(1, 6))):
+            rows.extend(rng.dirichlet(np.full(6, 0.4), size=int(rng.integers(1, 7))))
+            rows.append(np.eye(6)[int(rng.integers(0, 5))] * 0.9952 + 0.0008)
+            rows.append(np.eye(6)[V5.blank])
+        yield PosteriorMatrix(np.array(rows)), int(rng.choice([1, 2, 4, 8, 16]))
+
+
+class TestDecodeToCnFoldsPlainHypotheses:
+    @pytest.mark.parametrize("strategy", ["partial", "full"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_is_the_network_of_decode_line(self, strategy, normalize):
+        rng = np.random.default_rng(227)
+        for y, beam in bursty_lines(rng, 40):
+            cfg = DecodeConfig(beam_size=beam, strategy=strategy)
+            got = decode_to_cn(y, V5, cfg, normalize)
+            assert network_bits(got) == network_bits(decode_line(y, V5, cfg, normalize).network)
+
+    def test_builds_no_labeling_or_nbest_list(self, monkeypatch):
+        built = []
+        for cls in (Labeling, NBestList):
+            monkeypatch.setattr(
+                cls, "__post_init__", lambda self, _f=cls.__post_init__: built.append(type(self)) or _f(self)
+            )
+        lines = list(bursty_lines(np.random.default_rng(229), 10))
+        for y, beam in lines:
+            for strategy in ("partial", "full"):
+                for normalize in (True, False):
+                    decode_to_cn(y, V5, DecodeConfig(beam_size=beam, strategy=strategy), normalize)
+        assert built == []
+        # the patched constructors do count what decode_line wraps
+        decode_line(lines[0][0], V5, DecodeConfig(beam_size=lines[0][1]))
+        assert Labeling in built and NBestList in built
+
+    def test_a_cold_and_a_warm_fold_cache_give_the_same_networks(self):
+        cfgs = [(y, DecodeConfig(beam_size=beam)) for y, beam in bursty_lines(np.random.default_rng(233), 30)]
+        _pattern_align.cache_clear()
+        cold = [network_bits(decode_to_cn(y, V5, cfg, normalize=False)) for y, cfg in cfgs]
+        filled = _pattern_align.cache_info()
+        assert 0 < filled.currsize < filled.maxsize
+        warm = [network_bits(decode_to_cn(y, V5, cfg, normalize=False)) for y, cfg in cfgs]
+        again = _pattern_align.cache_info()
+        assert again.misses == filled.misses and again.hits > filled.hits
+        assert warm == cold
 
 
 def assert_scores_like_the_oracle(y, cn, v):
