@@ -311,7 +311,9 @@ def levenshtein_align(a: Sequence[int], b: Sequence[int]) -> list[tuple[str, int
 # how many equality patterns _fold_align keeps: a fold's hypotheses differ
 # from its best path by a few edits, so few distinct patterns occur and
 # they recur across lines (594 for the 10,653 alignments of the 96
-# benchmark pseudolabel lines)
+# benchmark pseudolabel lines); a miss costs about 1.5x an uncached
+# alignment of such short pairs, so the cache pays once over about 41 %
+# of alignments repeat (timings in CHANGES.md)
 FOLD_ALIGN_CACHE = 2048
 
 

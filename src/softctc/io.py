@@ -169,8 +169,7 @@ def read_cn(
     Without a vocabulary, one is synthesized from the symbols in order of
     first appearance with a blank appended, which suffices for symbol-opaque
     transforms; a network with no sets gets ``UNUSED_SYMBOL`` and the blank.
-    A set naming ``<blank>`` is refused either way, as is one naming the
-    vocabulary's blank.  Returns (network, vocabulary, metadata).
+    Returns (network, vocabulary, metadata).
     """
     body = _content_lines(_read_lines(path_or_file), CN_MAGIC, "confusion network")
     meta: dict[str, str] = {}
@@ -242,18 +241,16 @@ def _parse_sets(
         faulty[line_of[[not _parses(t) for t in texts]]] = True
     names = dict.fromkeys(tokens)
     names.pop(NULL_TOKEN, None)
-    names.pop(BLANK_TOKEN, None)
     if v is None:
         ids = {tok: i for i, tok in enumerate(names)}
-        blank = -2
     else:
         index = {s: i for i, s in enumerate(v.symbols)}
         # an unknown symbol is a fault like the blank
         ids = {tok: index.get(_token_symbol(tok), v.blank) for tok in names}
-        blank = v.blank
-    ids[NULL_TOKEN], ids[BLANK_TOKEN] = -1, blank
+    ids[NULL_TOKEN] = -1
     keys = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    faulty[line_of[keys == blank]] = True
+    if v is not None:
+        faulty[line_of[keys == v.blank]] = True
     order = np.lexsort((keys, line_of))
     keys, line_of = keys[order], line_of[order]
     faulty[line_of[1:][(np.diff(keys) == 0) & (np.diff(line_of) == 0)]] = True
@@ -278,11 +275,12 @@ def _raise_set_line_fault(line_no: int, tokens: list[str], v: Vocabulary | None)
     for tok, val in zip(tokens[::2], tokens[1::2]):
         if not _parses(val):
             raise ValidationError(f"set line {line_no}: bad value {val!r}")
-        display, checked = _token_symbol(tok), v is not None and tok != NULL_TOKEN
-        if tok == BLANK_TOKEN or (checked and index.get(display) == v.blank):
-            raise ValidationError(f"set line {line_no}: confusion sets may not contain the blank")
-        if checked and display not in index:
-            raise ValidationError(f"symbol {display!r} not in vocabulary")
+        if v is not None and tok != NULL_TOKEN:
+            display = _token_symbol(tok)
+            if display not in index:
+                raise ValidationError(f"symbol {display!r} not in vocabulary")
+            if index[display] == v.blank:
+                raise ValidationError("confusion sets may not contain the blank")
         if tok in seen:
             raise ValidationError(f"set line {line_no}: repeated {tok!r}")
         seen.add(tok)

@@ -434,16 +434,14 @@ def reference_read_cn(
     local_symbols: list[str] = []
     index = {} if v is None else {s: i for i, s in enumerate(v.symbols)}
 
-    def resolve(token: str, line_no: int) -> int:
+    def resolve(token: str) -> int:
         display = " " if token == SPACE_TOKEN else token
-        if token == BLANK_TOKEN:
-            raise ValidationError(f"set line {line_no}: confusion sets may not contain the blank")
         if v is not None:
             if display not in index:
                 raise ValidationError(f"symbol {display!r} not in vocabulary")
             sym = index[display]
             if sym == v.blank:
-                raise ValidationError(f"set line {line_no}: confusion sets may not contain the blank")
+                raise ValidationError("confusion sets may not contain the blank")
             return sym
         if display not in index:
             index[display] = len(local_symbols)
@@ -461,7 +459,7 @@ def reference_read_cn(
                 value = float(val)
             except ValueError:
                 raise ValidationError(f"set line {line_no}: bad value {val!r}") from None
-            key = -1 if tok == NULL_TOKEN else resolve(tok, line_no)
+            key = -1 if tok == NULL_TOKEN else resolve(tok)
             if key in entries:
                 raise ValidationError(f"set line {line_no}: repeated {tok!r}")
             entries[key] = value

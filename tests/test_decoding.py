@@ -33,7 +33,7 @@ from softctc import (
     validate_posteriors,
 )
 from softctc.confusion import _pattern_align
-from softctc.decoding import _beam_batch
+from softctc.decoding import _beam_batch, _nbest_list
 from softctc.oracle import oracle_softctc, reference_build_cn, reference_prefix_beam_search
 
 VA = Vocabulary.from_characters("a")  # a=0, blank=1
@@ -187,11 +187,6 @@ class TestAgainstReferenceBeamSearch:
         assert_same_nbest(nbest, reference_prefix_beam_search(y, v, 3))
 
 
-def as_nbest(hypotheses):
-    """The plain (symbols, weight) hypotheses of ``_beam_batch`` as a checked n-best list."""
-    return NBestList(tuple((Labeling(symbols), weight) for symbols, weight in hypotheses))
-
-
 def beam_batches(rng, count):
     """Random (posteriors, spans, vocabulary, beam) batches for the lock-step search.
 
@@ -236,7 +231,7 @@ class TestBatchedBeamSearch:
             got = _beam_batch(frames, spans, v.blank, beam)
             assert len(got) == len(spans)
             for (start, end), hypotheses in zip(spans, got):
-                nbest = as_nbest(hypotheses)
+                nbest = _nbest_list(hypotheses)
                 part = PosteriorMatrix(frames[start:end])
                 if end - start < 1000:
                     assert_same_nbest(nbest, reference_prefix_beam_search(part, v, beam))
@@ -255,7 +250,7 @@ class TestBatchedBeamSearch:
         spans = [(0, 4), (4, 1004), (1004, 1007)]
         for (start, end), hypotheses in zip(spans, _beam_batch(frames, spans, v.blank, 3)):
             assert_same_nbest(
-                as_nbest(hypotheses), reference_prefix_beam_search(PosteriorMatrix(frames[start:end]), v, 3)
+                _nbest_list(hypotheses), reference_prefix_beam_search(PosteriorMatrix(frames[start:end]), v, 3)
             )
 
     def test_decode_line_runs_one_selection_per_frame_of_its_longest_segment(self, monkeypatch):
