@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-frac", type=float, required=True)
 
     p = sub.add_parser("bench", help="time the loss kernels on synthetic lines")
-    p.add_argument("--batch", type=int, action="append", default=None)
+    p.add_argument("--batch", type=int, default=16)
     p.add_argument("--beam", type=int, default=16)
     p.add_argument("--frames", type=int, default=250)
     p.add_argument("--vocab", type=int, default=100)
@@ -216,7 +216,7 @@ def cmd_filter(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = BenchConfig(
-        batch_sizes=tuple(args.batch or [16]),
+        batch=args.batch,
         beam=args.beam,
         frames=args.frames,
         vocab=args.vocab,

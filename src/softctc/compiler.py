@@ -19,15 +19,10 @@ from .types import NBestList, ValidationError, Vocabulary
 
 @dataclass(frozen=True, eq=False)
 class CompiledTarget:
-    """Sparse transition matrix plus boundary vectors, ready for the kernel.
-
-    ``group_index`` and ``is_blank`` describe each state for diagnostics.
-    """
+    """Sparse transition matrix plus boundary vectors, ready for the kernel."""
 
     transition: sp.csr_matrix
     state_symbols: np.ndarray
-    group_index: np.ndarray
-    is_blank: np.ndarray
     alpha_hat: np.ndarray
     beta_hat: np.ndarray
 
@@ -169,7 +164,7 @@ def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
     transition = sp.csr_matrix((vals, (rows, cols)), shape=(total_states, total_states))
     transition.sort_indices()
     alpha_hat, beta_hat = _boundary(epsilon, group_index, entry, is_blank)
-    return CompiledTarget(transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat)
+    return CompiledTarget(transition, state_symbols, alpha_hat, beta_hat)
 
 
 def compile_nbest(nbest: NBestList, v: Vocabulary) -> CompiledTarget:
@@ -207,11 +202,6 @@ def compile_nbest(nbest: NBestList, v: Vocabulary) -> CompiledTarget:
 
     state_symbols = np.full(total_states, v.blank, dtype=np.int64)
     state_symbols[letters] = symbols
-    is_blank = np.ones(total_states, dtype=bool)
-    is_blank[letters] = False
-    group_index = np.zeros(total_states, dtype=np.int64)
-    group_index[1:final_state] = np.repeat(np.arange(1, lengths.shape[0] + 1), spans)
-    group_index[final_state] = lengths.shape[0] + 1
 
     chained = lengths > 0
     firsts = bases[chained]
@@ -242,4 +232,4 @@ def compile_nbest(nbest: NBestList, v: Vocabulary) -> CompiledTarget:
     beta_hat = np.zeros(total_states)
     beta_hat[lasts] = 1.0
     beta_hat[final_state] = 1.0
-    return CompiledTarget(transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat)
+    return CompiledTarget(transition, state_symbols, alpha_hat, beta_hat)

@@ -243,14 +243,15 @@ def _parse_sets(
     names.pop(NULL_TOKEN, None)
     if v is None:
         ids = {tok: i for i, tok in enumerate(names)}
+        blank = ids.get(BLANK_TOKEN, len(names))  # without the blank token, an id no token has
     else:
         index = {s: i for i, s in enumerate(v.symbols)}
         # an unknown symbol is a fault like the blank
         ids = {tok: index.get(_token_symbol(tok), v.blank) for tok in names}
+        blank = v.blank
     ids[NULL_TOKEN] = -1
     keys = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    if v is not None:
-        faulty[line_of[keys == v.blank]] = True
+    faulty[line_of[keys == blank]] = True
     order = np.lexsort((keys, line_of))
     keys, line_of = keys[order], line_of[order]
     faulty[line_of[1:][(np.diff(keys) == 0) & (np.diff(line_of) == 0)]] = True
@@ -275,12 +276,16 @@ def _raise_set_line_fault(line_no: int, tokens: list[str], v: Vocabulary | None)
     for tok, val in zip(tokens[::2], tokens[1::2]):
         if not _parses(val):
             raise ValidationError(f"set line {line_no}: bad value {val!r}")
-        if v is not None and tok != NULL_TOKEN:
-            display = _token_symbol(tok)
-            if display not in index:
-                raise ValidationError(f"symbol {display!r} not in vocabulary")
-            if index[display] == v.blank:
-                raise ValidationError("confusion sets may not contain the blank")
+        if tok != NULL_TOKEN:
+            if v is None:
+                is_blank = tok == BLANK_TOKEN
+            else:
+                display = _token_symbol(tok)
+                if display not in index:
+                    raise ValidationError(f"symbol {display!r} not in vocabulary")
+                is_blank = index[display] == v.blank
+            if is_blank:
+                raise ValidationError(f"set line {line_no}: confusion sets may not contain the blank")
         if tok in seen:
             raise ValidationError(f"set line {line_no}: repeated {tok!r}")
         seen.add(tok)

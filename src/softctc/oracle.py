@@ -434,15 +434,17 @@ def reference_read_cn(
     local_symbols: list[str] = []
     index = {} if v is None else {s: i for i, s in enumerate(v.symbols)}
 
-    def resolve(token: str) -> int:
+    def resolve(token: str, line_no: int) -> int:
         display = " " if token == SPACE_TOKEN else token
         if v is not None:
             if display not in index:
                 raise ValidationError(f"symbol {display!r} not in vocabulary")
             sym = index[display]
             if sym == v.blank:
-                raise ValidationError("confusion sets may not contain the blank")
+                raise ValidationError(f"set line {line_no}: confusion sets may not contain the blank")
             return sym
+        if token == BLANK_TOKEN:
+            raise ValidationError(f"set line {line_no}: confusion sets may not contain the blank")
         if display not in index:
             index[display] = len(local_symbols)
             local_symbols.append(display)
@@ -459,7 +461,7 @@ def reference_read_cn(
                 value = float(val)
             except ValueError:
                 raise ValidationError(f"set line {line_no}: bad value {val!r}") from None
-            key = -1 if tok == NULL_TOKEN else resolve(tok)
+            key = -1 if tok == NULL_TOKEN else resolve(tok, line_no)
             if key in entries:
                 raise ValidationError(f"set line {line_no}: repeated {tok!r}")
             entries[key] = value
@@ -537,16 +539,11 @@ def reference_compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
     total_states = int(offsets[-1])
 
     state_symbols = np.full(total_states, v.blank, dtype=np.int64)
-    group_index = np.zeros(total_states, dtype=np.int64)
-    is_blank = np.ones(total_states, dtype=bool)
     for g, (letters, _, _) in enumerate(groups):
-        base = offsets[g]
-        group_index[base : base + sizes[g]] = g
         for j, (sym, _) in enumerate(letters):
             if not 0 <= sym < len(v) or sym == v.blank:
                 raise ValidationError(f"set {g} contains an invalid symbol {sym}")
-            state_symbols[base + 1 + j] = sym
-            is_blank[base + 1 + j] = False
+            state_symbols[offsets[g] + 1 + j] = sym
 
     rows: list[int] = []
     cols: list[int] = []
@@ -584,9 +581,7 @@ def reference_compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
     )
     transition.sort_indices()
     alpha_hat, beta_hat = _reference_initial_vectors(groups)
-    return CompiledTarget(
-        transition, state_symbols, group_index, is_blank, alpha_hat, beta_hat
-    )
+    return CompiledTarget(transition, state_symbols, alpha_hat, beta_hat)
 
 
 class ReferencePasses(NamedTuple):

@@ -242,16 +242,16 @@ def check_decoder_input(m: PosteriorMatrix, v: Vocabulary) -> None:
         raise RowNotNormalized(int(over[0]), float(totals[over[0]]))
 
 
-def validate_posteriors(m: PosteriorMatrix, v: Vocabulary, tol: float = ROW_TOL) -> None:
+def validate_posteriors(m: PosteriorMatrix, v: Vocabulary) -> None:
     """Check that ``m`` is a proper per-frame distribution over ``v``.
 
-    Raises ShapeMismatch, NonFiniteEntry, NegativeEntry (see
-    :func:`check_entries`), or RowNotNormalized; returns None when the matrix
-    is well formed.
+    Every row must sum to one within ``ROW_TOL``.  Raises ShapeMismatch,
+    NonFiniteEntry, NegativeEntry (see :func:`check_entries`), or
+    RowNotNormalized; returns None when the matrix is well formed.
     """
     check_entries(m, v)
     totals = m.frames.sum(axis=1)
-    bad = np.argwhere(np.abs(totals - 1.0) > tol)
+    bad = np.argwhere(np.abs(totals - 1.0) > ROW_TOL)
     if bad.size:
         t = int(bad[0][0])
         raise RowNotNormalized(t, float(totals[t]))

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from softctc import (
     trivial_cn,
 )
 from softctc import io as formats
-from softctc.cli import main
+from softctc.bench import BenchConfig
+from softctc.cli import build_parser, main
 
 V = Vocabulary.from_characters("ab")
 
@@ -432,10 +434,18 @@ class TestBenchCommand:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        for method in ("ctc", "multictc", "softctc", "compile"):
-            assert f"row method={method} batch=2" in out
+        assert "# batch=2 " in out
+        for method in ("ctc", "softctc", "compile"):
+            assert f"row method={method} " in out
         assert "ratio softctc/(beam*ctc)" in out
-        assert "ratio softctc/multictc" in out
+
+    def test_flags_are_exactly_the_config_fields(self):
+        # every BenchConfig knob has a flag and every flag feeds a knob, with
+        # the same defaults on both sides
+        args = vars(build_parser().parse_args(["bench"]))
+        del args["command"]
+        assert set(args) == {f.name for f in fields(BenchConfig)}
+        assert BenchConfig(**args) == BenchConfig()
 
     def test_rejects_tiny_dimensions(self):
         assert main(["bench", "--frames", "4"]) == 1

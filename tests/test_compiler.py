@@ -32,15 +32,22 @@ def cn_of(*sets):
     return ConfusionNetwork(tuple(ConfusionSet(a, n) for a, n in sets))
 
 
+def layout(target, v):
+    """(is_blank, group_index) per state of a compiled network: each group opens with its blank."""
+    is_blank = target.state_symbols == v.blank
+    return is_blank, np.cumsum(is_blank) - 1
+
+
 class TestSetWeights:
     def test_trivial_set(self):
         target = compile_cn(cn_of(({0: 1.0}, 0.0)), V3)
         # states: [#, a], [#]
+        is_blank, group_index = layout(target, V3)
         assert list(target.state_symbols) == [3, 0, 3]
-        assert list(target.group_index) == [0, 0, 1]
+        assert list(group_index) == [0, 0, 1]
         assert list(target.alpha_hat) == [1.0, 1.0, 0.0]  # epsilon 0, blank weight 1
         assert target.transition[0, 1] == 1.0
-        assert target.is_blank[-1] and target.beta_hat[-1] == 1.0  # the terminal group
+        assert is_blank[-1] and target.beta_hat[-1] == 1.0  # the terminal group
 
     def test_null_becomes_epsilon(self):
         alpha = compile_cn(cn_of(({0: 0.9}, 0.1)), V3).alpha_hat
@@ -85,7 +92,7 @@ class TestSetWeights:
         target = compile_cn(cn, v)
         # a group's blank weight: the first group's start weight, and the
         # others' arc from the previous group's first letter, which hops nothing
-        blanks = np.flatnonzero(target.is_blank)[:-1]
+        blanks = np.flatnonzero(layout(target, v)[0])[:-1]
         got = [target.alpha_hat[blanks[0]]]
         got += [target.transition[a + 1, b] for a, b in zip(blanks, blanks[1:])]
         assert got == [math.fsum(s.alternatives.values()) / s.total() for s in cn.sets]
@@ -123,8 +130,9 @@ class TestCompileStructure:
     def test_states_ordered_blank_first_per_group(self):
         target = compile_cn(cn_of(({0: 0.6, 1: 0.4}, 0.0), ({2: 1.0}, 0.0)), V3)
         # groups: [#, a, b], [#, c], [#]
-        assert list(target.is_blank) == [True, False, False, True, False, True]
-        assert list(target.group_index) == [0, 0, 0, 1, 1, 2]
+        is_blank, group_index = layout(target, V3)
+        assert list(is_blank) == [True, False, False, True, False, True]
+        assert list(group_index) == [0, 0, 0, 1, 1, 2]
         assert list(target.state_symbols) == [3, 0, 1, 3, 2, 3]
 
     def test_upper_triangular_unit_diagonal(self):
@@ -152,9 +160,10 @@ class TestCompileStructure:
                     )
                 )
             target = compile_cn(cn_of(*sets), V3)
+            is_blank, _ = layout(target, V3)
             a = target.transition.toarray()
             for s in range(target.num_states):
-                if not target.is_blank[s]:
+                if not is_blank[s]:
                     continue
                 off_diag = a[s].sum() - 1.0
                 if s == target.num_states - 1:
@@ -166,9 +175,10 @@ class TestCompileStructure:
         target = compile_cn(
             cn_of(({0: 0.5, 1: 0.3}, 0.2), ({1: 0.7}, 0.3), ({2: 1.0}, 0.0)), V3
         )
+        is_blank, _ = layout(target, V3)
         a = target.transition.toarray()
         for s in range(target.num_states):
-            if target.is_blank[s]:
+            if is_blank[s]:
                 continue
             assert a[s].sum() - 1.0 <= 2.0 + 1e-12
 
@@ -385,7 +395,7 @@ class TestMatchesReferenceCompiler:
             for name in ("indptr", "indices", "data")
         ] + [
             (name, getattr(got, name), getattr(want, name))
-            for name in ("state_symbols", "group_index", "is_blank", "alpha_hat", "beta_hat")
+            for name in ("state_symbols", "alpha_hat", "beta_hat")
         ]
         for name, a, b in pairs:
             assert a.dtype == b.dtype, name
@@ -452,7 +462,8 @@ class TestMatchesReferenceCompiler:
         target = self.assert_bitwise(cn, self.V)
         # no jump from the first two groups reaches past the unskippable third
         first_letter = 1
-        assert target.group_index[target.transition[first_letter].indices].max() == 2
+        group_index = layout(target, self.V)[1]
+        assert group_index[target.transition[first_letter].indices].max() == 2
 
     def test_long_chain_breaks_where_the_hop_underflows(self):
         cn = ConfusionNetwork(
@@ -461,7 +472,7 @@ class TestMatchesReferenceCompiler:
         target = self.assert_bitwise(cn, self.V)
         # 0.001**k reaches exactly 0.0 after about 108 skipped groups, long
         # before the chain ends, so the first letter's row stops there
-        reach = target.group_index[target.transition[1].indices].max()
+        reach = layout(target, self.V)[1][target.transition[1].indices].max()
         assert 100 < reach < 120
 
     def test_weight_underflowing_to_zero_is_left_out(self):
@@ -475,7 +486,7 @@ class TestMatchesReferenceCompiler:
         )
         target = self.assert_bitwise(cn, self.V)
         row = target.transition[1]
-        last_group = np.flatnonzero(target.group_index == 3)
+        last_group = np.flatnonzero(layout(target, self.V)[1] == 3)
         reached = set(row.indices[row.data > 0.0]) & set(last_group)
         assert reached == {last_group[0], last_group[2]}  # blank and symbol 3
         assert 0 < target.transition[1, last_group[2]] < 1e-300

@@ -289,6 +289,14 @@ class TestCnRoundTrip:
         with pytest.raises(ValidationError, match="a normalized network totals 1.0, got 7.5"):
             reader(io.StringIO(text), V)
 
+    # the blank is "<blank>" in a vocabulary read_cn makes and "#" in V
+    @pytest.mark.parametrize("reader", [read_cn, reference_read_cn])
+    @pytest.mark.parametrize("token, v", [("<blank>", None), ("#", V)], ids=["no vocabulary", "vocabulary"])
+    def test_rejects_the_blank_naming_its_line(self, reader, token, v):
+        text = f"# confusion-network v1\nset a 1.0\nset b 0.5 {token} 0.5\n"
+        with pytest.raises(ValidationError, match="^set line 2: confusion sets may not contain the blank$"):
+            reader(io.StringIO(text), v)
+
     # V's blank is 3; 4 and 9 are out of range, and -1 would index from the end
     @pytest.mark.parametrize("symbol", [3, 4, 9, -1])
     def test_write_rejects_a_symbol_read_cn_would_not_take(self, symbol, tmp_path):
@@ -312,7 +320,7 @@ FAULTS = {
     "unknown": "not in vocabulary",  # without a vocabulary, a new symbol
     "blank": "may not contain the blank",  # without one, a symbol or a clash
     "repeated": "repeated",  # a token named twice
-    "bad score": "must be",  # a value float() parses that a set rejects
+    "bad score": "and finite",  # a value float() parses that a set rejects
 }
 
 
@@ -389,19 +397,20 @@ class TestReadCnMatchesReference:
     def test_malformed_texts(self, v, fault_lines, faults_per_line):
         rng = np.random.default_rng(67 + 3 * fault_lines + faults_per_line)
         raised = dict.fromkeys(FAULTS, 0)
-        for _ in range(300):
+        # a bad score shows only when no line fails to parse, so without a
+        # vocabulary, where it is checked, three times as many texts are read
+        for _ in range(300 if v is not None else 900):
             text = rand_cn_text(rng, fault_lines, faults_per_line)
             got = read_outcome(read_cn, text, v)
             assert got == read_outcome(reference_read_cn, text, v), text
             for fault, message in FAULTS.items():
                 raised[fault] += not isinstance(got[0], list) and message in got[1]
-        # a bad score shows only when no line fails to parse, which against
-        # VP few texts manage; without a vocabulary, unknown symbols and "#"
-        # are symbols like any other
+        # against VP few texts parse far enough to show a bad score; without
+        # a vocabulary, unknown symbols and "#" are symbols like any other
         if v is not None:
             expected = ["unpaired", "bad value", "unknown", "blank", "repeated"]
         else:
-            expected = ["unpaired", "bad value", "repeated", "bad score"]
+            expected = ["unpaired", "bad value", "blank", "repeated", "bad score"]
         assert min(raised[fault] for fault in expected) >= 10, raised
         assert sum(raised.values()) >= 200, raised
 
