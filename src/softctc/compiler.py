@@ -19,7 +19,11 @@ from .types import NBestList, ValidationError, Vocabulary
 
 @dataclass(frozen=True, eq=False)
 class CompiledTarget:
-    """Sparse transition matrix plus boundary vectors, ready for the kernel."""
+    """Sparse transition matrix plus boundary vectors, ready for the kernel.
+
+    Every arc leads to the same or a later state: the kernel relies on it
+    and raises ValidationError on a transition with an arc to an earlier one.
+    """
 
     transition: sp.csr_matrix
     state_symbols: np.ndarray
@@ -54,33 +58,47 @@ def _boundary(
     return alpha, beta
 
 
-def _skip_pairs(
-    epsilon: np.ndarray, letter_counts: np.ndarray
+def _skip_runs(
+    epsilon: np.ndarray, sources: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(source group, destination group, hop) for every cross-group jump.
+    """Each source group's run length, the start of its slot of hops, and the hops.
 
-    ``hop`` is the skip mass of the groups strictly between the two.  All
-    source groups advance together one destination at a time, so each hop is
-    the same left-to-right product a per-source loop forms; a source stops
-    after the first destination that drives its hop to zero or at the last
-    group.
+    Source group g jumps to groups g + 1, g + 2, ... while the hop, the skip
+    mass of the groups strictly between, is nonzero, up to the last group;
+    its slot holds those hops in order, each the left-to-right product a
+    per-source loop forms.  Round k walks the next 2^k destinations of every
+    source still running, one ``np.multiply.accumulate`` row per source; a
+    source runs into round k only with a run of at least 2^k, so its slot of
+    2^(k+1) - 1 walked hops, zeros past its run included, holds fewer than
+    twice the hops it keeps.
     """
-    last = epsilon.shape[0] - 1
-    src = np.flatnonzero(letter_counts[:-1] > 0)
-    hop = np.ones(src.shape[0])
-    parts = []
-    hops = 1
-    while src.size:
-        dst = src + hops
-        parts.append((src, dst, hop))
-        hop = hop * epsilon[dst]
-        live = np.flatnonzero((hop != 0.0) & (dst < last))
-        src, hop = src[live], hop[live]
-        hops += 1
-    if not parts:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0)
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
+    groups = epsilon.shape[0]
+    # no walk reads past 2 * groups: a source walks 2^k more destinations only
+    # when the first of them is a group, and skips past the last group are 0
+    padded = np.zeros(2 * groups)
+    padded[:groups] = epsilon
+    slots = np.zeros(sources.shape[0], dtype=np.int64)
+    live, start, hop = np.arange(sources.shape[0]), sources + 1, np.ones(sources.shape[0])
+    walks = []
+    width = 1
+    while live.size:
+        # row i: the hops into start[i], start[i] + 1, ..., each the one
+        # before times the skip mass of the group in between
+        walk = padded[start[:, None] + np.arange(-1, width - 1)]
+        walk[:, 0] = hop
+        np.multiply.accumulate(walk, axis=1, out=walk)
+        walks.append((live, width, walk))
+        slots[live] = 2 * width - 1
+        # the hop into start + width: nonzero only if every hop before it is
+        hop = walk[:, -1] * padded[start + width - 1]
+        on = np.flatnonzero(hop)
+        live, start, hop = live[on], start[on] + width, hop[on]
+        width *= 2
+    starts = np.cumsum(slots) - slots
+    hops = np.empty(int(slots.sum()))
+    for live, width, walk in walks:
+        hops[starts[live, None] + np.arange(width - 1, 2 * width - 1)] = walk
+    return np.add.reduceat(hops != 0.0, starts, dtype=np.int64), starts, hops
 
 
 def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
@@ -99,6 +117,12 @@ def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
     chain.  Arcs of zero weight are left out.  Raises ValidationError on a
     raw network and on an invalid symbol; every other normalized network
     compiles, a set of null mass near one included.
+
+    The CSR arrays are written in row order: each row is its diagonal, then
+    one contiguous range of columns (a blank's own letters, or the states of
+    the groups a letter jumps to), masked down to the arcs kept.  Every arc
+    leads to the same or a later state, the upper-triangular form the
+    kernel requires.
     """
     if not cn.normalized:
         raise ValidationError("compile targets require a normalized network")
@@ -133,36 +157,38 @@ def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
     state_symbols = np.full(total_states, v.blank, dtype=np.int64)
     state_symbols[letters] = symbols
 
-    # blank to letter within a group: the letter's share of the set's letter
-    # mass, never a division by zero, as every set holds a positive letter
-    inner_src = offsets[letter_group]
-    inner_w = entry[letters] / entry[inner_src]
-
-    # letter to every state of a later group: each (source, destination)
-    # group pair expands to source letters x destination states
-    src_group, dst_group, hop = _skip_pairs(epsilon, letter_counts)
-    dst_sizes = letter_counts[dst_group] + 1
-    arcs = letter_counts[src_group] * dst_sizes
-    pair = np.repeat(np.arange(arcs.shape[0]), arcs)
-    source_letter, dest_state = np.divmod(
-        np.arange(pair.shape[0]) - (np.cumsum(arcs) - arcs)[pair], dst_sizes[pair]
-    )
-    cross_src = (offsets[src_group] + 1)[pair] + source_letter
-    cross_dst = offsets[dst_group][pair] + dest_state
-    cross_w = hop[pair] * entry[cross_dst]
-
-    diagonal = np.arange(total_states)
-    rows = np.concatenate((diagonal, inner_src, cross_src))
-    cols = np.concatenate((diagonal, letters, cross_dst))
-    vals = np.concatenate((np.ones(total_states), inner_w, cross_w))
+    # every row is its diagonal, then one range of columns from lead[s]: a
+    # blank's own letters, or every state of the groups a letter jumps to;
+    # source group g's hops into groups g + 1, g + 2, ... start at hops[slot[g]]
+    groups = epsilon.shape[0]
+    sources = np.flatnonzero(letter_counts)
+    runs, starts, hops = _skip_runs(epsilon, sources)
+    reach = np.zeros(groups, dtype=np.int64)
+    reach[sources] = offsets[sources + 1 + runs] - offsets[sources + 1]
+    slot = np.zeros(groups, dtype=np.int64)
+    slot[sources] = starts
+    lead = np.where(is_blank, np.arange(1, total_states + 1), offsets[group_index + 1])
+    sizes = 1 + np.where(is_blank, letter_counts[group_index], reach[group_index])
+    row_start = np.cumsum(sizes) - sizes
+    cols = np.arange(int(sizes.sum())) - np.repeat(row_start + 1 - lead, sizes)
+    cols[row_start] = np.arange(total_states)
+    # a letter's arc into group h pays its hop times the destination's entry
+    # mass; a blank row reads the 1.0 put in front of the hops and divides by
+    # its own entry mass, giving the letter's share of the set's letter mass,
+    # never a division by zero, as every set holds a positive letter.
+    # Multiplying and dividing by 1.0 is exact.
+    hop_at = np.where(is_blank, 0, slot[group_index]) - group_index
+    vals = np.append(1.0, hops)[np.repeat(hop_at, sizes) + group_index[cols]] * entry[cols]
+    vals /= np.repeat(np.where(is_blank, entry, 1.0), sizes)
+    vals[row_start] = 1.0
     # keep the diagonal and every nonzero arc between different symbols: a
     # blank never shares a letter's symbol, so this drops exactly the
     # same-symbol jumps
-    kept = (vals != 0.0) & (state_symbols[rows] != state_symbols[cols])
-    kept[:total_states] = True
-    rows, cols, vals = rows[kept], cols[kept], vals[kept]
-    transition = sp.csr_matrix((vals, (rows, cols)), shape=(total_states, total_states))
-    transition.sort_indices()
+    kept = (vals != 0.0) & (np.repeat(state_symbols, sizes) != state_symbols[cols])
+    kept[row_start] = True
+    indptr = np.zeros(total_states + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(kept)[row_start + sizes - 1]
+    transition = sp.csr_matrix((vals[kept], cols[kept], indptr), shape=(total_states, total_states))
     alpha_hat, beta_hat = _boundary(epsilon, group_index, entry, is_blank)
     return CompiledTarget(transition, state_symbols, alpha_hat, beta_hat)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,12 +52,31 @@ class DecodeConfig:
     confidence: float = 0.99
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValidationError("beam size must be at least 1")
+        _check_beam_size(self.beam_size)
         if self.strategy not in ("full", "partial"):
             raise ValidationError(f"unknown strategy {self.strategy!r}")
-        if not 0.5 <= self.confidence < 1.0:
-            raise ValidationError("confidence threshold must be in [0.5, 1)")
+        _check_confidence(self.confidence)
+
+
+def _check_beam_size(beam_size) -> None:
+    """Raise ValidationError unless ``beam_size`` is an integer of at least 1.
+
+    numpy integers pass; bools and floats, integral or not, do not.
+    """
+    if isinstance(beam_size, (bool, np.bool_)):
+        raise ValidationError(f"beam size must be an integer, got {beam_size!r}")
+    try:
+        size = operator.index(beam_size)
+    except TypeError:
+        raise ValidationError(f"beam size must be an integer, got {beam_size!r}") from None
+    if size < 1:
+        raise ValidationError("beam size must be at least 1")
+
+
+def _check_confidence(threshold) -> None:
+    """Raise ValidationError unless ``0.5 <= threshold < 1``, which NaN fails."""
+    if not 0.5 <= threshold < 1.0:
+        raise ValidationError(f"confidence threshold must be in [0.5, 1), got {threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -334,8 +354,7 @@ def prefix_beam_search(y: PosteriorMatrix, v: Vocabulary, beam_size: int) -> NBe
     tuples.  The result equals the one-candidate-at-a-time loop kept as
     :func:`softctc.oracle.reference_prefix_beam_search`.
     """
-    if beam_size < 1:
-        raise ValidationError("beam size must be at least 1")
+    _check_beam_size(beam_size)
     check_decoder_input(y, v)
     return _nbest_list(_beam_batch(y.frames, [(0, y.num_frames)], v.blank, beam_size)[0])
 
@@ -351,8 +370,10 @@ def segment_line(y: PosteriorMatrix, v: Vocabulary, threshold: float = 0.99) -> 
     unconfident when nothing does.  Unconfident segments are the maximal runs
     between confident blanks that contain at least one unconfident frame;
     line boundaries count as confident blanks.  The result covers [0, T)
-    without gaps or overlaps.
+    without gaps or overlaps.  Raises ValidationError unless
+    ``0.5 <= threshold < 1``, the rule of :class:`DecodeConfig`.
     """
+    _check_confidence(threshold)
     frames = y.frames
     conf_blank = frames[:, v.blank] > threshold
     unconfident = frames.max(axis=1) <= threshold

@@ -24,6 +24,15 @@ and every line.  A row of a block-diagonal product reads only its own
 block, so every line of a group is bitwise the line run as a batch of one,
 and each pass is bitwise the pass run on its own.
 
+Arcs never go back: a target with an arc to an earlier state raises
+ValidationError.  So a forward state before the first nonzero forward entry
+of a vector, or a backward state after the last nonzero backward entry,
+reads only zeros in every later product of its pass, and from the second
+loop block on each product runs on the stacked rows between those two
+entries of the vector the block's first product reads, through a slice of
+``indptr`` and of the output row.  The rows left out would compute zeros,
+so every result is bitwise that of the full product.
+
 The passes meet in the middle.  Before iteration ``T//2`` each iteration
 stores both halves of its product, the vectors before the emission
 multiply; from then on each iteration reaches two frames whose other
@@ -54,7 +63,7 @@ import numpy as np
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs, csr_tocsc
 
 from .compiler import CompiledTarget
-from .types import InfeasibleTarget
+from .types import InfeasibleTarget, ValidationError
 
 # Chains (plain CTC, n-best lists) compile to about 2.5 transitions per
 # state, decoded and merged networks to 3.7-27.  On chains the flush costs
@@ -99,8 +108,10 @@ def run_batch(lines: Sequence[Line]) -> Iterator[tuple[int, LinePasses]]:
     them by the emissions, and the gradient is minus them over the row
     total, exact also where ``y`` is zero.
 
-    After every group has run, raises InfeasibleTarget naming the failing
-    line of smallest index, with the text it raises as a batch of one, when:
+    Raises ValidationError when the group about to run holds a target with
+    an arc to an earlier state.  After every group has run, raises
+    InfeasibleTarget naming the failing line of smallest index, with the
+    text it raises as a batch of one, when:
 
     - a forward or backward scale is not a finite positive number (no
       alignment carries mass, or non-finite posteriors), or no admissible
@@ -215,7 +226,19 @@ class _Group:
                   indptr[: states + 1], indices[:nnz], data[:nnz])
         np.add(backward_indptr[1:], nnz, out=indptr[states + 1 :])
         indices[nnz:] += states
-        self.matrix = (2 * states, 2 * states, indptr, indices, data)
+        self.matrix = (indptr, indices, data)
+        # the row windows of run need arcs that never go back; the
+        # transpose's rows list their sources in increasing order, so a row's
+        # last source must not come after it
+        forward = indptr[: states + 1]
+        heads = np.flatnonzero(np.diff(forward))
+        back = heads[indices[forward[heads + 1] - 1] > heads]
+        if back.size:
+            line, state = divmod(int(back[0]), self.width)
+            source = int(indices[forward[back[0] + 1] - 1]) - line * self.width
+            raise ValidationError(
+                f"line {self.indices[line]}: an arc goes back from state {source} to state {state}"
+            )
 
         # binning matrix: row line * vocab + k sums the line's states of
         # symbol k, in increasing state order
@@ -257,7 +280,8 @@ class _Group:
     def run(self, check_mass: bool):
         """``(index, LinePasses)`` of each feasible line and ``(index, reason)`` of each other."""
         frames, states, lines = self.frames, self.states, self.lines
-        bounds, flush, floor, matrix = self.bounds, self.flush, self.floor, self.matrix
+        bounds, flush, floor = self.bounds, self.flush, self.floor
+        indptr, indices, data = self.matrix
         # iterations before `half` reach forward frames [0, half) and
         # iterations before `frames - half` backward frames [half, frames)
         # that the other pass has yet to reach: their vectors are stored
@@ -291,12 +315,16 @@ class _Group:
             products[:n].fill(0.0)
             if i0 == 0:
                 products[0] = self.weights
+                lo, hi = 0, 2 * states
+            else:
+                lo, hi = _window(vectors[0], states)
+            rows, window = hi - lo, indptr[lo : hi + 1]
             for i, before, product, vec, vec_lines, row_sums, row_div in zip(
                 range(i0, i1), vectors[:n], products, vectors[1 : n + 1],
                 vector_lines[1 : n + 1], sums[i0:i1], div[i0:i1],
             ):
                 if i:
-                    csr_matvec(*matrix, before, product)
+                    csr_matvec(rows, 2 * states, window, indices, data, before, product[lo:hi])
                 multiply(product, vec, out=vec)
                 reduceat(vec, bounds, out=row_sums)
                 divide(vec_lines, row_div, out=vec_lines)
@@ -363,6 +391,21 @@ class _Group:
         ):
             np.sum(y[t0:t1] * line_binned.T, axis=1, out=row_total)
             np.divide(line_binned.T, -row_total[:, None], out=grad[t0:t1])
+
+
+def _window(vector: np.ndarray, states: int) -> tuple[int, int]:
+    """The stacked rows ``[lo, hi)`` that products reading ``vector`` and its successors fill.
+
+    Arcs never go back, so a forward state below the first nonzero forward
+    entry of ``vector``, or a backward state above the last nonzero backward
+    entry, reads only zeros in every later product of its pass.  A NaN entry
+    counts as nonzero.
+    """
+    forward = np.flatnonzero(vector[:states])
+    backward = np.flatnonzero(vector[states:])
+    lo = int(forward[0]) if forward.size else states
+    hi = states + (int(backward[-1]) + 1 if backward.size else 0)
+    return lo, hi
 
 
 def _failure(alpha_scales: np.ndarray, final: float, beta_scales: np.ndarray) -> str | None:

@@ -475,6 +475,91 @@ class TestMatchesReferenceCompiler:
         reach = layout(target, self.V)[1][target.transition[1].indices].max()
         assert 100 < reach < 120
 
+    @staticmethod
+    def reach(target, v):
+        """The last group each state's row reaches."""
+        group_index = layout(target, v)[1]
+        t = target.transition
+        return group_index[t.indices[t.indptr[1:] - 1]]
+
+    def test_long_null_run_beside_null_free_sets(self):
+        rng = np.random.default_rng(211)
+        plain = [({int(i % 4): 1.0}, 0.0) for i in range(6)]
+        run = []
+        for _ in range(150):
+            syms = rng.choice(4, size=2, replace=False)
+            null = float(rng.uniform(0.3, 0.9))
+            p = float(rng.uniform(0.1, 0.9)) * (1.0 - null)
+            run.append(({int(syms[0]): p, int(syms[1]): 1.0 - null - p}, null))
+        target = self.assert_bitwise(cn_of(*plain, *run, *plain), self.V)
+        reach = self.reach(target, self.V)
+        letters = target.state_symbols != self.V.blank
+        # the letters before the run jump to the next set, the last of them
+        # and the run's own over the rest of the run to the null-free set after it
+        group_index = layout(target, self.V)[1]
+        assert list(reach[letters][:6]) == [1, 2, 3, 4, 5, 156]
+        assert np.all(reach[letters & (group_index >= 6) & (group_index < 156)] == 156)
+
+    def test_hop_underflowing_mid_run_before_any_unskippable_set(self):
+        # every set is skippable up to the terminal group, so only underflow
+        # ends a run.  A hop of 1e-200 dies after the second set it skips.
+        # From 1e-310 a chain of 0.75 settles on two units of the last place
+        # of the subnormals (1.5 units round to even), which a skip mass of
+        # 0.5 halves to one unit and a second rounds to zero.
+        sets = [({0: 0.5, 1: 0.5 - 1e-200}, 1e-200) for _ in range(6)]
+        sets += [({2: 1.0 - 1e-300}, 1e-300), ({3: 1.0 - 1e-10}, 1e-10)]
+        sets += [({i % 4: 0.25}, 0.75) for i in range(120)]
+        sets += [({1: 0.5}, 0.5), ({2: 0.5}, 0.5)] + [({i % 3: 0.4}, 0.6) for i in range(20)]
+        cn = cn_of(*sets)
+        assert min(s.null for s in cn.sets) > 0.0
+        target = self.assert_bitwise(cn, self.V)
+        reach = self.reach(target, self.V)
+        group_index = layout(target, self.V)[1]
+        letters = np.flatnonzero(target.state_symbols != self.V.blank)
+        assert reach[letters[0]] == 2  # hops 1, 1e-200, then 1e-400 rounds to 0
+        # the last letter before the 1e-300 set hops into the first 0.5 set
+        # with two units, so its arcs there weigh one; the hop of one unit
+        # into the second set gives arcs that round to zero
+        source = letters[group_index[letters] == 5][0]
+        assert reach[source] == 6 + 2 + 120
+        assert target.transition[source].data.min() == 5e-324
+        # the 0.5 sets' own letters run on to the terminal group
+        assert reach[letters[group_index[letters] == 128][0]] == len(cn.sets)
+
+    def test_skip_runs_of_very_different_lengths(self):
+        rng = np.random.default_rng(223)
+        sets = []
+        for length in (0, 1, 2, 3, 5, 17, 64, 0, 130, 4, 1):
+            sets.append(({int(rng.integers(4)): 1.0}, 0.0))  # unskippable
+            for _ in range(length):
+                null = float(rng.uniform(0.05, 0.95))
+                sets.append(({int(rng.integers(4)): 1.0 - null}, null))
+        target = self.assert_bitwise(cn_of(*sets), self.V)
+        letters = target.state_symbols != self.V.blank
+        group_index = layout(target, self.V)[1]
+        reached = self.reach(target, self.V)[letters] - group_index[letters]
+        # one letter per set: each jumps to the next unskippable set, or the
+        # terminal group
+        unskippable = [i for i, (_, null) in enumerate(sets) if null == 0.0] + [len(sets)]
+        want = [next(u for u in unskippable if u > g) - g for g in range(len(sets))]
+        assert list(reached) == want
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            [({0: 1.0}, 0.0)],  # one set: its letter jumps only to the terminal group
+            [({0: 0.25, 1: 0.25}, 0.5)],  # a skippable first and last set
+            [({0: 0.5}, 0.5), ({0: 0.5}, 0.5)],  # same symbol: the jump is left out
+            [({1: 1e-300}, 1.0 - 1e-300), ({2: 1.0}, 0.0)],  # null mass near one
+            [({0: 0.1}, 0.9)] * 3 + [({1: 1.0}, 0.0)],
+        ],
+    )
+    def test_letterless_terminal_group_edges(self, sets):
+        target = self.assert_bitwise(cn_of(*sets), self.V)
+        # the terminal blank's row is its diagonal alone
+        t = target.transition
+        assert t.indptr[-1] - t.indptr[-2] == 1 and t.indices[-1] == target.num_states - 1
+
     def test_weight_underflowing_to_zero_is_left_out(self):
         # the hop into the last set is subnormal but nonzero, and times the
         # rare letter's probability it rounds to exactly 0.0

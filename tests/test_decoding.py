@@ -124,6 +124,23 @@ class TestPrefixBeamSearch:
         with pytest.raises(ValidationError):
             prefix_beam_search(y, VAB, 0)
 
+    @pytest.mark.parametrize("size", [2.5, 3.0, True, np.float64(2.0), "4", None])
+    def test_rejects_a_beam_size_that_is_not_an_integer(self, size):
+        # a float used to fail deep in the search with numpy's TypeError, and
+        # True ran as a beam of one
+        y = PosteriorMatrix(np.tile(row(3, **{"0": 0.4, "1": 0.3}), (3, 1)))
+        with pytest.raises(ValidationError, match="beam size must be an integer"):
+            prefix_beam_search(y, VAB, size)
+        with pytest.raises(ValidationError, match="beam size must be an integer"):
+            DecodeConfig(beam_size=size)
+
+    @pytest.mark.parametrize("size", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_beam_sizes_decode_like_ints(self, size):
+        y = rand_posteriors(np.random.default_rng(61), 6)
+        assert prefix_beam_search(y, VAB, size) == prefix_beam_search(y, VAB, 3)
+        cfg = DecodeConfig(beam_size=size)
+        assert decode_to_cn(y, VAB, cfg) == decode_to_cn(y, VAB, DecodeConfig(beam_size=3))
+
 
 def beam_instances(rng, count):
     """Random (posteriors, vocabulary, beam) triples for the reference check.
@@ -329,6 +346,16 @@ class TestSegmentLine:
         assert segment_line(y, VAB, threshold=0.99) == [
             Segment(0, 2, confident=False)
         ]
+
+    @pytest.mark.parametrize("threshold", [float("nan"), 0.49, 1.0, 1.5, -0.2])
+    def test_rejects_the_thresholds_decode_config_rejects(self, threshold):
+        # NaN used to pass: every comparison with it is False, so each line
+        # came back as one confident segment and skipped the beam
+        y = PosteriorMatrix(np.tile(row(3, **{"0": 0.5, "1": 0.45}), (4, 1)))
+        with pytest.raises(ValidationError, match=r"confidence threshold must be in \[0.5, 1\)"):
+            segment_line(y, VAB, threshold)
+        with pytest.raises(ValidationError, match=r"confidence threshold must be in \[0.5, 1\)"):
+            DecodeConfig(confidence=threshold)
 
     def test_segments_partition_the_line(self):
         rng = np.random.default_rng(83)

@@ -3,6 +3,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from softctc import (
     ConfusionNetwork,
@@ -11,6 +12,7 @@ from softctc import (
     Labeling,
     NBestList,
     PosteriorMatrix,
+    ValidationError,
     Vocabulary,
     build_cn,
     compile_cn,
@@ -23,6 +25,7 @@ from softctc import (
     soft_ctc_value_at,
 )
 from softctc import forward_backward as fb
+from softctc.compiler import CompiledTarget
 from softctc.oracle import reference_gradient, reference_log_loss, reference_run_passes
 
 V = Vocabulary.from_characters("abc")
@@ -736,3 +739,84 @@ def test_frame_counts_at_the_loop_edges(frames):
         assert passes.loss == single.loss
         assert np.array_equal(passes.grad, single.grad)
         assert np.array_equal(passes.log_mass, single.log_mass)
+
+
+def long_merged_line(rng, length):
+    """A merged network of edited copies of a labeling, and posteriors that walk the labeling.
+
+    Three networks, each folded from four copies with a tenth of the symbols
+    changed and a tenth dropped, are merged.  Each symbol of the labeling
+    gets two frames peaked on it and one on the blank, where the other
+    symbols get 1e-6 each, so mass off the walked path decays by about 1e-6
+    per frame and the flush clears the states the passes have left behind.
+    """
+    base = rng.integers(0, LETTERS, size=length)
+    raw = []
+    for _ in range(3):
+        entries = {}
+        for _ in range(4):
+            variant = base.copy()
+            edited = rng.random(length) < 0.1
+            variant[edited] = rng.integers(0, LETTERS, size=int(edited.sum()))
+            kept = variant[rng.random(length) > 0.1]
+            entries[tuple(int(s) for s in kept)] = float(rng.uniform(0.2, 1.0))
+        nbest = NBestList(tuple((Labeling(s), w) for s, w in entries.items()))
+        raw.append(build_cn(nbest, normalize=False))
+    target = compile_cn(merge_cns(raw), V)
+    frames = []
+    for symbol in base:
+        frames += [symbol, symbol, V.blank]
+    y = np.full((len(frames), len(V)), 1e-6)
+    y[np.arange(len(frames)), frames] = 1.0 - 3e-6
+    return y, target
+
+
+def test_later_blocks_multiply_only_the_rows_the_passes_reach(monkeypatch):
+    y, target = long_merged_line(np.random.default_rng(157), 90)
+    assert target.transition.nnz > fb.FLUSH_MIN_NNZ_PER_STATE * target.num_states
+    frames, stacked = y.shape[0], 2 * (target.num_states + 1)
+    assert frames > 6 * B
+    rows = []
+    matvec = fb.csr_matvec
+
+    def recording(*call):
+        rows.append(call[0])
+        matvec(*call)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(fb, "csr_matvec", recording)
+        passes = run_one(y, target)
+    # one product per iteration but the first; each loop block of B
+    # iterations multiplies one window of rows, and states the passes have
+    # left stay behind, so the windows only narrow
+    assert len(rows) == frames - 1
+    blocks = [rows[max(i0 - 1, 0) : i0 + B - 1] for i0 in range(0, frames, B)]
+    assert all(len(set(block)) == 1 for block in blocks)
+    sizes = [block[0] for block in blocks]
+    assert sizes[0] == stacked
+    assert sizes == sorted(sizes, reverse=True)
+    assert sizes[-3] < stacked
+    assert sum(rows) < 0.9 * stacked * len(rows)
+    # the rows left out hold only zeros: every number is the full product's
+    with monkeypatch.context() as full:
+        full.setattr(fb, "_window", lambda vector, states: (0, 2 * states))
+        unwindowed = run_one(y, target)
+    assert passes.loss == unwindowed.loss
+    assert np.array_equal(passes.grad, unwindowed.grad)
+    assert np.array_equal(passes.log_mass, unwindowed.log_mass)
+    assert passes.loss == pytest.approx(reference_log_loss(y, *kernel_inputs(target)), rel=1e-12)
+
+
+def test_a_target_with_a_backward_arc_is_rejected():
+    # a -> blank -> b, plus an arc from the last state back to the first
+    good = compile_nbest(NBestList(((Labeling((0, 1)), 1.0),)), V)
+    dense = good.transition.toarray()
+    dense[2, 0] = 0.5
+    bad = CompiledTarget(sp.csr_matrix(dense), good.state_symbols, good.alpha_hat, good.beta_hat)
+    y = PosteriorMatrix(rand_posteriors(np.random.default_rng(163), 8))
+    with pytest.raises(ValidationError, match="line 0: an arc goes back from state 2 to state 0"):
+        soft_ctc_loss(y, bad)
+    # in a batch, the message names the line
+    with pytest.raises(ValidationError, match="line 1: an arc goes back from state 2 to state 0"):
+        soft_ctc_batch([(y, good), (y, bad)])
+    assert soft_ctc_loss(y, good).loss > 0.0
