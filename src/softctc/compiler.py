@@ -23,12 +23,43 @@ class CompiledTarget:
 
     Every arc leads to the same or a later state: the kernel relies on it
     and raises ValidationError on a transition with an arc to an earlier one.
+    Construction raises ValidationError naming the field unless the
+    transition is a square CSR matrix of finite, nonnegative weights and
+    there is one nonnegative integer symbol and one finite, nonnegative
+    start and end weight per state.
     """
 
     transition: sp.csr_matrix
     state_symbols: np.ndarray
     alpha_hat: np.ndarray
     beta_hat: np.ndarray
+
+    def __post_init__(self):
+        m = self.transition
+        if not (sp.issparse(m) and m.format == "csr" and m.shape[0] == m.shape[1]
+                and m.dtype.kind in "iuf"):
+            raise ValidationError(f"transition must be a square real CSR matrix, got "
+                                  f"{type(m).__name__} of shape {getattr(m, 'shape', None)}")
+        bad = np.flatnonzero(~((m.data >= 0) & (m.data < np.inf)))  # NaN is bad too
+        if bad.size:
+            row = int(np.searchsorted(m.indptr, bad[0], side="right")) - 1
+            raise ValidationError(f"transition weights must be finite and nonnegative, got "
+                                  f"{m.data[bad[0]]!r} at ({row}, {m.indices[bad[0]]})")
+        states = m.shape[0]
+        for name, kinds, what in (("state_symbols", "iu", "nonnegative integer symbol"),
+                                  ("alpha_hat", "iuf", "finite, nonnegative weight"),
+                                  ("beta_hat", "iuf", "finite, nonnegative weight")):
+            a = np.asarray(getattr(self, name))
+            if a.shape != (states,) or a.dtype.kind not in kinds:
+                raise ValidationError(f"{name} must hold one {what} per state ({states}), "
+                                      f"got {a.dtype} of shape {a.shape}")
+            if a.dtype.kind == "u":  # uint64 plus the kernel's int64 state ids makes floats
+                a = a.astype(np.int64)
+            bad = np.flatnonzero(~((a >= 0) & (a < np.inf)))
+            if bad.size:
+                raise ValidationError(f"{name} must hold one {what} per state, "
+                                      f"got {a[bad[0]]!r} at state {bad[0]}")
+            object.__setattr__(self, name, a)
 
     @property
     def num_states(self) -> int:

@@ -6,23 +6,24 @@ one.  Recursions stay in the linear domain; each frame's vectors are divided
 by their sum and the log scale factors are accumulated, so the matrix
 products never touch the log semiring.
 
-Lines with the same frame count and vocabulary, packed in ascending order of
-state count, form groups that each run in lock step as one block-diagonal
-matrix: each line's states fill a slot of ``width`` states, its own count
-plus at least one padding state that no arc touches.  Given the emissions,
-the forward and backward recursions are independent (Rabiner 1989, section
-III.A), so one frame loop runs both: iteration ``i`` advances the forward
-pass to frame ``i`` and the backward pass to frame ``T-1-i`` with one CSR
-matrix-vector product on a stacked matrix, whose first ``S`` rows are the
-group's transpose (forward) and whose last ``S`` rows are the matrix itself
-(backward), shifted by ``S``.  The product calls scipy's ``csr_matvec``
-routine on the CSR arrays directly, into preallocated rows, so an iteration
-allocates nothing and skips the sparse operator dispatch.  One emission
-multiply, one ``np.add.reduceat`` over each line's slot (its scale) and one
-broadcast divide, which the padding makes possible, then cover both passes
-and every line.  A row of a block-diagonal product reads only its own
-block, so every line of a group is bitwise the line run as a batch of one,
-and each pass is bitwise the pass run on its own.
+Lines with the same frame count, vocabulary and flush rule (see below),
+packed in ascending order of state count, form groups that each run in lock
+step as one block-diagonal matrix: each line's states fill a slot of
+``width`` states, its own count plus at least one padding state that no arc
+touches.  Given the emissions, the forward and backward recursions are
+independent (Rabiner 1989, section III.A), so one frame loop runs both:
+iteration ``i`` advances the forward pass to frame ``i`` and the backward
+pass to frame ``T-1-i`` with one CSR matrix-vector product on a stacked
+matrix, whose first ``S`` rows are the group's transpose (forward) and whose
+last ``S`` rows are the matrix itself (backward), shifted by ``S``.  The
+product calls scipy's ``csr_matvec`` routine on the CSR arrays directly,
+into preallocated rows, so an iteration allocates nothing and skips the
+sparse operator dispatch.  One emission multiply, one ``np.add.reduceat``
+over each line's slot (its scale) and one broadcast divide, which the
+padding makes possible, then cover both passes and every line.  A row of a
+block-diagonal product reads only its own block, so every line of a group
+is bitwise the line run as a batch of one, and each pass is bitwise the pass
+run on its own.
 
 Arcs never go back: a target with an arc to an earlier state raises
 ValidationError.  So a forward state before the first nonzero forward entry
@@ -49,10 +50,11 @@ sinks below ``np.finfo(float).tiny`` and, on x86, every product that reads
 such a subnormal entry takes a slow path.  On targets with more than
 ``FLUSH_MIN_NNZ_PER_STATE`` transitions per state (networks with null skips)
 both passes therefore flush entries below ``tiny`` to zero after each
-frame's rescale.  That drops paths holding less than 2^-1022 of a frame's
-mass; it changes a result only where such a path alone later carries the
-line.  :func:`run_batch` checks the total mass at every frame, so that case
-raises InfeasibleTarget instead of returning a wrong loss.
+frame's rescale.  Only lines that flush alike share a group, so a group
+flushes as a whole.  The flush drops paths holding less than 2^-1022 of a
+frame's mass; it changes a result only where such a path alone later
+carries the line.  :func:`run_batch` checks the total mass at every frame,
+so that case raises InfeasibleTarget instead of returning a wrong loss.
 """
 
 from __future__ import annotations
@@ -152,17 +154,18 @@ def log_mass(y: np.ndarray, target: CompiledTarget) -> np.ndarray:
 def _groups(lines: Sequence[Line]) -> list[list[int]]:
     """The input indices of each group's lines, in the order the groups run.
 
-    Lines of one (frame count, vocabulary) class are taken in ascending
-    order of their state counts, ties in input order, and cut into groups
-    whose stored vectors fit ``GROUP_BYTES``; the classes run in the order
-    they first appear.  Sorting keeps lines of similar size, and so little
-    padding, in one group.
+    Lines of one (frame count, vocabulary, flushes) class are taken in
+    ascending order of their state counts, ties in input order, and cut into
+    groups whose stored vectors fit ``GROUP_BYTES``; the classes run in the
+    order they first appear.  Sorting keeps lines of similar size, and so
+    little padding, in one group.  Keying on the flush rule
+    (:func:`_flushes`) makes each group flush as a whole or not at all.
     """
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for i, (y, _) in enumerate(lines):
-        classes.setdefault(y.shape, []).append(i)
+    classes: dict[tuple[int, int, bool], list[int]] = {}
+    for i, (y, target) in enumerate(lines):
+        classes.setdefault((*y.shape, _flushes(target)), []).append(i)
     groups = []
-    for (frames, _), members in classes.items():
+    for (frames, _, _), members in classes.items():
         members.sort(key=lambda i: lines[i][1].num_states)
         group: list[int] = []
         for i in members:
@@ -173,6 +176,11 @@ def _groups(lines: Sequence[Line]) -> list[list[int]]:
             group.append(i)
         groups.append(group)
     return groups
+
+
+def _flushes(target: CompiledTarget) -> bool:
+    """Whether a line of ``target`` flushes: over ``FLUSH_MIN_NNZ_PER_STATE`` arcs per state."""
+    return target.transition.nnz > FLUSH_MIN_NNZ_PER_STATE * target.num_states
 
 
 class _Group:
@@ -256,11 +264,7 @@ class _Group:
         for line, t in enumerate(targets):
             weights[:, line, : t.num_states] = t.alpha_hat, t.beta_hat
         self.weights = weights.reshape(-1)
-        flushes = [t.transition.nnz > FLUSH_MIN_NNZ_PER_STATE * t.num_states for t in targets]
-        self.flush = any(flushes)
-        # a line that does not flush gets floor 0, which no entry is below;
-        # both passes flush alike
-        self.floor = np.tile(np.repeat(np.where(flushes, TINY, 0.0), self.width), 2)
+        self.flush = _flushes(targets[0])  # as every line of the group does
 
     def _gather(self, i0: int, i1: int, out: np.ndarray) -> None:
         """Each state's emission at the frames iterations [i0, i1) reach, into ``out``.
@@ -280,7 +284,7 @@ class _Group:
     def run(self, check_mass: bool):
         """``(index, LinePasses)`` of each feasible line and ``(index, reason)`` of each other."""
         frames, states, lines = self.frames, self.states, self.lines
-        bounds, flush, floor = self.bounds, self.flush, self.floor
+        bounds, flush = self.bounds, self.flush
         indptr, indices, data = self.matrix
         # iterations before `half` reach forward frames [0, half) and
         # iterations before `frames - half` backward frames [half, frames)
@@ -329,7 +333,7 @@ class _Group:
                 reduceat(vec, bounds, out=row_sums)
                 divide(vec_lines, row_div, out=vec_lines)
                 if flush:
-                    less(vec, floor, out=decayed)
+                    less(vec, TINY, out=decayed)
                     putmask(vec, decayed, 0.0)
             vectors[0] = vectors[n]
 

@@ -76,9 +76,9 @@ def soft_ctc_batch(
 
     Every pair is checked first, so a NaN or infinite posterior anywhere in
     the batch raises NonFiniteEntry before any line runs.  The kernel then
-    runs lines with the same frame count and vocabulary in lock step, packed
-    by state count into groups of at most ``GROUP_BYTES`` (2 MiB) of stored
-    vectors (see :mod:`softctc.forward_backward`).  Results come back in
+    runs lines with the same frame count, vocabulary and flush rule in lock
+    step, packed by state count into groups of at most ``GROUP_BYTES``
+    (2 MiB) of stored vectors (see :mod:`softctc.forward_backward`).  Results come back in
     input order, each bitwise its line's batch of one.  After every group
     has run, the infeasible line of smallest index raises InfeasibleTarget
     naming that index.

@@ -13,6 +13,7 @@ from softctc import (
     NBestList,
     PosteriorMatrix,
     Segment,
+    ValidationError,
     Vocabulary,
     compile_cn,
     compile_nbest,
@@ -27,7 +28,7 @@ from softctc import (
     trivial_cn,
 )
 from softctc import io as formats
-from softctc.bench import BenchConfig
+from softctc.bench import BenchConfig, synthetic_vocabulary
 from softctc.cli import build_parser, main
 
 V = Vocabulary.from_characters("ab")
@@ -197,6 +198,14 @@ class TestLossCommand:
         assert lines[0] == "# gradient v1"
         assert len(lines) == 2 + AMBIGUOUS_LINE.shape[0]
 
+    def test_multi_group_nbest_file_is_validation_error(self, posterior_file, tmp_path, capsys):
+        path = str(tmp_path / "target.nbest")
+        nbest = NBestList(((Labeling((0,)), 1.0),))
+        formats.write_nbest(path, [(Segment(0, 2, confident=True), nbest),
+                                   (Segment(2, 5, confident=False), nbest)], V)
+        assert main(["loss", posterior_file, "--nbest", path]) == 1
+        assert "loss expects a single n-best group" in capsys.readouterr().err
+
     def test_infeasible_exit_code(self, tmp_path):
         path = tmp_path / "short.post"
         formats.write_posteriors(
@@ -281,6 +290,14 @@ class TestTransformCommand:
             assert gs.alternatives == pytest.approx(es.alternatives)
             assert gs.null == pytest.approx(es.null)
         assert meta["merged"] == "2"
+
+    @pytest.mark.parametrize("text", ["two", "2x", ""])
+    def test_bad_smoothing_text_is_validation_error(self, tmp_path, capsys, text):
+        path_a, _, _, _ = self.make_raw(tmp_path)
+        rc = main(["transform", path_a, "--smooth", text, "-o", str(tmp_path / "out.cn")])
+        assert rc == 1
+        assert f"bad smoothing exponent {text!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out.cn").exists()
 
     def test_merge_accepts_disjoint_symbol_sets(self, tmp_path):
         a = ConfusionNetwork(
@@ -449,6 +466,22 @@ class TestBenchCommand:
 
     def test_rejects_tiny_dimensions(self):
         assert main(["bench", "--frames", "4"]) == 1
+
+    @pytest.mark.parametrize("changed, match", [
+        ({"batch": 0}, "batch size must be positive"),
+        ({"batch": -2}, "batch size must be positive"),
+        ({"repeats": 0}, "bad repeat counts"),
+        ({"repeats": -1}, "bad repeat counts"),
+        ({"warmup": -1}, "bad repeat counts"),
+    ])
+    def test_config_rejects_bad_counts(self, changed, match):
+        with pytest.raises(ValidationError, match=match):
+            BenchConfig(**changed)
+
+    def test_generator_vocabulary_needs_two_letters(self):
+        assert len(synthetic_vocabulary(3)) == 3
+        with pytest.raises(ValidationError, match="vocabulary too small for the generator"):
+            synthetic_vocabulary(2)
 
 
 class TestOracleCommand:

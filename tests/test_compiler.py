@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from softctc import (
     ConfusionNetwork,
@@ -23,6 +24,7 @@ from softctc import (
     soft_ctc_loss,
     trivial_cn,
 )
+from softctc.compiler import CompiledTarget
 from softctc.oracle import enumerate_ctc, oracle_softctc, reference_compile_cn
 
 V3 = Vocabulary.from_characters("abc")
@@ -374,6 +376,50 @@ class TestCompileNbest:
         nb = NBestList(((Labeling((v.blank,)), 1.0),))
         with pytest.raises(ValidationError):
             compile_nbest(nb, v)
+
+
+class TestHandBuiltTargets:
+    """A CompiledTarget built by hand is checked field by field on construction."""
+
+    # the one-letter chain: blank, "a", blank
+    CHAIN = compile_nbest(NBestList(((Labeling((0,)), 1.0),)), V3)
+
+    def fields(self, **changed):
+        t = self.CHAIN
+        fields = dict(transition=t.transition, state_symbols=t.state_symbols,
+                      alpha_hat=t.alpha_hat, beta_hat=t.beta_hat)
+        return {**fields, **changed}
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint64])
+    def test_valid_fields_build_the_same_target(self, dtype):
+        y = PosteriorMatrix(np.random.default_rng(5).dirichlet(np.ones(len(V3)), size=6))
+        rebuilt = CompiledTarget(**self.fields(state_symbols=self.CHAIN.state_symbols.astype(dtype)))
+        assert soft_ctc_loss(y, rebuilt).loss == soft_ctc_loss(y, self.CHAIN).loss
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("transition", sp.csc_matrix(np.eye(3)), "transition must be a square real CSR matrix"),
+        ("transition", np.eye(3), "transition must be a square real CSR matrix"),
+        ("transition", sp.csr_matrix(np.ones((3, 4))), "transition must be a square real CSR matrix"),
+        ("transition", sp.csr_matrix(np.eye(3, dtype=complex)), "transition must be a square real CSR"),
+        ("transition", sp.csr_matrix([[1.0, -0.5, 0], [0, 1, 1], [0, 0, 1]]),
+         r"transition weights must be finite and nonnegative, got np.float64\(-0.5\) at \(0, 1\)"),
+        ("transition", sp.csr_matrix([[1.0, 1, 0], [0, 1, np.nan], [0, 0, 1]]),
+         r"transition weights .* got np.float64\(nan\) at \(1, 2\)"),
+        ("transition", sp.csr_matrix([[1.0, 1, 0], [0, np.inf, 1], [0, 0, 1]]),
+         r"transition weights .* got np.float64\(inf\) at \(1, 1\)"),
+        ("state_symbols", np.array([3, -1, 3]), r"state_symbols .* got np.int64\(-1\) at state 1"),
+        ("state_symbols", np.array([3.0, 0.0, 3.0]), r"state_symbols must hold one nonnegative integer"),
+        ("state_symbols", np.array([3, 0]), r"state_symbols .* per state \(3\), got int64 of shape \(2,\)"),
+        ("alpha_hat", np.array([1.0, -0.01, 0.0]), r"alpha_hat .* got np.float64\(-0.01\) at state 1"),
+        ("alpha_hat", np.array([1.0, 1.0]), r"alpha_hat .* per state \(3\), got float64 of shape \(2,\)"),
+        ("alpha_hat", np.array([1.0, np.nan, 0.0]), r"alpha_hat .* got np.float64\(nan\) at state 1"),
+        ("beta_hat", np.array([0.0, np.inf, 1.0]), r"beta_hat .* got np.float64\(inf\) at state 1"),
+        ("beta_hat", np.array([[0.0, 1.0, 1.0]]), r"beta_hat .* got float64 of shape \(1, 3\)"),
+        ("beta_hat", np.array(["0", "1", "1"]), r"beta_hat must hold one finite, nonnegative weight"),
+    ])
+    def test_invalid_field_raises_naming_it(self, name, value, match):
+        with pytest.raises(ValidationError, match=match):
+            CompiledTarget(**self.fields(**{name: value}))
 
 
 def test_trivial_cn_target():

@@ -615,6 +615,10 @@ class TestMergeCns:
         with pytest.raises(ValidationError):
             merge_cns([normalized, normalized])
 
+    def test_merge_of_no_networks_is_rejected(self):
+        with pytest.raises(ValidationError, match="nothing to merge"):
+            merge_cns([])
+
     def test_merge_single_network_normalizes(self):
         raw = build_cn(nbest(("cat", 0.6), ("ct", 0.2)), normalize=False)
         merged = merge_cns([raw])
@@ -699,6 +703,11 @@ class TestPrune:
         s = out.sets[0]
         assert list(s.alternatives) == [1]
         assert s.null == pytest.approx(0.99 / 0.996)
+
+    @pytest.mark.parametrize("cutoff", [-0.1, 1.0, 1.5, math.nan])
+    def test_rejects_a_cutoff_outside_zero_to_one(self, cutoff):
+        with pytest.raises(ValidationError, match=r"cutoff must be in \[0, 1\)"):
+            prune(self.cn_of({0: 0.6, 1: 0.4}), cutoff)
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)

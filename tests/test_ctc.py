@@ -118,6 +118,16 @@ def test_invalid_symbol_is_rejected(symbol):
         ctc_loss(PosteriorMatrix(np.full((3, 2), 0.5)), Labeling((0, symbol)), VA)
 
 
+@pytest.mark.parametrize("width", [2, 4])
+def test_vocabulary_of_another_width_is_rejected(width):
+    # 4 columns are too wide for VA's 2 symbols, 2 too narrow for "ab" and
+    # its blank
+    v = VA if width == 4 else Vocabulary.from_characters("ab")
+    y = rand_posteriors(np.random.default_rng(3), 5, width)
+    with pytest.raises(ValidationError, match=f"posterior has {width} columns but vocabulary has {len(v)} symbols"):
+        ctc_loss(y, Labeling((0,)), v)
+
+
 def test_matches_oracle_on_small_random_instances():
     rng = np.random.default_rng(7)
     for _ in range(60):

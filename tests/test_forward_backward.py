@@ -668,6 +668,37 @@ def test_batches_pack_by_class_and_size(monkeypatch):
     assert scattered >= 50
 
 
+def flushes(target):
+    return target.transition.nnz > fb.FLUSH_MIN_NNZ_PER_STATE * target.num_states
+
+
+def test_chains_and_networks_in_one_batch_form_groups_that_flush_alike():
+    # chains never flush and networks do: each group holds one kind of line
+    # and flushes as a whole, and every line is still its batch of one
+    rng = np.random.default_rng(173)
+    mixed_classes = 0
+    for _ in range(20):
+        frames = rng.choice([40, 60], size=12)
+        kinds = rng.choice(["chain", "nbest", "merged", "null-chain"], size=12)
+        # posteriors with no zero: every line is feasible
+        lines = [(rand_posteriors(rng, int(f)), rand_target(rng, kind)) for f, kind in zip(frames, kinds)]
+        for f in (40, 60):
+            rules = {flushes(target) for y, target in lines if y.shape[0] == f}
+            mixed_classes += rules == {True, False}
+        groups = fb._groups(lines)
+        assert sorted(i for group in groups for i in group) == list(range(len(lines)))
+        for group in groups:
+            assert len({flushes(lines[i][1]) for i in group}) == 1
+            assert len({lines[i][0].shape for i in group}) == 1
+        got = dict(fb.run_batch(lines))
+        for i, (y, target) in enumerate(lines):
+            single = run_one(y, target)
+            assert got[i].loss == single.loss
+            assert np.array_equal(got[i].grad, single.grad)
+            assert np.array_equal(got[i].log_mass, single.log_mass)
+    assert mixed_classes >= 30
+
+
 def test_interleaved_frame_counts_form_one_group_each():
     rng = np.random.default_rng(163)
     target = compile_nbest(NBestList(((Labeling((0, 1)), 1.0),)), V)
@@ -728,7 +759,8 @@ def test_frame_counts_at_the_loop_edges(frames):
         if pinned(y, target):
             feasible[kind].append((y, target))
     assert all(len(lines) >= 4 for lines in feasible.values()), {k: len(v) for k, v in feasible.items()}
-    # every kind shares a group with the others, bitwise its batch of one
+    # every kind shares a group with the kinds that flush alike, bitwise
+    # its batch of one
     lines = [line for group in zip(*feasible.values()) for line in group]
     got = dict(fb.run_batch(lines))
     assert len(fb._groups(lines)) < len(lines)

@@ -101,6 +101,21 @@ class TestPosteriorRoundTrip:
         with pytest.raises(ValidationError):
             read_posteriors(io.StringIO("# posteriors v1\na <blank>\n"))
 
+    def test_rejects_a_file_with_no_header_row(self):
+        with pytest.raises(ValidationError, match="posterior file has no header row"):
+            read_posteriors(io.StringIO("# posteriors v1\n# a comment\n"))
+
+    def test_rejects_a_value_that_is_not_a_number(self):
+        text = "# posteriors v1\na <blank>\n0.5 0.5\n0.5 half\n"
+        with pytest.raises(ValidationError, match="row 2: could not convert string to float: 'half'"):
+            read_posteriors(io.StringIO(text))
+
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_write_rejects_a_width_other_than_the_vocabulary(self, width, tmp_path):
+        m = PosteriorMatrix(np.full((2, width), 1 / width))
+        assert_writes_nothing(lambda out: write_posteriors(out, m, V), tmp_path,
+                              "matrix width does not match vocabulary")
+
     def test_rejects_the_null_token_in_the_header(self):
         # no writer takes such a vocabulary, and a network naming it could not
         # be told from null mass
@@ -492,6 +507,17 @@ class TestNbestRoundTrip:
     def test_rejects_unknown_symbol(self):
         with pytest.raises(ValidationError):
             read_nbest(io.StringIO("# nbest v1\n1.0 z\n"), V)
+
+    @pytest.mark.parametrize("line", ["segment 0 3", "segment 0 3 sure", "segment 0 3 confident extra"])
+    def test_rejects_a_bad_segment_line(self, line):
+        text = f"# nbest v1\n{line}\n1.0 a\n"
+        with pytest.raises(ValidationError, match=f"bad segment line '{line}'"):
+            read_nbest(io.StringIO(text), V)
+
+    @pytest.mark.parametrize("text", ["# nbest v1\n", "# nbest v1\n# only a comment\n\n"])
+    def test_rejects_a_file_with_no_entries(self, text):
+        with pytest.raises(ValidationError, match="n-best file has no entries"):
+            read_nbest(io.StringIO(text), V)
 
     @pytest.mark.parametrize("bounds", ["a 3", "0 3.5", "0 x"])
     def test_rejects_malformed_segment_bounds(self, bounds):

@@ -37,6 +37,12 @@ def test_vocabulary_rejects_bad_blank_index():
         Vocabulary(("a", "#"), blank_index=5)
 
 
+@pytest.mark.parametrize("symbols", [("#",), ()])
+def test_vocabulary_needs_a_symbol_besides_the_blank(symbols):
+    with pytest.raises(ValidationError, match="at least one symbol besides blank"):
+        Vocabulary(symbols, blank_index=0)
+
+
 def test_vocabulary_encode_unknown_symbol():
     v = Vocabulary.from_characters("ab")
     with pytest.raises(ValidationError):
@@ -48,6 +54,12 @@ def test_labeling_is_tuple_of_ints():
     assert lab.symbols == (0, 1, 2)
     assert len(lab) == 3
     assert list(lab) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("symbols", [(-1,), (0, 2, -3)])
+def test_labeling_rejects_a_negative_symbol_id(symbols):
+    with pytest.raises(ValidationError, match="symbol ids must be nonnegative"):
+        Labeling(symbols)
 
 
 def test_labeling_empty():
@@ -118,6 +130,11 @@ def test_nbest_list_basic():
     nb = NBestList(((Labeling((0,)), 0.6), (Labeling((1,)), 0.4)))
     assert len(nb) == 2
     assert nb.total_weight == pytest.approx(1.0)
+
+
+def test_nbest_list_rejects_no_entries():
+    with pytest.raises(ValidationError, match="n-best list may not be empty"):
+        NBestList(())
 
 
 def test_nbest_list_rejects_duplicate_labelings():

@@ -1,0 +1,173 @@
+"""Bitwise digest of the library's outputs on the benchmark catalogue.
+
+Writes one SHA-256 per catalogue entry and output, one ``<sha256>  <name>``
+line each, so two source trees can be compared output by output:
+
+    python3 tools/digest.py OUT                    # this checkout's src/
+    python3 tools/digest.py --tree ../other OUT    # another checkout's src/
+    python3 tools/digest.py --diff A B             # names every entry that differs
+
+The inputs come from ``perfbench/`` of the same tree, the frozen generators
+the benchmark runs on.  Covered, for every entry:
+
+- the 96 ``pseudolabel`` lines: ``decode_to_cn`` normalized and raw,
+  ``decode_line``'s n-best lists, the compiled target and the kernel's loss,
+  gradient and ``log_mass``;
+- the 24 ``merge-transform`` lines: the merged network before and after
+  prune and smooth, its compiled target and the kernel's outputs on the
+  clean line;
+- the 16 compiled ``train-step`` targets and, over them, the first
+  ``TRAIN_BATCHES`` jittered batches, each line's outputs as its batch
+  returns them.
+
+A network hashes its four arrays, its ``normalized`` flag and its total
+score; a target hashes every array with its dtype and shape.  ``--limit N``
+keeps the first N entries of each catalogue, for a quick check.  ``--diff``
+exits 1 when an entry differs or is missing from one side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import os
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRAIN_BATCHES = 4
+
+
+def _hash(*parts) -> str:
+    """SHA-256 over arrays (dtype, shape and bytes) and the ``repr`` of anything else, in order.
+
+    A float's ``repr`` reads back to the same double, so it pins the bits.
+    """
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            a = np.ascontiguousarray(part)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def _network(cn) -> str:
+    return _hash(cn.offsets, cn.symbols, cn.scores, cn.nulls, cn.normalized, cn.total_score)
+
+
+def _target(t) -> str:
+    m = t.transition
+    return _hash(m.shape, m.indptr, m.indices, m.data, t.state_symbols, t.alpha_hat, t.beta_hat)
+
+
+def _decoded(line) -> str:
+    """A decoded line's segments and each segment's n-best list."""
+    return _hash([(s.start, s.end, s.confident) for s in line.segments],
+                 [[(labeling.symbols, weight) for labeling, weight in nbest]
+                  for nbest in line.nbests])
+
+
+def _passes(entry: str, passes) -> list[tuple[str, str]]:
+    return [(f"{entry}/loss", _hash(passes.loss)),
+            (f"{entry}/grad", _hash(passes.grad)),
+            (f"{entry}/log_mass", _hash(passes.log_mass))]
+
+
+def digest(tree: str, limit: int | None = None) -> list[tuple[str, str]]:
+    """``(name, sha256)`` of every covered output, with softctc imported from ``tree``."""
+    for path in (os.path.join(tree, "perfbench"), os.path.join(tree, "src")):
+        sys.path.insert(0, path)
+    import inputs
+    import workloads
+    from softctc import (PosteriorMatrix, compile_cn, decode_line, decode_to_cn, merge_cns,
+                         prune, smooth)
+    from softctc import io as cnio
+    from softctc.forward_backward import run_batch
+    from tracing import Calls
+
+    def one_line(y, target):
+        ((_, passes),) = run_batch([(y.frames, target)])
+        return passes
+
+    v, cfg = workloads.vocabulary(), workloads.DECODE
+    # the workloads' set-up helpers read no reference figures
+    no_reference = {"merge-transform": {"lines": []}, "train-step": {}}
+    out = []
+    for i in range(workloads.PSEUDOLABEL_CATALOGUE)[:limit]:
+        entry = f"pseudolabel/{i}"
+        y = PosteriorMatrix(
+            inputs.synthetic_line(inputs.line_rng(inputs.PSEUDOLABEL_LINE, i)))
+        cn = decode_to_cn(y, v, cfg)
+        target = compile_cn(cn, v)
+        out += [(f"{entry}/cn", _network(cn)),
+                (f"{entry}/cn_raw", _network(decode_to_cn(y, v, cfg, normalize=False))),
+                (f"{entry}/nbest", _decoded(decode_line(y, v, cfg))),
+                (f"{entry}/target", _target(target))]
+        out += _passes(entry, one_line(y, target))
+
+    merge = workloads.MergeTransform(no_reference)
+    for i in range(workloads.MERGE_CATALOGUE)[:limit]:
+        entry = f"merge-transform/{i}"
+        y, texts, _ = merge.serialise(Calls(), i)
+        merged = merge_cns([cnio.read_cn(io.StringIO(text), v)[0] for text in texts])
+        pruned = prune(merged, workloads.PRUNE_CUTOFF)
+        smoothed = smooth(pruned, workloads.SMOOTH_EXPONENT)
+        target = compile_cn(smoothed, v)
+        out += [(f"{entry}/merged", _network(merged)), (f"{entry}/pruned", _network(pruned)),
+                (f"{entry}/smoothed", _network(smoothed)), (f"{entry}/target", _target(target))]
+        out += _passes(entry, one_line(y, target))
+
+    train = workloads.TrainStep(no_reference)
+    base, targets, _, _ = train.decode_batch(Calls())
+    for i, target in enumerate(targets[:limit]):
+        out.append((f"train-step/target/{i}", _target(target)))
+    for step in range(TRAIN_BATCHES)[:limit]:
+        lines = [(y.frames, t) for y, t in zip(train.jittered(base, step), targets)]
+        for i, passes in sorted(run_batch(lines), key=lambda pair: pair[0]):
+            out += _passes(f"train-step/{step}/{i}", passes)
+    return out
+
+
+def read(path: str) -> dict[str, str]:
+    with open(path, encoding="utf-8") as f:
+        return {name: sha for sha, name in (line.rstrip("\n").split("  ", 1) for line in f)}
+
+
+def diff(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """Every name whose digest differs or that only one side holds, in ``a``'s order."""
+    return [name for name in {**a, **b} if a.get(name) != b.get(name)]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("paths", nargs="+", metavar="PATH",
+                        help="the digest file to write, or the two to compare with --diff")
+    parser.add_argument("--diff", action="store_true", help="compare two digest files")
+    parser.add_argument("--tree", default=ROOT, help="checkout whose src/ and perfbench/ to run")
+    parser.add_argument("--limit", type=int, default=None, help="first N entries of each catalogue")
+    args = parser.parse_args(argv)
+    if args.diff:
+        if len(args.paths) != 2:
+            parser.error("--diff takes two digest files")
+        a, b = read(args.paths[0]), read(args.paths[1])
+        differing = diff(a, b)
+        for name in differing:
+            print(name)
+        print(f"{len(differing)} of {len(a.keys() | b.keys())} entries differ")
+        return 1 if differing else 0
+    if len(args.paths) != 1:
+        parser.error("write one digest file at a time")
+    entries = digest(os.path.abspath(args.tree), args.limit)
+    with open(args.paths[0], "w", encoding="utf-8") as f:
+        f.writelines(f"{sha}  {name}\n" for name, sha in entries)
+    print(f"{len(entries)} entries")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
