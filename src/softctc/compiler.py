@@ -8,6 +8,7 @@ alignments may end on trailing blanks exactly like the plain chain targets.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +22,13 @@ from .types import NBestList, ValidationError, Vocabulary
 class CompiledTarget:
     """Sparse transition matrix plus boundary vectors, ready for the kernel.
 
-    Every arc leads to the same or a later state: the kernel relies on it
-    and raises ValidationError on a transition with an arc to an earlier one.
     Construction raises ValidationError naming the field unless the
-    transition is a square CSR matrix of finite, nonnegative weights and
+    transition is a square CSR matrix of finite, nonnegative weights whose
+    arcs all lead to the same or a later state, as the kernel requires, and
     there is one nonnegative integer symbol and one finite, nonnegative
-    start and end weight per state.
+    start and end weight per state.  The target keeps read-only copies of
+    the arrays, of the dtypes given (unsigned symbols become int64), so it
+    stays valid for its whole life.
     """
 
     transition: sp.csr_matrix
@@ -46,6 +48,11 @@ class CompiledTarget:
             raise ValidationError(f"transition weights must be finite and nonnegative, got "
                                   f"{m.data[bad[0]]!r} at ({row}, {m.indices[bad[0]]})")
         states = m.shape[0]
+        rows = np.repeat(np.arange(states, dtype=m.indices.dtype), np.diff(m.indptr))
+        back = np.flatnonzero(m.indices < rows)
+        if back.size:
+            raise ValidationError(f"transition arcs must not lead to an earlier state, got one "
+                                  f"from state {rows[back[0]]} to state {m.indices[back[0]]}")
         for name, kinds, what in (("state_symbols", "iu", "nonnegative integer symbol"),
                                   ("alpha_hat", "iuf", "finite, nonnegative weight"),
                                   ("beta_hat", "iuf", "finite, nonnegative weight")):
@@ -59,11 +66,21 @@ class CompiledTarget:
             if bad.size:
                 raise ValidationError(f"{name} must hold one {what} per state, "
                                       f"got {a[bad[0]]!r} at state {bad[0]}")
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _read_only(a))
+        frozen = copy.copy(m)  # then its own read-only arrays, in the caller's dtypes
+        frozen.data, frozen.indices, frozen.indptr = map(_read_only, (m.data, m.indices, m.indptr))
+        object.__setattr__(self, "transition", frozen)
 
     @property
     def num_states(self) -> int:
         return self.state_symbols.shape[0]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``, of its dtype."""
+    a = np.array(a, copy=True)
+    a.setflags(write=False)
+    return a
 
 
 def _boundary(
@@ -152,8 +169,8 @@ def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
     The CSR arrays are written in row order: each row is its diagonal, then
     one contiguous range of columns (a blank's own letters, or the states of
     the groups a letter jumps to), masked down to the arcs kept.  Every arc
-    leads to the same or a later state, the upper-triangular form the
-    kernel requires.
+    leads to the same or a later state, the upper-triangular form a
+    :class:`CompiledTarget` requires.
     """
     if not cn.normalized:
         raise ValidationError("compile targets require a normalized network")

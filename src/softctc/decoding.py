@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +33,7 @@ from .types import (
     ValidationError,
     Vocabulary,
     check_decoder_input,
+    check_integer,
 )
 
 NEG_INF = float("-inf")
@@ -59,17 +59,8 @@ class DecodeConfig:
 
 
 def _check_beam_size(beam_size) -> None:
-    """Raise ValidationError unless ``beam_size`` is an integer of at least 1.
-
-    numpy integers pass; bools and floats, integral or not, do not.
-    """
-    if isinstance(beam_size, (bool, np.bool_)):
-        raise ValidationError(f"beam size must be an integer, got {beam_size!r}")
-    try:
-        size = operator.index(beam_size)
-    except TypeError:
-        raise ValidationError(f"beam size must be an integer, got {beam_size!r}") from None
-    if size < 1:
+    """Raise ValidationError unless ``beam_size`` is an integer of at least 1."""
+    if check_integer(beam_size, "beam size") < 1:
         raise ValidationError("beam size must be at least 1")
 
 
@@ -169,8 +160,6 @@ class _Trie:
         return out
 
     def prefixes(self, nodes: np.ndarray) -> list[tuple[int, ...]]:
-        if not nodes.shape[0]:
-            return []
         paths = self.padded_paths(nodes, np.full(nodes.shape[0], -1))
         return [tuple(path[:d]) for path, d in zip(paths.tolist(), self.depth[nodes].tolist())]
 

@@ -2,7 +2,8 @@
 
 Both the plain chain targets and compiled confusion-network targets run
 through this kernel, a batch of lines at a time; a single line is a batch of
-one.  Recursions stay in the linear domain; each frame's vectors are divided
+one.  The kernel raises nothing: it reports every line, and the loss layer
+(:mod:`softctc.loss`) decides what a failing line costs.  Recursions stay in the linear domain; each frame's vectors are divided
 by their sum and the log scale factors are accumulated, so the matrix
 products never touch the log semiring.
 
@@ -25,14 +26,15 @@ block-diagonal product reads only its own block, so every line of a group
 is bitwise the line run as a batch of one, and each pass is bitwise the pass
 run on its own.
 
-Arcs never go back: a target with an arc to an earlier state raises
-ValidationError.  So a forward state before the first nonzero forward entry
-of a vector, or a backward state after the last nonzero backward entry,
-reads only zeros in every later product of its pass, and from the second
-loop block on each product runs on the stacked rows between those two
-entries of the vector the block's first product reads, through a slice of
-``indptr`` and of the output row.  The rows left out would compute zeros,
-so every result is bitwise that of the full product.
+A :class:`~softctc.compiler.CompiledTarget` guarantees that no arc goes
+back: it refuses one when it is built, and its arrays are read-only.  So a
+forward state before the first nonzero forward entry of a vector, or a
+backward state after the last nonzero backward entry, reads only zeros in
+every later product of its pass, and from the second loop block on each
+product runs on the stacked rows between those two entries of the vector
+the block's first product reads, through a slice of ``indptr`` and of the
+output row.  The rows left out would compute zeros, so every result is
+bitwise that of the full product.
 
 The passes meet in the middle.  Before iteration ``T//2`` each iteration
 stores both halves of its product, the vectors before the emission
@@ -53,8 +55,8 @@ both passes therefore flush entries below ``tiny`` to zero after each
 frame's rescale.  Only lines that flush alike share a group, so a group
 flushes as a whole.  The flush drops paths holding less than 2^-1022 of a
 frame's mass; it changes a result only where such a path alone later
-carries the line.  :func:`run_batch` checks the total mass at every frame,
-so that case raises InfeasibleTarget instead of returning a wrong loss.
+carries the line.  :func:`run_batch` checks the total mass at every frame
+and reports that case as the line's failure instead of a wrong loss.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ import numpy as np
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs, csr_tocsc
 
 from .compiler import CompiledTarget
-from .types import InfeasibleTarget, ValidationError
 
 # Chains (plain CTC, n-best lists) compile to about 2.5 transitions per
 # state, decoded and merged networks to 3.7-27.  On chains the flush costs
@@ -73,7 +74,7 @@ from .types import InfeasibleTarget, ValidationError
 FLUSH_MIN_NNZ_PER_STATE = 3
 TINY = np.finfo(float).tiny
 # largest spread of log P_t over frames, relative to max(1, |log P|), that
-# run_batch accepts as rounding
+# run_batch passes as rounding
 MASS_SPREAD_RTOL = 1e-9
 # Stored vectors (frames x lines x width x 8 bytes) that one packed group may
 # hold, unless it is a single line (trials in CHANGES.md, pairs in
@@ -95,12 +96,13 @@ class LinePasses(NamedTuple):
     log_mass: np.ndarray
 
 
-def run_batch(lines: Sequence[Line]) -> Iterator[tuple[int, LinePasses]]:
+def run_batch(lines: Sequence[Line]) -> Iterator[tuple[int, LinePasses | None, str | None]]:
     """Run both passes and the gradient over (posteriors, target) lines.
 
-    Packs the lines into groups (see :func:`_groups`) and yields each line's
-    ``(index in lines, result)`` one group at a time, so a caller that copies
-    each result holds one group's gradients at a time.
+    Packs the lines into groups (see :func:`_groups`) and yields
+    ``(index in lines, passes, failure)`` for every line, one group at a
+    time, so a caller that copies each result holds one group's gradients at
+    a time.
 
     The loss is read off the last forward vector against the final weights,
     which keeps it independent of the backward pass.  The gradient bins the
@@ -110,14 +112,12 @@ def run_batch(lines: Sequence[Line]) -> Iterator[tuple[int, LinePasses]]:
     them by the emissions, and the gradient is minus them over the row
     total, exact also where ``y`` is zero.
 
-    Raises ValidationError when the group about to run holds a target with
-    an arc to an earlier state.  After every group has run, raises
-    InfeasibleTarget naming the failing line of smallest index, with the
-    text it raises as a batch of one, when:
+    ``failure`` is None for a line whose result can be trusted and otherwise
+    says why not.  ``passes`` is None only when the passes found no mass: a
+    forward or backward scale is not a finite positive number (no alignment
+    carries mass, or non-finite posteriors), or no admissible final state is
+    reachable.  A line keeps its passes, with a failure, when:
 
-    - a forward or backward scale is not a finite positive number (no
-      alignment carries mass, or non-finite posteriors), or no admissible
-      final state is reachable;
     - a frame's row total is zero or subnormal: its gradient keeps few
       digits;
     - the target probability ``log P_t``, read at each frame from its row
@@ -127,28 +127,8 @@ def run_batch(lines: Sequence[Line]) -> Iterator[tuple[int, LinePasses]]:
       to the flush in one pass and not the other, so the loss cannot be
       trusted.
     """
-    failures = []
     for indices in _groups(lines):
-        results, failed = _Group(lines, indices).run(check_mass=True)
-        failures += failed
-        yield from results
-        del results  # so no raw gradient is held while the next group runs
-    if failures:
-        index, reason = min(failures)
-        raise InfeasibleTarget(f"line {index}: {reason}")
-
-
-def log_mass(y: np.ndarray, target: CompiledTarget) -> np.ndarray:
-    """log P read at each frame of one line, without checking its spread.
-
-    The diagnostic form of :func:`run_batch`: raises InfeasibleTarget only
-    when a pass finds no mass, and returns what the row-total and spread
-    checks would judge, so a caller can measure the spread they bound.
-    """
-    results, failures = _Group([(y, target)], [0]).run(check_mass=False)
-    if failures:
-        raise InfeasibleTarget(f"line 0: {failures[0][1]}")
-    return results[0][1].log_mass
+        yield from _Group(lines, indices).run()
 
 
 def _groups(lines: Sequence[Line]) -> list[list[int]]:
@@ -235,18 +215,6 @@ class _Group:
         np.add(backward_indptr[1:], nnz, out=indptr[states + 1 :])
         indices[nnz:] += states
         self.matrix = (indptr, indices, data)
-        # the row windows of run need arcs that never go back; the
-        # transpose's rows list their sources in increasing order, so a row's
-        # last source must not come after it
-        forward = indptr[: states + 1]
-        heads = np.flatnonzero(np.diff(forward))
-        back = heads[indices[forward[heads + 1] - 1] > heads]
-        if back.size:
-            line, state = divmod(int(back[0]), self.width)
-            source = int(indices[forward[back[0] + 1] - 1]) - line * self.width
-            raise ValidationError(
-                f"line {self.indices[line]}: an arc goes back from state {source} to state {state}"
-            )
 
         # binning matrix: row line * vocab + k sums the line's states of
         # symbol k, in increasing state order
@@ -281,8 +249,8 @@ class _Group:
     # a failed line's 0/0 and log(0) stay in its own block; overflow in a
     # gradient still warns
     @np.errstate(divide="ignore", invalid="ignore")
-    def run(self, check_mass: bool):
-        """``(index, LinePasses)`` of each feasible line and ``(index, reason)`` of each other."""
+    def run(self) -> list[tuple[int, LinePasses | None, str | None]]:
+        """``(index, passes, failure)`` of each line, as :func:`run_batch` yields them."""
         frames, states, lines = self.frames, self.states, self.lines
         bounds, flush = self.bounds, self.flush
         indptr, indices, data = self.matrix
@@ -359,19 +327,17 @@ class _Group:
 
         alpha_scales = np.ascontiguousarray(sums[:, : 2 * lines : 2].T)
         beta_scales = np.ascontiguousarray(sums[::-1, 2 * lines :: 2].T)
-        results, failures = [], []
+        results = []
         for line, index in enumerate(self.indices):
-            reason = _failure(alpha_scales[line], float(final[line]), beta_scales[line])
-            if reason is None:
-                log_mass = _log_mass(row_totals[line], alpha_scales[line], beta_scales[line])
-                if check_mass:
-                    reason = _mass_failure(row_totals[line], log_mass)
-            if reason is not None:
-                failures.append((index, reason))
+            failure = _failure(alpha_scales[line], float(final[line]), beta_scales[line])
+            if failure is not None:
+                results.append((index, None, failure))
                 continue
+            log_mass = _log_mass(row_totals[line], alpha_scales[line], beta_scales[line])
             loss = -(np.log(alpha_scales[line]).sum() + np.log(final[line]))
-            results.append((index, LinePasses(float(loss), grads[line], log_mass)))
-        return results, failures
+            passes = LinePasses(float(loss), grads[line], log_mass)
+            results.append((index, passes, _mass_failure(row_totals[line], log_mass)))
+        return results
 
     def _final_mass(self, alpha: np.ndarray) -> np.ndarray:
         """Each line's mass in its final states, from the last rescaled forward vector."""

@@ -4,8 +4,10 @@ Every target is a :class:`~softctc.compiler.CompiledTarget`: a compiled
 confusion network, an n-best list, or plain CTC's one-entry n-best list,
 and :func:`soft_ctc_batch` scores a batch of them with one lock-step
 forward-backward pass per group of lines; :func:`soft_ctc_loss` is its
-batch of one.  :func:`multi_ctc` is the naive per-variant sum the compiled
-n-best target is checked against.
+batch of one.  The kernel reports every line, and this layer owns the
+failure policy: a batch with a failing line raises InfeasibleTarget for the
+smallest such index once every line has run.  :func:`multi_ctc` is the
+naive per-variant sum the compiled n-best target is checked against.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .types import (
     ValidationError,
     Vocabulary,
     check_finite,
+    check_integer,
 )
 
 
@@ -53,20 +56,17 @@ def soft_ctc_value_at(y: PosteriorMatrix, target: CompiledTarget, t: int) -> flo
     """Target probability evaluated at frame ``t``; constant over frames.
 
     Diagnostic form of the loss: the kernel's log mass at frame ``t``, the
-    frame's row total reassembled with the scales of the rescaled passes, read
-    without the row-total and spread checks so that the invariance check
-    sees what they bound.  Returns 0.0 for an instance whose passes find no
-    mass instead of raising, so the invariance check covers that case; a
-    non-finite posterior still raises NonFiniteEntry.
+    frame's row total reassembled with the scales of the rescaled passes,
+    read even where the kernel reports a failure, so that the invariance
+    check sees what the row-total and spread checks bound.  Returns 0.0 for
+    an instance whose passes find no mass instead of raising, so the
+    invariance check covers that case.  A non-finite posterior still raises
+    NonFiniteEntry, and a ``t`` that is not an integer frame index ValidationError.
     """
-    if not 0 <= t < y.num_frames:
+    if not 0 <= check_integer(t, "frame") < y.num_frames:
         raise ValidationError(f"frame {t} outside [0, {y.num_frames})")
-    frames = _checked(y, target)
-    try:
-        log_mass = fb.log_mass(frames, target)
-    except InfeasibleTarget:
-        return 0.0
-    return float(np.exp(log_mass[t]))
+    ((_, passes, _),) = fb.run_batch([(_checked(y, target), target)])
+    return 0.0 if passes is None else float(np.exp(passes.log_mass[t]))
 
 
 def soft_ctc_batch(
@@ -78,15 +78,21 @@ def soft_ctc_batch(
     the batch raises NonFiniteEntry before any line runs.  The kernel then
     runs lines with the same frame count, vocabulary and flush rule in lock
     step, packed by state count into groups of at most ``GROUP_BYTES``
-    (2 MiB) of stored vectors (see :mod:`softctc.forward_backward`).  Results come back in
-    input order, each bitwise its line's batch of one.  After every group
-    has run, the infeasible line of smallest index raises InfeasibleTarget
-    naming that index.
+    (2 MiB) of stored vectors (see :mod:`softctc.forward_backward`), and
+    reports each line.  Results come back in input order, each bitwise its
+    line's batch of one.  After every line has run, the failing line of
+    smallest index raises InfeasibleTarget naming that index and the reason
+    the kernel gave.
     """
     lines = [(_checked(y, target), target) for y, target in items]
-    results = [None] * len(lines)
-    for index, passes in fb.run_batch(lines):
-        results[index] = LossResult(passes.loss, passes.grad)
+    results, failures = [None] * len(lines), []
+    for index, passes, failure in fb.run_batch(lines):
+        if failure is None:
+            results[index] = LossResult(passes.loss, passes.grad)
+        else:
+            failures.append((index, failure))
+    if failures:
+        raise InfeasibleTarget("line {}: {}".format(*min(failures)))
     return results
 
 

@@ -7,6 +7,7 @@ formats ever looks at the display form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -197,6 +198,16 @@ class LossResult:
     @property
     def log_likelihood(self) -> float:
         return -self.loss
+
+
+def check_integer(value, what: str) -> int:
+    """``value`` as an int; ValidationError unless it is a Python or numpy integer, not a bool."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def check_finite(m: PosteriorMatrix) -> None:

@@ -28,7 +28,7 @@ from softctc import (
     trivial_cn,
 )
 from softctc import io as formats
-from softctc.bench import BenchConfig, synthetic_vocabulary
+from softctc.bench import BenchConfig, BenchReport, BenchRow, synthetic_vocabulary
 from softctc.cli import build_parser, main
 
 V = Vocabulary.from_characters("ab")
@@ -477,6 +477,12 @@ class TestBenchCommand:
     def test_config_rejects_bad_counts(self, changed, match):
         with pytest.raises(ValidationError, match=match):
             BenchConfig(**changed)
+
+    def test_report_row_rejects_an_unknown_method(self):
+        report = BenchReport(BenchConfig(), (BenchRow("ctc", 1.0, 0.0, 0.5),), 0.1, 2.0, 1.0)
+        assert report.row("ctc").per_line_ms == 0.5
+        with pytest.raises(KeyError, match="softctc"):
+            report.row("softctc")
 
     def test_generator_vocabulary_needs_two_letters(self):
         assert len(synthetic_vocabulary(3)) == 3

@@ -421,6 +421,40 @@ class TestHandBuiltTargets:
         with pytest.raises(ValidationError, match=match):
             CompiledTarget(**self.fields(**{name: value}))
 
+    def test_arrays_are_frozen_after_construction(self):
+        y = PosteriorMatrix(np.random.default_rng(5).dirichlet(np.ones(len(V3)), size=6))
+        loss = soft_ctc_loss(y, self.CHAIN).loss
+        t = self.CHAIN
+        for a in (t.transition.data, t.transition.indices, t.transition.indptr,
+                  t.state_symbols, t.alpha_hat, t.beta_hat):
+            with pytest.raises(ValueError, match="read-only"):
+                a[1] = -1
+        assert soft_ctc_loss(y, t).loss == loss
+
+    def test_hand_built_target_copies_its_fields(self):
+        m = self.CHAIN.transition
+        # scipy narrows indices it builds itself to int32; set int64 by hand
+        transition = sp.csr_matrix((m.data.astype(np.float32), m.indices, m.indptr), shape=m.shape)
+        transition.indices = transition.indices.astype(np.int64)
+        transition.indptr = transition.indptr.astype(np.int64)
+        fields = dict(transition=transition, state_symbols=self.CHAIN.state_symbols.astype(np.int32),
+                      alpha_hat=self.CHAIN.alpha_hat.astype(np.float32),
+                      beta_hat=self.CHAIN.beta_hat.astype(np.int64))
+        target = CompiledTarget(**fields)
+        arrays = {name: getattr(target, name) for name in ("state_symbols", "alpha_hat", "beta_hat")}
+        arrays.update((name, getattr(target.transition, name)) for name in ("data", "indices", "indptr"))
+        given = {name: fields[name] for name in ("state_symbols", "alpha_hat", "beta_hat")}
+        given.update((name, getattr(transition, name)) for name in ("data", "indices", "indptr"))
+        for name, a in arrays.items():
+            assert a.dtype == given[name].dtype, name
+            assert np.array_equal(a, given[name]), name
+            assert not a.flags.writeable and given[name].flags.writeable, name
+        # the caller's arrays stay the caller's
+        fields["alpha_hat"][1] = 0.0
+        transition.data[1] = 0.0
+        assert target.alpha_hat[1] == self.CHAIN.alpha_hat[1]
+        assert target.transition.data[1] == m.data[1]
+
 
 def test_trivial_cn_target():
     v = Vocabulary.from_characters("ab")

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "digest.py"
 
 
 def run(*args):
@@ -40,3 +43,16 @@ def test_digest_covers_each_output_and_diff_names_what_differs(tmp_path):
     differ = run("--diff", a, b)
     assert differ.returncode == 1
     assert differ.stdout.splitlines() == [names[4], names[-1], f"2 of {len(names)} entries differ"]
+
+
+def test_against_digests_a_revision_with_its_own_tool():
+    try:
+        subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
+                       capture_output=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("the checkout is not a git repository")
+    got = run("--limit", 1, "--against", "HEAD")
+    # the working tree may differ from HEAD: the tool names what differs
+    *names, summary = got.stdout.splitlines()
+    assert summary == f"{len(names)} of 63 entries differ", got.stderr
+    assert got.returncode == (1 if names else 0)

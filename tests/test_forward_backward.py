@@ -114,9 +114,23 @@ def rand_target(rng, kind):
 
 
 def run_one(y, target):
-    """The kernel's result for one line, run as a batch of one."""
-    ((_, passes),) = fb.run_batch([(y, target)])
+    """The kernel's result for one line, run as a batch of one.
+
+    A failing line raises InfeasibleTarget with the text the loss raises.
+    """
+    ((_, passes, failure),) = fb.run_batch([(y, target)])
+    if failure is not None:
+        raise InfeasibleTarget(f"line 0: {failure}")
     return passes
+
+
+def run_all(lines):
+    """Each line's passes by index, for a batch whose lines all pass their checks."""
+    got = {}
+    for i, passes, failure in fb.run_batch(lines):
+        assert failure is None, (i, failure)
+        got[i] = passes
+    return got
 
 
 def pinned(y, target, relative_grad=False):
@@ -453,7 +467,7 @@ def test_chains_are_not_flushed(monkeypatch):
     assert with_subnormals >= 8
 
 
-def test_flushed_path_that_later_carries_the_line_raises(monkeypatch):
+def test_flushed_path_that_later_carries_the_line_raises():
     # "b" holds 1e-310 of the mass after frame 1, below the flush threshold,
     # then out-emits "a" by 1e100 per frame: the flushed path carries the line
     cn = ConfusionNetwork(
@@ -469,10 +483,10 @@ def test_flushed_path_that_later_carries_the_line_raises(monkeypatch):
     # the unflushed reference keeps the path and gets the line right
     ref_loss = reference_run_passes(y, *args).loss
     assert ref_loss == pytest.approx(reference_log_loss(y, *args), rel=1e-12)
-    with monkeypatch.context() as unchecked:
-        unchecked.setattr(fb, "_mass_failure", lambda row_totals, log_mass: None)
-        loss = run_one(y, target).loss  # the forward pass alone is off by ~200 nats
-    assert loss > ref_loss + 100.0
+    # the kernel reports the line's passes with its failure
+    ((_, passes, failure),) = fb.run_batch([(y, target)])
+    assert "lost to underflow" in failure
+    assert passes.loss > ref_loss + 100.0  # the forward pass alone is off by ~200 nats
     with pytest.raises(InfeasibleTarget, match="lost to underflow"):
         soft_ctc_loss(PosteriorMatrix(y), target)
     # the diagnostic read skips the check, so the frames disagree there
@@ -556,7 +570,7 @@ def test_batch_lines_equal_their_batch_of_one(monkeypatch):
             patched.setattr(fb, "GROUP_BYTES", cap)
             batch = [(y, target) for y, target, _ in lines]
             groups = fb._groups(batch)
-            got = dict(fb.run_batch(batch))
+            got = run_all(batch)
         assert sorted(got) == list(range(len(lines)))
         for i, (_, _, single) in enumerate(lines):
             passes = got[i]
@@ -587,7 +601,7 @@ def test_infeasible_line_mid_batch_names_its_index():
         if expected is None:
             continue
         with pytest.raises(InfeasibleTarget) as got:
-            list(fb.run_batch(lines))
+            soft_ctc_batch([(PosteriorMatrix(y), target) for y, target in lines])
         assert str(got.value) == expected
         reasons.add(expected.split(": ", 1)[1].split(" ", 1)[0])
         mid_batch += not expected.startswith("line 0:")
@@ -607,7 +621,8 @@ def test_underflow_line_mid_batch_keeps_its_row_total_text():
     chain = compile_nbest(NBestList(((Labeling((0, 1)), 1.0),)), V)
     other = rand_posteriors(np.random.default_rng(5), 144)
     with pytest.raises(InfeasibleTarget) as got:
-        list(fb.run_batch([(other, chain), (y, target), (other, chain)]))
+        lines = [(other, chain), (y, target), (other, chain)]
+        soft_ctc_batch([(PosteriorMatrix(frames), t) for frames, t in lines])
     assert str(got.value) == "line 1: " + str(single.value).removeprefix("line 0: ")
 
 
@@ -690,7 +705,7 @@ def test_chains_and_networks_in_one_batch_form_groups_that_flush_alike():
         for group in groups:
             assert len({flushes(lines[i][1]) for i in group}) == 1
             assert len({lines[i][0].shape for i in group}) == 1
-        got = dict(fb.run_batch(lines))
+        got = run_all(lines)
         for i, (y, target) in enumerate(lines):
             single = run_one(y, target)
             assert got[i].loss == single.loss
@@ -704,7 +719,7 @@ def test_interleaved_frame_counts_form_one_group_each():
     target = compile_nbest(NBestList(((Labeling((0, 1)), 1.0),)), V)
     lines = [(rand_posteriors(rng, frames), target) for frames in (9, 7, 9, 7)]
     assert fb._groups(lines) == [[0, 2], [1, 3]]
-    got = dict(fb.run_batch(lines))
+    got = run_all(lines)
     for i, (y, _) in enumerate(lines):
         single = run_one(y, target)
         assert got[i].loss == single.loss
@@ -762,7 +777,7 @@ def test_frame_counts_at_the_loop_edges(frames):
     # every kind shares a group with the kinds that flush alike, bitwise
     # its batch of one
     lines = [line for group in zip(*feasible.values()) for line in group]
-    got = dict(fb.run_batch(lines))
+    got = run_all(lines)
     assert len(fb._groups(lines)) < len(lines)
     assert sorted(got) == list(range(len(lines)))
     for i, (y, target) in enumerate(lines):
@@ -840,15 +855,44 @@ def test_later_blocks_multiply_only_the_rows_the_passes_reach(monkeypatch):
 
 
 def test_a_target_with_a_backward_arc_is_rejected():
-    # a -> blank -> b, plus an arc from the last state back to the first
+    # a -> blank -> b, plus an arc from the last state back to the first:
+    # the target refuses it when it is built, so the kernel never sees it
     good = compile_nbest(NBestList(((Labeling((0, 1)), 1.0),)), V)
     dense = good.transition.toarray()
     dense[2, 0] = 0.5
-    bad = CompiledTarget(sp.csr_matrix(dense), good.state_symbols, good.alpha_hat, good.beta_hat)
+    with pytest.raises(ValidationError, match="an earlier state, got one from state 2 to state 0"):
+        CompiledTarget(sp.csr_matrix(dense), good.state_symbols, good.alpha_hat, good.beta_hat)
     y = PosteriorMatrix(rand_posteriors(np.random.default_rng(163), 8))
-    with pytest.raises(ValidationError, match="line 0: an arc goes back from state 2 to state 0"):
-        soft_ctc_loss(y, bad)
-    # in a batch, the message names the line
-    with pytest.raises(ValidationError, match="line 1: an arc goes back from state 2 to state 0"):
-        soft_ctc_batch([(y, good), (y, bad)])
     assert soft_ctc_loss(y, good).loss > 0.0
+
+
+def test_run_batch_reports_each_failing_line_and_runs_the_others():
+    # between feasible lines: a line whose passes find no mass, and the
+    # seed-91 line whose passes run but whose row totals go subnormal
+    rng = np.random.default_rng(91)
+    target = compile_cn(rand_cn(rng), V)
+    underflow = (near_zero_posteriors(rng, 144, floor=1e-60), target)
+    rng = np.random.default_rng(181)
+    chain = compile_nbest(NBestList(((Labeling((0, 1)), 1.0),)), V)
+    blocked = rand_posteriors(rng, 144)
+    blocked[:, 0] = 0.0  # "a" is never emitted
+    lines = [(rand_posteriors(rng, 144), rand_target(rng, kind)) for kind in ("cn", "merged")]
+    lines[1:1] = [(blocked, chain), underflow]
+    lines.append((rand_posteriors(rng, 144), chain))
+    got = {i: (passes, failure) for i, passes, failure in fb.run_batch(lines)}
+    assert sorted(got) == list(range(len(lines)))
+    for i, (y, target) in enumerate(lines):
+        ((_, single, single_failure),) = fb.run_batch([(y, target)])
+        passes, failure = got[i]
+        assert failure == single_failure
+        if i in (1, 2):
+            assert failure is not None
+            continue
+        assert failure is None
+        assert passes.loss == single.loss
+        assert np.array_equal(passes.grad, single.grad)
+        assert np.array_equal(passes.log_mass, single.log_mass)
+    assert got[1][0] is None and got[1][1].startswith("final mass 0.0")
+    passes, failure = got[2]
+    assert "mass at frame 69, outside the normal range" in failure
+    assert np.isfinite(passes.loss) and passes.log_mass.shape == (144,)

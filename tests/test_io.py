@@ -429,6 +429,32 @@ class TestReadCnMatchesReference:
         assert min(raised[fault] for fault in expected) >= 10, raised
         assert sum(raised.values()) >= 200, raised
 
+    @pytest.mark.parametrize("v", [VP, None], ids=["vocabulary", "no vocabulary"])
+    @pytest.mark.parametrize("text, message", [
+        ("", "missing '# confusion-network v1' header"),
+        ("set a 1.0\n", "missing '# confusion-network v1' header"),
+        ("# confusion-network v1\nsets two\nset a 1.0\n", "bad sets count 'two'"),
+        ("# confusion-network v1\nsets 2\nset a 1.0\n", "expected 2 sets, found 1"),
+        ("# confusion-network v1\nnormalized yes\nset a 1.0\n",
+         "normalized must be true or false, got 'yes'"),
+        ("# confusion-network v1\nnormalized false\ntotal x\nset a 1.0\n", "bad total 'x'"),
+    ], ids=["empty", "no magic", "sets not a number", "sets miscounted", "normalized", "total"])
+    def test_header_faults(self, v, text, message):
+        got = read_outcome(read_cn, text, v)
+        assert got[0] is ValidationError and message in got[1]
+        assert read_outcome(reference_read_cn, text, v) == got
+
+    @pytest.mark.parametrize("v", [VP, None], ids=["vocabulary", "no vocabulary"])
+    def test_reads_a_path(self, v, tmp_path):
+        path = tmp_path / "line.cn"
+        text = "# confusion-network v1\nsets 2\nset a 0.75 <null> 0.25\nset b 1.0\n"
+        path.write_text(text, encoding="utf-8")
+
+        def outcome(reader):
+            return read_outcome(lambda _, vocab: reader(path, vocab), text, v)
+
+        assert outcome(read_cn) == outcome(reference_read_cn) == read_outcome(read_cn, text, v)
+
 
 class TestNbestRoundTrip:
     def test_segment_groups_round_trip(self):

@@ -206,6 +206,16 @@ class TestValueAt:
         with pytest.raises(ValidationError):
             soft_ctc_value_at(y, target, 2)
 
+    @pytest.mark.parametrize("t", [2.5, 1.0, True, np.bool_(True), "1", None],
+                             ids=["2.5", "1.0", "True", "np.True_", "str", "None"])
+    def test_frame_that_is_not_an_integer_rejected(self, t):
+        y = PosteriorMatrix(np.array([[0.6, 0.2, 0.2], [0.3, 0.2, 0.5]]))
+        target = compile_cn(trivial_cn(Labeling((0,))), V)
+        with pytest.raises(ValidationError, match="frame must be an integer"):
+            soft_ctc_value_at(y, target, t)
+        # numpy integers are integers
+        assert soft_ctc_value_at(y, target, np.int64(1)) == soft_ctc_value_at(y, target, 1)
+
 
 def test_state_symbols_must_fit_posterior_width():
     y = PosteriorMatrix(np.full((2, 2), 0.5))

@@ -49,6 +49,13 @@ def test_vocabulary_encode_unknown_symbol():
         v.encode("ax")
 
 
+@pytest.mark.parametrize("text", ["#", "a#b"])
+def test_vocabulary_encode_rejects_the_blank(text):
+    v = Vocabulary.from_characters("ab")
+    with pytest.raises(ValidationError, match="labelings may not contain the blank"):
+        v.encode(text)
+
+
 def test_labeling_is_tuple_of_ints():
     lab = Labeling((0, 1, 2))
     assert lab.symbols == (0, 1, 2)

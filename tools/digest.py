@@ -6,6 +6,7 @@ line each, so two source trees can be compared output by output:
     python3 tools/digest.py OUT                    # this checkout's src/
     python3 tools/digest.py --tree ../other OUT    # another checkout's src/
     python3 tools/digest.py --diff A B             # names every entry that differs
+    python3 tools/digest.py --against REV          # git revision REV against this tree
 
 The inputs come from ``perfbench/`` of the same tree, the frozen generators
 the benchmark runs on.  Covered, for every entry:
@@ -24,6 +25,11 @@ A network hashes its four arrays, its ``normalized`` flag and its total
 score; a target hashes every array with its dtype and shape.  ``--limit N``
 keeps the first N entries of each catalogue, for a quick check.  ``--diff``
 exits 1 when an entry differs or is missing from one side.
+
+``--against REV`` extracts ``git archive REV`` into a temporary directory
+and digests that tree with REV's own ``tools/digest.py``, since the kernel's
+interface may differ between the trees, then digests this tree (or
+``--tree``), prints the comparison as ``--diff`` does and exits the same way.
 """
 
 from __future__ import annotations
@@ -32,7 +38,10 @@ import argparse
 import hashlib
 import io
 import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 
 import numpy as np
 
@@ -90,9 +99,16 @@ def digest(tree: str, limit: int | None = None) -> list[tuple[str, str]]:
     from softctc.forward_backward import run_batch
     from tracing import Calls
 
+    def run(lines):
+        """Each line's passes in input order; a failing line stops the digest."""
+        results = sorted(run_batch(lines), key=lambda result: result[0])
+        for i, _, failure in results:
+            if failure is not None:
+                raise RuntimeError(f"line {i}: {failure}")
+        return [passes for _, passes, _ in results]
+
     def one_line(y, target):
-        ((_, passes),) = run_batch([(y.frames, target)])
-        return passes
+        return run([(y.frames, target)])[0]
 
     v, cfg = workloads.vocabulary(), workloads.DECODE
     # the workloads' set-up helpers read no reference figures
@@ -128,7 +144,7 @@ def digest(tree: str, limit: int | None = None) -> list[tuple[str, str]]:
         out.append((f"train-step/target/{i}", _target(target)))
     for step in range(TRAIN_BATCHES)[:limit]:
         lines = [(y.frames, t) for y, t in zip(train.jittered(base, step), targets)]
-        for i, passes in sorted(run_batch(lines), key=lambda pair: pair[0]):
+        for i, passes in enumerate(run(lines)):
             out += _passes(f"train-step/{step}/{i}", passes)
     return out
 
@@ -143,26 +159,55 @@ def diff(a: dict[str, str], b: dict[str, str]) -> list[str]:
     return [name for name in {**a, **b} if a.get(name) != b.get(name)]
 
 
+def report(a: dict[str, str], b: dict[str, str]) -> int:
+    """Print every differing entry and a count; 1 if any differs, else 0."""
+    differing = diff(a, b)
+    for name in differing:
+        print(name)
+    print(f"{len(differing)} of {len(a.keys() | b.keys())} entries differ")
+    return 1 if differing else 0
+
+
+def digest_revision(tree: str, rev: str, limit: int | None) -> dict[str, str]:
+    """The digest of revision ``rev`` of ``tree``'s repository, made by its own tool."""
+    archive = subprocess.run(["git", "-C", tree, "archive", "--format=tar", rev],
+                             stdout=subprocess.PIPE, check=True).stdout
+    with tempfile.TemporaryDirectory() as checkout:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(checkout, filter="data")
+        tool, out = os.path.join(checkout, "tools", "digest.py"), os.path.join(checkout, "digest.txt")
+        if not os.path.exists(tool):
+            raise SystemExit(f"{rev} has no tools/digest.py")
+        command = [sys.executable, tool, out]
+        if limit is not None:
+            command += ["--limit", str(limit)]
+        subprocess.run(command, check=True, stdout=subprocess.DEVNULL)
+        return read(out)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("paths", nargs="+", metavar="PATH",
+    parser.add_argument("paths", nargs="*", metavar="PATH",
                         help="the digest file to write, or the two to compare with --diff")
     parser.add_argument("--diff", action="store_true", help="compare two digest files")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare git revision REV, digested by its own tool, with the tree")
     parser.add_argument("--tree", default=ROOT, help="checkout whose src/ and perfbench/ to run")
     parser.add_argument("--limit", type=int, default=None, help="first N entries of each catalogue")
     args = parser.parse_args(argv)
+    tree = os.path.abspath(args.tree)
+    if args.against is not None:
+        if args.paths or args.diff:
+            parser.error("--against takes no digest file and no --diff")
+        theirs = digest_revision(tree, args.against, args.limit)
+        return report(theirs, dict(digest(tree, args.limit)))
     if args.diff:
         if len(args.paths) != 2:
             parser.error("--diff takes two digest files")
-        a, b = read(args.paths[0]), read(args.paths[1])
-        differing = diff(a, b)
-        for name in differing:
-            print(name)
-        print(f"{len(differing)} of {len(a.keys() | b.keys())} entries differ")
-        return 1 if differing else 0
+        return report(read(args.paths[0]), read(args.paths[1]))
     if len(args.paths) != 1:
         parser.error("write one digest file at a time")
-    entries = digest(os.path.abspath(args.tree), args.limit)
+    entries = digest(tree, args.limit)
     with open(args.paths[0], "w", encoding="utf-8") as f:
         f.writelines(f"{sha}  {name}\n" for name, sha in entries)
     print(f"{len(entries)} entries")
