@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .compiler import compile_cn
 from .decoding import DecodeConfig, decode_to_cn, greedy_decode, segment_line
 from .loss import ctc_loss, soft_ctc_loss
-from .types import PosteriorMatrix, ValidationError, Vocabulary
+from .types import PosteriorMatrix, ValidationError, Vocabulary, check_integer
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class BenchConfig:
     seed: int = 7
 
     def __post_init__(self):
+        for f in fields(self):
+            check_integer(getattr(self, f.name), f.name)
         if self.batch < 1:
             raise ValidationError("batch size must be positive")
         if self.repeats < 1 or self.warmup < 0:
@@ -146,9 +148,9 @@ def _time(callable_, repeats: int, warmup: int) -> tuple[float, float]:
     return statistics.fmean(samples), std
 
 
-def run_bench(cfg: BenchConfig, v: Vocabulary | None = None) -> BenchReport:
+def run_bench(cfg: BenchConfig) -> BenchReport:
     started = time.perf_counter()
-    v = v or synthetic_vocabulary(cfg.vocab)
+    v = synthetic_vocabulary(cfg.vocab)
     rng = np.random.default_rng(cfg.seed)
     decode_cfg = DecodeConfig(beam_size=cfg.beam, strategy="partial")
     posteriors = [synthetic_line(rng, cfg.frames, cfg.vocab) for _ in range(cfg.batch)]

@@ -26,6 +26,14 @@ block-diagonal product reads only its own block, so every line of a group
 is bitwise the line run as a batch of one, and each pass is bitwise the pass
 run on its own.
 
+Every iteration's product, the vectors of both passes before the emission
+multiply, is kept: row ``i`` of one ``(T, 2S)`` array holds forward frame
+``i`` and then backward frame ``T-1-i``.  After the frame loop the gradient
+bins each range of ``BLOCK_FRAMES`` frames from its rows of both passes, and
+never divides by ``y``.  So a group holds both passes' vectors of every
+frame, while the emissions are gathered one loop block of ``BLOCK_FRAMES``
+iterations at a time: the emissions of a whole line are never held.
+
 A :class:`~softctc.compiler.CompiledTarget` guarantees that no arc goes
 back: it refuses one when it is built, and its arrays are read-only.  So a
 forward state before the first nonzero forward entry of a vector, or a
@@ -33,18 +41,9 @@ backward state after the last nonzero backward entry, reads only zeros in
 every later product of its pass, and from the second loop block on each
 product runs on the stacked rows between those two entries of the vector
 the block's first product reads, through a slice of ``indptr`` and of the
-output row.  The rows left out would compute zeros, so every result is
-bitwise that of the full product.
-
-The passes meet in the middle.  Before iteration ``T//2`` each iteration
-stores both halves of its product, the vectors before the emission
-multiply; from then on each iteration reaches two frames whose other
-vectors are stored, and the loop block bins their gradient, which never
-divides by ``y``.  An odd frame count also stores the middle frame's
-backward vector and bins the frame in the block that reaches it.  So the
-store holds one vector per frame, and the emissions are gathered one loop
-block of ``BLOCK_FRAMES`` iterations at a time: neither the emissions of a
-whole line nor both passes' vectors are ever held.
+output row.  The rows left out would compute zeros and keep the zeros the
+products array starts with, so every result is bitwise that of the full
+product.
 
 Rescaling keeps each vector's sum at one but not each entry in the normal
 range (Rabiner 1989, section V.A): mass decaying far from the active states
@@ -76,9 +75,10 @@ TINY = np.finfo(float).tiny
 # largest spread of log P_t over frames, relative to max(1, |log P|), that
 # run_batch passes as rounding
 MASS_SPREAD_RTOL = 1e-9
-# Stored vectors (frames x lines x width x 8 bytes) that one packed group may
-# hold, unless it is a single line (trials in CHANGES.md, pairs in
-# BENCH_batch_kernel.json and BENCH_packed_groups.json).
+# One pass's vectors (frames x lines x width x 8 bytes) that one packed group
+# may hold, unless it is a single line; the group keeps both passes', twice
+# that (trials in CHANGES.md, pairs in BENCH_batch_kernel.json and
+# BENCH_packed_groups.json).
 GROUP_BYTES = 2 * 2**20
 # Iterations per loop block: the frames each emission gather and gradient
 # binning covers (trials in CHANGES.md, pairs in BENCH_fused_passes.json).
@@ -136,8 +136,8 @@ def _groups(lines: Sequence[Line]) -> list[list[int]]:
 
     Lines of one (frame count, vocabulary, flushes) class are taken in
     ascending order of their state counts, ties in input order, and cut into
-    groups whose stored vectors fit ``GROUP_BYTES``; the classes run in the
-    order they first appear.  Sorting keeps lines of similar size, and so
+    groups whose vectors of one pass fit ``GROUP_BYTES``; the classes run in
+    the order they first appear.  Sorting keeps lines of similar size, and so
     little padding, in one group.  Keying on the flush rule
     (:func:`_flushes`) makes each group flush as a whole or not at all.
     """
@@ -254,45 +254,32 @@ class _Group:
         frames, states, lines = self.frames, self.states, self.lines
         bounds, flush = self.bounds, self.flush
         indptr, indices, data = self.matrix
-        # iterations before `half` reach forward frames [0, half) and
-        # iterations before `frames - half` backward frames [half, frames)
-        # that the other pass has yet to reach: their vectors are stored
-        half = frames // 2
         decayed = np.empty(2 * states, dtype=bool)
         # the frame loop's calls, bound once
         multiply, divide, less, putmask = np.multiply, np.divide, np.less, np.putmask
         reduceat = np.add.reduceat
-        # one loop block: each iteration's product, and its emissions, which
-        # the iteration rescales in place into the vectors the next product
-        # reads; row 0 carries the previous block's last vectors
-        products = np.empty((BLOCK_FRAMES, 2 * states))
+        # every iteration's product, the vectors before the emission multiply:
+        # row i holds forward frame i, then backward frame T-1-i.  A product
+        # fills only its block's window of rows; the rest stay zero.
+        products = np.zeros((frames, 2 * states))
+        products[0] = self.weights
+        # one loop block's emissions, which each iteration rescales in place
+        # into the vectors the next product reads; row 0 carries the
+        # previous block's last vectors
         vectors = np.empty((BLOCK_FRAMES + 1, 2 * states))
         vector_lines = vectors.reshape(BLOCK_FRAMES + 1, 2 * lines, self.width)
-        terms = np.empty(BLOCK_FRAMES * states)  # one binned range's posterior terms
-
-        # frames [0, half): forward vectors, frames [half, frames): backward
-        # vectors, both before the emission multiply
-        store = np.empty((frames, states))
         # each iteration's sums hold every line's forward mass and its
         # padding's, then the same for the backward pass
         sums = np.empty((frames, 4 * lines))
         div = sums.reshape(frames, 2 * lines, 2)[:, :, :1]
-        alpha_div, beta_div = div[:, :lines], div[::-1, lines:]  # each pass's scales, by frame
-        row_totals = np.empty((lines, frames))
-        grads = [np.empty((frames, self.vocab)) for _ in range(lines)]  # every frame is binned once
+        lo, hi = 0, 2 * states
         for i0 in range(0, frames, BLOCK_FRAMES):
             i1 = min(i0 + BLOCK_FRAMES, frames)
             n = i1 - i0
             self._gather(i0, i1, vectors[1 : n + 1])
-            products[:n].fill(0.0)
-            if i0 == 0:
-                products[0] = self.weights
-                lo, hi = 0, 2 * states
-            else:
-                lo, hi = _window(vectors[0], states)
             rows, window = hi - lo, indptr[lo : hi + 1]
             for i, before, product, vec, vec_lines, row_sums, row_div in zip(
-                range(i0, i1), vectors[:n], products, vectors[1 : n + 1],
+                range(i0, i1), vectors[:n], products[i0:i1], vectors[1 : n + 1],
                 vector_lines[1 : n + 1], sums[i0:i1], div[i0:i1],
             ):
                 if i:
@@ -304,25 +291,18 @@ class _Group:
                     less(vec, TINY, out=decayed)
                     putmask(vec, decayed, 0.0)
             vectors[0] = vectors[n]
+            lo, hi = _window(vectors[0], states)
 
-            stored = max(0, min(i1, half) - i0)
-            store[i0 : i0 + stored] = products[:stored, :states]
-            stored = max(0, min(i1, frames - half) - i0)
-            store[frames - i0 - stored : frames - i0] = products[:stored, states:][::-1]
-            # forward frames [a, i1) read their backward vectors from the
-            # store; so do, for odd frame counts, the middle frame, which
-            # this block has just stored
-            a = max(i0, half)
-            if a < i1:
-                self._bin(products[a - i0 : n, :states], store[a:i1], a, i1,
-                          _divisors(alpha_div[a:i1], beta_div[a:i1]), terms, row_totals, grads)
-            # backward frames [frames - i1, frames - a) read their forward
-            # vectors from the store
-            a = max(i0, frames - half)
-            if a < i1:
-                t0, t1 = frames - i1, frames - a
-                self._bin(store[t0:t1], products[a - i0 : n, states:][::-1], t0, t1,
-                          _divisors(alpha_div[t0:t1], beta_div[t0:t1]), terms, row_totals, grads)
+        # bin each range of frames from its rows of both passes
+        alpha_div, beta_div = div[:, :lines], div[::-1, lines:]  # each pass's scales, by frame
+        terms = np.empty(BLOCK_FRAMES * states)  # one binned range's posterior terms
+        row_totals = np.empty((lines, frames))
+        grads = [np.empty((frames, self.vocab)) for _ in range(lines)]  # every frame is binned once
+        for t0 in range(0, frames, BLOCK_FRAMES):
+            t1 = min(t0 + BLOCK_FRAMES, frames)
+            self._bin(products[t0:t1, :states],
+                      products[frames - t1 : frames - t0, states:][::-1], t0, t1,
+                      _divisors(alpha_div[t0:t1], beta_div[t0:t1]), terms, row_totals, grads)
         final = self._final_mass(vectors[0, :states])
 
         alpha_scales = np.ascontiguousarray(sums[:, : 2 * lines : 2].T)
@@ -383,7 +363,7 @@ def _failure(alpha_scales: np.ndarray, final: float, beta_scales: np.ndarray) ->
     ok = (alpha_scales > 0.0) & (alpha_scales < np.inf)  # also catches NaN
     if not ok.all():
         t = int(np.argmin(ok))
-        return f"forward mass {alpha_scales[t]!r} at frame {t}; target admits no alignment"
+        return f"forward mass {float(alpha_scales[t])!r} at frame {t}; target admits no alignment"
     if not 0.0 < final < np.inf:
         return f"final mass {final!r}; no admissible final state reachable"
     ok = (beta_scales > 0.0) & (beta_scales < np.inf)
@@ -391,7 +371,7 @@ def _failure(alpha_scales: np.ndarray, final: float, beta_scales: np.ndarray) ->
         # cannot happen when the forward pass found mass, but fail loudly;
         # the backward pass meets the last failing frame first
         t = beta_scales.shape[0] - 1 - int(np.argmin(ok[::-1]))
-        return f"backward mass {beta_scales[t]!r} at frame {t}"
+        return f"backward mass {float(beta_scales[t])!r} at frame {t}"
     return None
 
 

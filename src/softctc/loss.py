@@ -77,8 +77,9 @@ def soft_ctc_batch(
     Every pair is checked first, so a NaN or infinite posterior anywhere in
     the batch raises NonFiniteEntry before any line runs.  The kernel then
     runs lines with the same frame count, vocabulary and flush rule in lock
-    step, packed by state count into groups of at most ``GROUP_BYTES``
-    (2 MiB) of stored vectors (see :mod:`softctc.forward_backward`), and
+    step, packed by state count into groups whose vectors of one pass take
+    at most ``GROUP_BYTES`` (2 MiB); a group keeps both passes' vectors of
+    every frame, twice that (see :mod:`softctc.forward_backward`), and
     reports each line.  Results come back in input order, each bitwise its
     line's batch of one.  After every line has run, the failing line of
     smallest index raises InfeasibleTarget naming that index and the reason

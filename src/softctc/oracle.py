@@ -643,7 +643,7 @@ def reference_run_passes(
         scale = _frame_mass(vec)
         if not 0.0 < scale < np.inf:  # also catches NaN
             raise InfeasibleTarget(
-                f"forward mass {scale!r} at frame {t}; target admits no alignment"
+                f"forward mass {float(scale)!r} at frame {t}; target admits no alignment"
             )
         alphas[t], pre_alphas[t] = vec / scale, pre
         alpha_scales[t] = scale
@@ -660,7 +660,7 @@ def reference_run_passes(
         vec = pre * q[t]
         scale = _frame_mass(vec)
         if not 0.0 < scale < np.inf:
-            raise InfeasibleTarget(f"backward mass {scale!r} at frame {t}")
+            raise InfeasibleTarget(f"backward mass {float(scale)!r} at frame {t}")
         betas[t], pre_betas[t] = vec / scale, pre
         beta_scales[t] = scale
     return ReferencePasses(

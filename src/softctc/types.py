@@ -72,8 +72,10 @@ class Vocabulary:
             raise ValidationError("vocabulary needs at least one symbol besides blank")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValidationError("vocabulary symbols must be distinct")
-        if not 0 <= self.blank_index < len(self.symbols):
-            raise ValidationError(f"blank index {self.blank_index} out of range")
+        blank_index = check_integer(self.blank_index, "blank index")
+        if not 0 <= blank_index < len(self.symbols):
+            raise ValidationError(f"blank index {blank_index} out of range")
+        object.__setattr__(self, "blank_index", blank_index)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
 
     def __len__(self) -> int:

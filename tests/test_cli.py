@@ -478,6 +478,13 @@ class TestBenchCommand:
         with pytest.raises(ValidationError, match=match):
             BenchConfig(**changed)
 
+    @pytest.mark.parametrize("field", [f.name for f in fields(BenchConfig)])
+    def test_config_rejects_a_field_that_is_not_an_integer(self, field):
+        for value in (8.5, True, "9"):
+            with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+                BenchConfig(**{field: value})
+        assert getattr(BenchConfig(**{field: np.int64(9)}), field) == 9
+
     def test_report_row_rejects_an_unknown_method(self):
         report = BenchReport(BenchConfig(), (BenchRow("ctc", 1.0, 0.0, 0.5),), 0.1, 2.0, 1.0)
         assert report.row("ctc").per_line_ms == 0.5

@@ -758,8 +758,8 @@ B = fb.BLOCK_FRAMES
 
 @pytest.mark.parametrize("frames", [1, 2, 3, B - 1, B, B + 1, 2 * B, 2 * B + 1])
 def test_frame_counts_at_the_loop_edges(frames):
-    # the passes meet in the middle: odd counts bin the middle frame at its
-    # own iteration, and the loop blocks split at multiples of BLOCK_FRAMES
+    # the frame loop and the binning after it both split at multiples of
+    # BLOCK_FRAMES, so a last range of one frame and a line of one frame run too
     rng = np.random.default_rng(151 + frames)
     feasible = {kind: [] for kind in EDGE_KINDS}
     for i in range(48):

@@ -144,6 +144,14 @@ def test_skippable_groups_relax_the_minimum_length():
     assert math.exp(result.log_likelihood) == pytest.approx(0.5 / 3.0, rel=1e-12)
 
 
+def test_infeasible_text_prints_the_mass_as_a_plain_float():
+    # frame 0 gives the letter and the blank no mass
+    y = PosteriorMatrix(np.array([[0.0, 0.5, 0.0], [0.6, 0.1, 0.3]]))
+    with pytest.raises(InfeasibleTarget) as got:
+        soft_ctc_loss(y, compile_cn(trivial_cn([0]), V))
+    assert str(got.value) == "line 0: forward mass 0.0 at frame 0; target admits no alignment"
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(53)
     checked = 0

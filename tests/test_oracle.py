@@ -4,10 +4,13 @@ import pytest
 from softctc import (
     ConfusionNetwork,
     ConfusionSet,
+    InfeasibleTarget,
     Labeling,
     PosteriorMatrix,
     TooLarge,
+    ValidationError,
     Vocabulary,
+    compile_cn,
     trivial_cn,
 )
 from softctc.oracle import (
@@ -18,6 +21,9 @@ from softctc.oracle import (
     finite_difference_grad,
     kahan_sum,
     oracle_softctc,
+    reference_log_loss,
+    reference_merge_cns,
+    reference_prefix_beam_search,
 )
 
 VA = Vocabulary.from_characters("a")
@@ -160,3 +166,36 @@ def test_finite_difference_grad_step_bounds():
     y = PosteriorMatrix(np.array([[0.5, 0.5]]))
     with pytest.raises(Exception):
         finite_difference_grad(lambda m: 0.0, y, step=1e-2)
+
+
+def test_enumerate_ctc_refuses_a_posterior_of_another_width():
+    y = PosteriorMatrix(np.array([[0.6, 0.4]]))
+    with pytest.raises(ValidationError, match="posterior width does not match vocabulary"):
+        enumerate_ctc(y, Labeling((0,)), VAB)
+
+
+def test_reference_beam_search_refuses_beam_size_zero():
+    y = PosteriorMatrix(np.array([[0.6, 0.1, 0.3]]))
+    with pytest.raises(ValidationError, match="beam size must be at least 1"):
+        reference_prefix_beam_search(y, VAB, 0)
+
+
+def test_reference_merge_refuses_an_empty_list():
+    with pytest.raises(ValidationError, match="nothing to merge"):
+        reference_merge_cns([])
+
+
+def test_reference_merge_refuses_a_normalized_network():
+    raw, normalized = trivial_cn([0], weight=0.5), trivial_cn([1])
+    assert not raw.normalized and normalized.normalized
+    with pytest.raises(ValidationError, match="merge expects raw networks"):
+        reference_merge_cns([raw, normalized])
+
+
+def test_reference_log_loss_refuses_a_target_with_no_mass():
+    # frame 0 gives the letter and the blank no mass
+    target = compile_cn(trivial_cn([0]), VAB)
+    y = np.array([[0.0, 0.5, 0.0], [0.6, 0.1, 0.3]])
+    with pytest.raises(InfeasibleTarget, match="no alignment carries probability mass"):
+        reference_log_loss(y, target.transition, target.state_symbols,
+                           target.alpha_hat, target.beta_hat)

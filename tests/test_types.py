@@ -37,6 +37,14 @@ def test_vocabulary_rejects_bad_blank_index():
         Vocabulary(("a", "#"), blank_index=5)
 
 
+def test_vocabulary_blank_index_must_be_an_integer():
+    for index in (1.0, True, "1"):
+        with pytest.raises(ValidationError, match="blank index must be an integer"):
+            Vocabulary(("a", "#"), blank_index=index)
+    v = Vocabulary(("a", "#"), blank_index=np.int64(1))
+    assert v.blank == 1 and type(v.blank_index) is int
+
+
 @pytest.mark.parametrize("symbols", [("#",), ()])
 def test_vocabulary_needs_a_symbol_besides_the_blank(symbols):
     with pytest.raises(ValidationError, match="at least one symbol besides blank"):

@@ -19,7 +19,11 @@ the benchmark runs on.  Covered, for every entry:
   clean line;
 - the 16 compiled ``train-step`` targets and, over them, the first
   ``TRAIN_BATCHES`` jittered batches, each line's outputs as its batch
-  returns them.
+  returns them;
+- the first ``pseudolabel`` lines cut to the odd frame counts of
+  ``ODD_FRAMES``, none a multiple of the kernel's 32-frame loop block: each
+  line's compiled target and its outputs from one batch of them all, where
+  lines of equal count share a lock-step group.
 
 A network hashes its four arrays, its ``normalized`` flag and its total
 score; a target hashes every array with its dtype and shape.  ``--limit N``
@@ -47,6 +51,8 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRAIN_BATCHES = 4
+# frame counts of the cut pseudolabel lines, in catalogue order
+ODD_FRAMES = (249, 249, 65, 33, 33)
 
 
 def _hash(*parts) -> str:
@@ -146,6 +152,16 @@ def digest(tree: str, limit: int | None = None) -> list[tuple[str, str]]:
         lines = [(y.frames, t) for y, t in zip(train.jittered(base, step), targets)]
         for i, passes in enumerate(run(lines)):
             out += _passes(f"train-step/{step}/{i}", passes)
+
+    lines = []
+    for i, frames in enumerate(ODD_FRAMES[:limit]):
+        y = PosteriorMatrix(inputs.synthetic_line(
+            inputs.line_rng(inputs.PSEUDOLABEL_LINE, i))[:frames])
+        target = compile_cn(decode_to_cn(y, v, cfg), v)
+        out.append((f"odd-frames/{i}/target", _target(target)))
+        lines.append((y.frames, target))
+    for i, passes in enumerate(run(lines)):
+        out += _passes(f"odd-frames/{i}", passes)
     return out
 
 
