@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from io import StringIO
 
 from . import io as formats
@@ -87,13 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-frac", type=float, required=True)
 
     p = sub.add_parser("bench", help="time the loss kernels on synthetic lines")
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--beam", type=int, default=16)
-    p.add_argument("--frames", type=int, default=250)
-    p.add_argument("--vocab", type=int, default=100)
-    p.add_argument("--repeats", type=int, default=30)
-    p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--seed", type=int, default=7)
+    for field in fields(BenchConfig):
+        p.add_argument(f"--{field.name}", type=int, default=field.default)
 
     p = sub.add_parser("oracle", help="brute-force reference values (small inputs only)")
     osub = p.add_subparsers(dest="oracle_command", required=True)
@@ -215,16 +211,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = BenchConfig(
-        batch=args.batch,
-        beam=args.beam,
-        frames=args.frames,
-        vocab=args.vocab,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
-    report = run_bench(cfg)
+    config = BenchConfig(**{field.name: getattr(args, field.name) for field in fields(BenchConfig)})
+    report = run_bench(config)
     sys.stdout.write(render_report(report))
     return EXIT_OK
 

@@ -197,13 +197,11 @@ def compile_cn(cn: ConfusionNetwork, v: Vocabulary) -> CompiledTarget:
 
     letters = np.flatnonzero(~is_blank)
     letter_group = group_index[letters]
-    symbols = cn.symbols
-    invalid = np.flatnonzero((symbols < 0) | (symbols >= len(v)) | (symbols == v.blank))
-    if invalid.size:
-        first = invalid[0]
-        raise ValidationError(f"set {letter_group[first]} contains an invalid symbol {symbols[first]}")
+    first = v.first_non_letter(cn.symbols)
+    if first is not None:
+        raise ValidationError(f"set {letter_group[first]} contains an invalid symbol {cn.symbols[first]}")
     state_symbols = np.full(total_states, v.blank, dtype=np.int64)
-    state_symbols[letters] = symbols
+    state_symbols[letters] = cn.symbols
 
     # every row is its diagonal, then one range of columns from lead[s]: a
     # blank's own letters, or every state of the groups a letter jumps to;
@@ -258,12 +256,9 @@ def compile_nbest(nbest: NBestList, v: Vocabulary) -> CompiledTarget:
     weights = np.array([weight for _, weight in nbest]) / nbest.total_weight
     symbols = np.array([sym for labeling, _ in nbest for sym in labeling], dtype=np.int64)
     variant = np.repeat(np.arange(lengths.shape[0]), lengths)
-    invalid = np.flatnonzero((symbols >= len(v)) | (symbols == v.blank))
-    if invalid.size:
-        first = invalid[0]
-        raise ValidationError(
-            f"variant {variant[first]} contains an invalid symbol {symbols[first]}"
-        )
+    first = v.first_non_letter(symbols)
+    if first is not None:
+        raise ValidationError(f"variant {variant[first]} contains an invalid symbol {symbols[first]}")
 
     # state 0 is the shared initial blank; variant i's chain of spans[i]
     # states starts at bases[i], with its letters at even offsets

@@ -27,19 +27,6 @@ import numpy as np
 from .types import Labeling, NBestList, ValidationError
 
 
-def _best_choice(alternatives: dict[int, float], null: float) -> tuple[int | None, float]:
-    """Highest-scoring choice; ties between symbols go to the smaller id,
-    and a tie between null and a symbol keeps the symbol."""
-    if len(alternatives) == 1:
-        ((sym, score),) = alternatives.items()
-    else:
-        score = max(alternatives.values())
-        sym = min(k for k, v in alternatives.items() if v == score)
-    if null > score:
-        return None, null
-    return sym, score
-
-
 @dataclass(frozen=True, eq=True)
 class ConfusionSet:
     """One position of a confusion network.
@@ -73,9 +60,6 @@ class ConfusionSet:
     def size(self) -> int:
         """Number of choices the set offers, counting null when present."""
         return len(self.alternatives) + (1 if self.null > 0.0 else 0)
-
-    def best(self) -> tuple[int | None, float]:
-        return _best_choice(self.alternatives, self.null)
 
     def normalized(self) -> "ConfusionSet":
         # Divide rather than multiply by the reciprocal: one rounding per

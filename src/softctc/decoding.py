@@ -104,7 +104,12 @@ def _collapse(path: np.ndarray, starts: Sequence[int], blank: int) -> list[tuple
 
 
 def greedy_decode(y: PosteriorMatrix, v: Vocabulary) -> Labeling:
-    """Best path decode: frame-wise argmax, collapse repeats, drop blanks."""
+    """Best path decode: frame-wise argmax, collapse repeats, drop blanks.
+
+    ``y`` passes the decoder's entry check
+    (:func:`softctc.types.check_decoder_input`) first.
+    """
+    check_decoder_input(y, v)
     return Labeling(_collapse(np.argmax(y.frames, axis=1), [0], v.blank)[0])
 
 
@@ -360,11 +365,18 @@ def segment_line(y: PosteriorMatrix, v: Vocabulary, threshold: float = 0.99) -> 
     between confident blanks that contain at least one unconfident frame;
     line boundaries count as confident blanks.  The result covers [0, T)
     without gaps or overlaps.  Raises ValidationError unless
-    ``0.5 <= threshold < 1``, the rule of :class:`DecodeConfig`.
+    ``0.5 <= threshold < 1``, the rule of :class:`DecodeConfig`, and then
+    checks ``y`` as :func:`decode_line` does
+    (:func:`softctc.types.check_decoder_input`).
     """
     _check_confidence(threshold)
-    frames = y.frames
-    conf_blank = frames[:, v.blank] > threshold
+    check_decoder_input(y, v)
+    return _segments(y.frames, v.blank, threshold)
+
+
+def _segments(frames: np.ndarray, blank: int, threshold: float) -> list[Segment]:
+    """:func:`segment_line` of checked posteriors."""
+    conf_blank = frames[:, blank] > threshold
     unconfident = frames.max(axis=1) <= threshold
     # a confident blank opens a run that lasts up to the next one
     run = np.cumsum(conf_blank)
@@ -433,7 +445,7 @@ def _decode(
     if cfg.strategy == "full":
         segments = (Segment(0, y.num_frames, confident=False),)
     else:
-        segments = tuple(segment_line(y, v, cfg.confidence))
+        segments = tuple(_segments(frames, v.blank, cfg.confidence))
     greedy = _collapse(np.argmax(frames, axis=1), [seg.start for seg in segments], v.blank)
     hypotheses = [[(symbols, 1.0)] for symbols in greedy]
     doubtful = [i for i, seg in enumerate(segments) if not seg.confident]

@@ -55,7 +55,10 @@ frame's rescale.  Only lines that flush alike share a group, so a group
 flushes as a whole.  The flush drops paths holding less than 2^-1022 of a
 frame's mass; it changes a result only where such a path alone later
 carries the line.  :func:`run_batch` checks the total mass at every frame
-and reports that case as the line's failure instead of a wrong loss.
+and reports that case as the line's failure instead of a wrong loss.  Where
+such a path is the line's only one, a pass of a flushing group finds no
+mass at all: its "forward mass" or "backward mass" failure then comes from
+the flush, not from a target that admits no alignment.
 """
 
 from __future__ import annotations
@@ -115,8 +118,8 @@ def run_batch(lines: Sequence[Line]) -> Iterator[tuple[int, LinePasses | None, s
     ``failure`` is None for a line whose result can be trusted and otherwise
     says why not.  ``passes`` is None only when the passes found no mass: a
     forward or backward scale is not a finite positive number (no alignment
-    carries mass, or non-finite posteriors), or no admissible final state is
-    reachable.  A line keeps its passes, with a failure, when:
+    carries mass, the flush dropped all that do, or non-finite posteriors),
+    or no admissible final state is reachable.  A line keeps its passes, with a failure, when:
 
     - a frame's row total is zero or subnormal: its gradient keeps few
       digits;
@@ -368,8 +371,8 @@ def _failure(alpha_scales: np.ndarray, final: float, beta_scales: np.ndarray) ->
         return f"final mass {final!r}; no admissible final state reachable"
     ok = (beta_scales > 0.0) & (beta_scales < np.inf)
     if not ok.all():
-        # cannot happen when the forward pass found mass, but fail loudly;
-        # the backward pass meets the last failing frame first
+        # the flush can empty the backward pass of a line whose forward pass
+        # kept mass; the backward pass meets the last failing frame first
         t = beta_scales.shape[0] - 1 - int(np.argmin(ok[::-1]))
         return f"backward mass {float(beta_scales[t])!r} at frame {t}"
     return None

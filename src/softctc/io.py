@@ -3,10 +3,13 @@
 All numbers are written with shortest round-trip formatting, so parse(write(x))
 reproduces x bit for bit and serialized output is byte-identical across runs.
 Symbols are display strings; ``<blank>``, ``<null>``, and ``<space>`` are the
-only reserved tokens.  A network is read into its flat arrays and
-written from them; a ``set`` line may name each symbol and ``<null>`` once.
-Every writer checks and renders its whole file before it writes, so a writer
-that raises has created no file and written nothing to a stream.
+only reserved tokens.  A network is read into its flat arrays and written
+from them; a header key may appear once, and a ``set`` line may name each
+symbol and ``<null>`` once.  A malformed file raises the first fault a
+line-by-line reader meets.  The network and n-best writers refuse an id that
+is no letter (:meth:`Vocabulary.first_non_letter`), and every writer checks
+and renders its whole file before it writes, so a writer that raises has
+created no file and written nothing to a stream.
 """
 
 from __future__ import annotations
@@ -64,11 +67,6 @@ def _write(path_or_file, lines: list[str]) -> None:
     else:
         with open(path_or_file, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _first_invalid(symbols: Iterable[int], v: Vocabulary) -> int | None:
-    """The first id that is out of range for ``v`` or its blank, which no reader takes."""
-    return next((s for s in symbols if not 0 <= s < len(v) or s == v.blank), None)
 
 
 def _read_lines(path_or_file) -> list[str]:
@@ -144,12 +142,11 @@ def write_cn(
                 or value.strip() != value or "".join(value.splitlines()) != value):
             raise ValidationError(f"metadata {key!r} {value!r} would not read back as written")
     offsets, symbols, scores, nulls = (a.tolist() for a in (cn.offsets, cn.symbols, cn.scores, cn.nulls))
-    distinct = dict.fromkeys(symbols)
-    bad = _first_invalid(distinct, v)
+    bad = v.first_non_letter(cn.symbols)
     if bad is not None:
-        at = int(np.searchsorted(cn.offsets, symbols.index(bad), side="right")) - 1
-        raise ValidationError(f"set {at} contains an invalid symbol {bad}")
-    tokens = {sym: _symbol_token(v.symbols[sym]) for sym in distinct}
+        at = int(np.searchsorted(cn.offsets, bad, side="right")) - 1
+        raise ValidationError(f"set {at} contains an invalid symbol {symbols[bad]}")
+    tokens = {sym: _symbol_token(v.symbols[sym]) for sym in dict.fromkeys(symbols)}
     entries = [f"{tokens[sym]} {x!r}" for sym, x in zip(symbols, scores)]
     lines = [CN_MAGIC, f"normalized {'true' if cn.normalized else 'false'}", f"total {_fmt(cn.total_score)}"]
     lines += [f"{key} {meta[key]}" for key in sorted(meta)]
@@ -169,7 +166,8 @@ def read_cn(
     Without a vocabulary, one is synthesized from the symbols in order of
     first appearance with a blank appended, which suffices for symbol-opaque
     transforms; a network with no sets gets ``UNUSED_SYMBOL`` and the blank.
-    Returns (network, vocabulary, metadata).
+    A repeated header key raises ValidationError naming it.  Returns
+    (network, vocabulary, metadata).
     """
     body = _content_lines(_read_lines(path_or_file), CN_MAGIC, "confusion network")
     meta: dict[str, str] = {}
@@ -180,6 +178,8 @@ def read_cn(
         key, rest = parts if len(parts) == 2 else (parts[0], "")
         if key == "set":
             set_lines.append(rest)
+        elif key in meta or (key == "sets" and expecting is not None):
+            raise ValidationError(f"repeated {key!r} line")
         elif key == "sets":
             try:
                 expecting = int(rest)
@@ -222,23 +222,21 @@ def _parse_sets(
 
     Without a vocabulary, symbol ids number the tokens in order of first
     appearance, which the returned tokens list.  Every value is parsed in one
-    pass, and a line is faulty when it is unpaired, holds a bad value or an
-    unknown or blank symbol, or names a token twice.  The first faulty line
-    is then scanned token by token for the error a line-by-line reader raises.
+    pass, and each kind of fault is one test over all lines: an unpaired
+    line, a bad value, an unknown or blank symbol, a token named twice in a
+    line.  When one finds a fault, :func:`_first_set_fault` reads the lines
+    in order for the error a line-by-line reader raises.
     """
     split = [line.split() for line in set_lines]
     counts = np.fromiter(map(len, split), dtype=np.int64, count=len(split))
-    unpaired = np.flatnonzero((counts == 0) | (counts % 2 == 1))
-    paired = int(unpaired[0]) if unpaired.size else len(split)  # pairs only before it
-    flat = list(itertools.chain.from_iterable(split[:paired]))
+    if ((counts == 0) | (counts % 2 == 1)).any():
+        raise _first_set_fault(split, v)
+    flat = list(itertools.chain.from_iterable(split))
     tokens, texts = flat[0::2], flat[1::2]
-    line_of = np.repeat(np.arange(paired), counts[:paired] // 2)
-    faulty = np.zeros(paired + 1, dtype=bool)
-    faulty[paired] = paired < len(split)
     try:
         values = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
     except ValueError:
-        faulty[line_of[[not _parses(t) for t in texts]]] = True
+        raise _first_set_fault(split, v) from None
     names = dict.fromkeys(tokens)
     names.pop(NULL_TOKEN, None)
     if v is None:
@@ -251,44 +249,43 @@ def _parse_sets(
         blank = v.blank
     ids[NULL_TOKEN] = -1
     keys = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    faulty[line_of[keys == blank]] = True
+    line_of = np.repeat(np.arange(len(split)), counts // 2)
     order = np.lexsort((keys, line_of))
     keys, line_of = keys[order], line_of[order]
-    faulty[line_of[1:][(np.diff(keys) == 0) & (np.diff(line_of) == 0)]] = True
-    if faulty.any():
-        line = int(np.argmax(faulty))
-        _raise_set_line_fault(line + 1, split[line], v)
+    if (keys == blank).any() or ((np.diff(keys) == 0) & (np.diff(line_of) == 0)).any():
+        raise _first_set_fault(split, v)
     alt = keys >= 0
-    offsets = np.zeros(paired + 1, dtype=np.int64)
-    np.cumsum(np.bincount(line_of[alt], minlength=paired), out=offsets[1:])
-    nulls = np.zeros(paired)
+    offsets = np.zeros(len(split) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(line_of[alt], minlength=len(split)), out=offsets[1:])
+    nulls = np.zeros(len(split))
     values = values[order]
     nulls[line_of[~alt]] = values[~alt]
     return offsets, keys[alt], values[alt], nulls, list(names)
 
 
-def _raise_set_line_fault(line_no: int, tokens: list[str], v: Vocabulary | None) -> None:
-    """Raise the first fault of one ``set`` line, read pair by pair."""
-    if len(tokens) % 2 != 0 or not tokens:
-        raise ValidationError(f"set line {line_no} must hold symbol/value pairs")
+def _first_set_fault(split: list[list[str]], v: Vocabulary | None) -> ValidationError:
+    """The first fault of the tokenized ``set`` lines, read line by line and pair by pair."""
     index = {} if v is None else {s: i for i, s in enumerate(v.symbols)}
-    seen = set()
-    for tok, val in zip(tokens[::2], tokens[1::2]):
-        if not _parses(val):
-            raise ValidationError(f"set line {line_no}: bad value {val!r}")
-        if tok != NULL_TOKEN:
-            if v is None:
-                is_blank = tok == BLANK_TOKEN
-            else:
-                display = _token_symbol(tok)
-                if display not in index:
-                    raise ValidationError(f"symbol {display!r} not in vocabulary")
-                is_blank = index[display] == v.blank
-            if is_blank:
-                raise ValidationError(f"set line {line_no}: confusion sets may not contain the blank")
-        if tok in seen:
-            raise ValidationError(f"set line {line_no}: repeated {tok!r}")
-        seen.add(tok)
+    for line_no, tokens in enumerate(split, start=1):
+        if len(tokens) % 2 != 0 or not tokens:
+            return ValidationError(f"set line {line_no} must hold symbol/value pairs")
+        seen = set()
+        for tok, val in zip(tokens[::2], tokens[1::2]):
+            if not _parses(val):
+                return ValidationError(f"set line {line_no}: bad value {val!r}")
+            if tok != NULL_TOKEN:
+                if v is None:
+                    is_blank = tok == BLANK_TOKEN
+                else:
+                    display = _token_symbol(tok)
+                    if display not in index:
+                        return ValidationError(f"symbol {display!r} not in vocabulary")
+                    is_blank = index[display] == v.blank
+                if is_blank:
+                    return ValidationError(f"set line {line_no}: confusion sets may not contain the blank")
+            if tok in seen:
+                return ValidationError(f"set line {line_no}: repeated {tok!r}")
+            seen.add(tok)
 
 
 def write_nbest(
@@ -307,9 +304,9 @@ def write_nbest(
         if seg is None and g > 0:
             raise ValidationError(f"n-best group {g} has no segment, and only the first may lack one")
         for i, (labeling, _) in enumerate(nbest):
-            bad = _first_invalid(labeling, v)
+            bad = v.first_non_letter(labeling.symbols)
             if bad is not None:
-                raise ValidationError(f"group {g} variant {i} contains an invalid symbol {bad}")
+                raise ValidationError(f"group {g} variant {i} contains an invalid symbol {labeling[bad]}")
     lines = [NBEST_MAGIC]
     for seg, nbest in groups:
         if seg is not None:

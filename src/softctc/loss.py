@@ -29,6 +29,7 @@ from .types import (
     Vocabulary,
     check_finite,
     check_integer,
+    check_width,
 )
 
 
@@ -105,10 +106,7 @@ def ctc_loss(y: PosteriorMatrix, l: Labeling, v: Vocabulary) -> LossResult:
     outside the vocabulary or the blank, and NonFiniteEntry on a NaN or
     infinite posterior anywhere in ``y``.
     """
-    if y.vocab_size != len(v):
-        raise ShapeMismatch(
-            f"posterior has {y.vocab_size} columns but vocabulary has {len(v)} symbols"
-        )
+    check_width(y, v)
     return soft_ctc_loss(y, compile_nbest(NBestList(((l, 1.0),)), v))
 
 

@@ -413,6 +413,8 @@ def reference_read_cn(
         key, rest = parts if len(parts) == 2 else (parts[0], "")
         if key == "set":
             set_lines.append(rest)
+        elif key in meta or (key == "sets" and expecting is not None):
+            raise ValidationError(f"repeated {key!r} line")
         elif key == "sets":
             try:
                 expecting = int(rest)

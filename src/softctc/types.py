@@ -101,6 +101,12 @@ class Vocabulary:
     def decode(self, labeling: "Labeling") -> str:
         return "".join(self.symbols[s] for s in labeling)
 
+    def first_non_letter(self, ids) -> int | None:
+        """Position of the first of ``ids`` that is out of range or the blank, else None."""
+        ids = np.asarray(ids)
+        bad = np.flatnonzero((ids < 0) | (ids >= len(self)) | (ids == self.blank_index))
+        return int(bad[0]) if bad.size else None
+
     @classmethod
     def from_characters(cls, letters: str, blank: str = "#") -> "Vocabulary":
         """Convenience constructor: one symbol per character, blank appended last."""
@@ -224,21 +230,35 @@ def check_finite(m: PosteriorMatrix) -> None:
         raise NonFiniteEntry(t, k, float(m.frames[t, k]))
 
 
+def check_width(m: PosteriorMatrix, v: Vocabulary) -> None:
+    """Raise ShapeMismatch unless ``m`` has one column per symbol of ``v``."""
+    if m.vocab_size != len(v):
+        raise ShapeMismatch(
+            f"posterior has {m.vocab_size} columns but vocabulary has {len(v)} symbols"
+        )
+
+
 def check_entries(m: PosteriorMatrix, v: Vocabulary) -> None:
     """Check that ``m`` has one column per symbol of ``v`` and finite, nonnegative entries.
 
     Raises ShapeMismatch, NonFiniteEntry, or NegativeEntry at the first
     offending entry; rows need not sum to one.
     """
-    if m.vocab_size != len(v):
-        raise ShapeMismatch(
-            f"posterior has {m.vocab_size} columns but vocabulary has {len(v)} symbols"
-        )
+    check_width(m, v)
     check_finite(m)
-    neg = np.argwhere(m.frames < 0.0)
-    if neg.size:
-        t, k = (int(x) for x in neg[0])
+    negative = m.frames < 0.0
+    if negative.any():  # np.argwhere alone costs several times this test
+        t, k = (int(x) for x in np.argwhere(negative)[0])
         raise NegativeEntry(t, k, float(m.frames[t, k]))
+
+
+def _check_rows(m: PosteriorMatrix, v: Vocabulary, bad) -> None:
+    """:func:`check_entries`, then RowNotNormalized at the first frame whose total ``bad`` marks."""
+    check_entries(m, v)
+    totals = m.frames.sum(axis=1)
+    rows = np.flatnonzero(bad(totals))
+    if rows.size:
+        raise RowNotNormalized(int(rows[0]), float(totals[rows[0]]))
 
 
 def check_decoder_input(m: PosteriorMatrix, v: Vocabulary) -> None:
@@ -248,11 +268,7 @@ def check_decoder_input(m: PosteriorMatrix, v: Vocabulary) -> None:
     raises RowNotNormalized at the first such frame: a beam over it could
     collect a weight above one, which no n-best list holds.
     """
-    check_entries(m, v)
-    totals = m.frames.sum(axis=1)
-    over = np.flatnonzero(totals > 1.0 + ROW_TOL)
-    if over.size:
-        raise RowNotNormalized(int(over[0]), float(totals[over[0]]))
+    _check_rows(m, v, lambda totals: totals > 1.0 + ROW_TOL)
 
 
 def validate_posteriors(m: PosteriorMatrix, v: Vocabulary) -> None:
@@ -262,9 +278,4 @@ def validate_posteriors(m: PosteriorMatrix, v: Vocabulary) -> None:
     NonFiniteEntry, NegativeEntry (see :func:`check_entries`), or
     RowNotNormalized; returns None when the matrix is well formed.
     """
-    check_entries(m, v)
-    totals = m.frames.sum(axis=1)
-    bad = np.argwhere(np.abs(totals - 1.0) > ROW_TOL)
-    if bad.size:
-        t = int(bad[0][0])
-        raise RowNotNormalized(t, float(totals[t]))
+    _check_rows(m, v, lambda totals: np.abs(totals - 1.0) > ROW_TOL)

@@ -24,6 +24,7 @@ from softctc import (
 from softctc.confusion import _fold_align, _fsum_totals, _pattern_align, levenshtein_align
 from softctc.io import read_cn, write_cn
 from softctc.oracle import (
+    _reference_best_positions,
     enumerate_cn_strings,
     reference_build_cn,
     reference_levenshtein_align,
@@ -82,14 +83,11 @@ class TestConfusionSet:
         assert ConfusionSet({0: 0.5, 1: 0.3}, 0.2).size() == 3
 
     def test_best_prefers_smaller_symbol_on_tie(self):
-        sym, score = ConfusionSet({1: 0.5, 0: 0.5}).best()
-        assert sym == 0 and score == 0.5
+        assert best_path(ConfusionNetwork((ConfusionSet({1: 0.5, 0: 0.5}),))).symbols == (0,)
 
     def test_best_null_wins_only_strictly(self):
-        sym, _ = ConfusionSet({0: 0.5}, 0.5).best()
-        assert sym == 0
-        sym, score = ConfusionSet({0: 0.4}, 0.6).best()
-        assert sym is None and score == 0.6
+        assert best_path(ConfusionNetwork((ConfusionSet({0: 0.5}, 0.5),))).symbols == (0,)
+        assert best_path(ConfusionNetwork((ConfusionSet({0: 0.4}, 0.6),))).symbols == ()
 
     def test_normalized_is_exact_for_exact_totals(self):
         s = ConfusionSet({0: 0.6, 1: 0.3}, 0.1).normalized()
@@ -560,8 +558,8 @@ class TestFoldMatchesReference:
         rng = np.random.default_rng(43)
         for _ in range(100):
             cn = rand_network(rng, normalized=bool(rng.integers(0, 2)))
-            want = [s.best()[0] for s in cn.sets]
-            assert best_path(cn).symbols == tuple(sym for sym in want if sym is not None)
+            want, _ = _reference_best_positions([[s.alternatives, s.null] for s in cn.sets])
+            assert best_path(cn).symbols == tuple(want)
 
 
 class TestBestPath:

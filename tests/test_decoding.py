@@ -32,6 +32,7 @@ from softctc import (
     soft_ctc_loss,
     validate_posteriors,
 )
+from softctc import decoding
 from softctc.confusion import _pattern_align
 from softctc.decoding import _beam_batch, _nbest_list
 from softctc.oracle import oracle_softctc, reference_build_cn, reference_prefix_beam_search
@@ -614,6 +615,28 @@ class TestBadPosteriors:
         with pytest.raises(RowNotNormalized) as want:
             validate_posteriors(PosteriorMatrix(y), self.V4)
         assert want.value.t == 0  # the validator keeps its own frame order
+
+    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("decode", [greedy_decode, segment_line])
+    def test_greedy_decode_and_segment_line_raise_what_decode_to_cn_raises(self, decode, case):
+        y, error = (self.bad_inputs() + [(self.good() * 2, RowNotNormalized)])[case]
+        m = PosteriorMatrix(y)
+        with pytest.raises(error) as want:
+            decode_to_cn(m, self.V4, DecodeConfig(beam_size=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as got:
+                decode(m, self.V4)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("strategy", ["full", "partial"])
+    def test_a_decode_checks_its_input_once(self, strategy, monkeypatch):
+        checked = []
+        monkeypatch.setattr(decoding, "check_decoder_input", lambda *args: checked.append(args))
+        cfg = DecodeConfig(beam_size=2, strategy=strategy)
+        decode_to_cn(PosteriorMatrix(self.good()), self.V4, cfg)
+        decode_line(PosteriorMatrix(self.good()), self.V4, cfg)
+        assert len(checked) == 2
 
     def test_prefix_beam_search_raises_on_rows_above_one(self):
         with pytest.raises(RowNotNormalized) as got:

@@ -28,6 +28,7 @@ def test_digest_covers_each_output_and_diff_names_what_differs(tmp_path):
         + ["train-step/target/0"]
         + [f"train-step/0/{i}/{o}" for i in range(16) for o in outputs]
         + ["odd-frames/0/target"] + [f"odd-frames/0/{o}" for o in outputs]
+        + ["chain/0/target"] + [f"chain/0/{o}" for o in outputs]
     )
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)
     # the same tree digests to the same bytes
@@ -55,5 +56,5 @@ def test_against_digests_a_revision_with_its_own_tool():
     got = run("--limit", 1, "--against", "HEAD")
     # the working tree may differ from HEAD: the tool names what differs
     *names, summary = got.stdout.splitlines()
-    assert summary == f"{len(names)} of 67 entries differ", got.stderr
+    assert summary == f"{len(names)} of 71 entries differ", got.stderr
     assert got.returncode == (1 if names else 0)

@@ -496,6 +496,35 @@ def test_flushed_path_that_later_carries_the_line_raises():
     assert values[0] > 0.0 and values[-1] == 0.0
 
 
+def test_flush_can_leave_either_pass_without_mass():
+    # as above, but "b" alone is emitted from frame 2 on: the flushed path is
+    # the line's only one, so the forward pass finds no mass at frame 2 while
+    # the log-domain judge reads a finite loss
+    cn = ConfusionNetwork(
+        (ConfusionSet({0: 0.5, 1: 0.5}),) + tuple(ConfusionSet({2: 0.5}, 0.5) for _ in range(3))
+    )
+    target = compile_cn(cn, V)
+    y = np.zeros((10, len(V)))
+    y[0:2, 0], y[0:2, 1] = 1.0, 1e-155
+    y[2:6, 1] = 1.0
+    y[6:, V.blank] = 1.0
+    assert reference_log_loss(y, *kernel_inputs(target)) == pytest.approx(716.57, abs=0.01)
+    with pytest.raises(InfeasibleTarget, match="^line 0: forward mass 0.0 at frame 2;"):
+        soft_ctc_loss(PosteriorMatrix(y), target)
+    # the same line reversed in time (states reversed, arcs turned around,
+    # start and end weights swapped): now the backward pass finds no mass
+    reverse = np.arange(target.num_states)[::-1]
+    reversed_target = CompiledTarget(
+        sp.csr_matrix(target.transition.toarray()[reverse][:, reverse].T),
+        target.state_symbols[reverse], target.beta_hat[reverse], target.alpha_hat[reverse],
+    )
+    assert reversed_target.transition.nnz > fb.FLUSH_MIN_NNZ_PER_STATE * target.num_states
+    y = y[::-1]
+    assert reference_log_loss(y, *kernel_inputs(reversed_target)) == pytest.approx(716.57, abs=0.01)
+    with pytest.raises(InfeasibleTarget, match="^line 0: backward mass 0.0 at frame 7$"):
+        soft_ctc_loss(PosteriorMatrix(y), reversed_target)
+
+
 def test_sparse_objects_per_call_do_not_grow_with_frames(monkeypatch):
     # one transpose per call, nothing sparse built inside the frame loops
     sparse_base = pytest.importorskip("scipy.sparse._base")  # private: every sparse __init__

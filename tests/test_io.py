@@ -438,7 +438,15 @@ class TestReadCnMatchesReference:
         ("# confusion-network v1\nnormalized yes\nset a 1.0\n",
          "normalized must be true or false, got 'yes'"),
         ("# confusion-network v1\nnormalized false\ntotal x\nset a 1.0\n", "bad total 'x'"),
-    ], ids=["empty", "no magic", "sets not a number", "sets miscounted", "normalized", "total"])
+        ("# confusion-network v1\nnormalized false\ntotal 2.0\ntotal 1.0\nset a 1.0\n",
+         "repeated 'total' line"),
+        ("# confusion-network v1\nnormalized true\nset a 1.0\nnormalized false\n",
+         "repeated 'normalized' line"),
+        ("# confusion-network v1\nsets 1\nsets 2\nset a 1.0\nset b 1.0\n", "repeated 'sets' line"),
+        ("# confusion-network v1\nsets x\nsets 1\nset a 1.0\n", "bad sets count 'x'"),
+        ("# confusion-network v1\nsource p1\nset a 1.0\nsource p2\n", "repeated 'source' line"),
+    ], ids=["empty", "no magic", "sets not a number", "sets miscounted", "normalized", "total",
+            "total twice", "normalized twice", "sets twice", "bad sets count first", "metadata twice"])
     def test_header_faults(self, v, text, message):
         got = read_outcome(read_cn, text, v)
         assert got[0] is ValidationError and message in got[1]

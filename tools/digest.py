@@ -23,7 +23,11 @@ the benchmark runs on.  Covered, for every entry:
 - the first ``pseudolabel`` lines cut to the odd frame counts of
   ``ODD_FRAMES``, none a multiple of the kernel's 32-frame loop block: each
   line's compiled target and its outputs from one batch of them all, where
-  lines of equal count share a lock-step group.
+  lines of equal count share a lock-step group;
+- the plain chain target (``compile_nbest`` of the one-entry list) of each
+  ``pseudolabel`` line's ``greedy_decode`` labeling, and its outputs from
+  one batch of them all: chains do not flush, so these cover the kernel's
+  unflushed groups, which no network target reaches.
 
 A network hashes its four arrays, its ``normalized`` flag and its total
 score; a target hashes every array with its dtype and shape.  ``--limit N``
@@ -99,8 +103,8 @@ def digest(tree: str, limit: int | None = None) -> list[tuple[str, str]]:
         sys.path.insert(0, path)
     import inputs
     import workloads
-    from softctc import (PosteriorMatrix, compile_cn, decode_line, decode_to_cn, merge_cns,
-                         prune, smooth)
+    from softctc import (NBestList, PosteriorMatrix, compile_cn, compile_nbest, decode_line,
+                         decode_to_cn, greedy_decode, merge_cns, prune, smooth)
     from softctc import io as cnio
     from softctc.forward_backward import run_batch
     from tracing import Calls
@@ -119,11 +123,12 @@ def digest(tree: str, limit: int | None = None) -> list[tuple[str, str]]:
     v, cfg = workloads.vocabulary(), workloads.DECODE
     # the workloads' set-up helpers read no reference figures
     no_reference = {"merge-transform": {"lines": []}, "train-step": {}}
+    pseudolabel = [
+        PosteriorMatrix(inputs.synthetic_line(inputs.line_rng(inputs.PSEUDOLABEL_LINE, i)))
+        for i in range(workloads.PSEUDOLABEL_CATALOGUE)[:limit]]
     out = []
-    for i in range(workloads.PSEUDOLABEL_CATALOGUE)[:limit]:
+    for i, y in enumerate(pseudolabel):
         entry = f"pseudolabel/{i}"
-        y = PosteriorMatrix(
-            inputs.synthetic_line(inputs.line_rng(inputs.PSEUDOLABEL_LINE, i)))
         cn = decode_to_cn(y, v, cfg)
         target = compile_cn(cn, v)
         out += [(f"{entry}/cn", _network(cn)),
@@ -155,13 +160,20 @@ def digest(tree: str, limit: int | None = None) -> list[tuple[str, str]]:
 
     lines = []
     for i, frames in enumerate(ODD_FRAMES[:limit]):
-        y = PosteriorMatrix(inputs.synthetic_line(
-            inputs.line_rng(inputs.PSEUDOLABEL_LINE, i))[:frames])
+        y = PosteriorMatrix(pseudolabel[i].frames[:frames])
         target = compile_cn(decode_to_cn(y, v, cfg), v)
         out.append((f"odd-frames/{i}/target", _target(target)))
         lines.append((y.frames, target))
     for i, passes in enumerate(run(lines)):
         out += _passes(f"odd-frames/{i}", passes)
+
+    lines = []
+    for i, y in enumerate(pseudolabel):
+        target = compile_nbest(NBestList(((greedy_decode(y, v), 1.0),)), v)
+        out.append((f"chain/{i}/target", _target(target)))
+        lines.append((y.frames, target))
+    for i, passes in enumerate(run(lines)):
+        out += _passes(f"chain/{i}", passes)
     return out
 
 
