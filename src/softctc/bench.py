@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .compiler import compile_cn
-from .decoding import DecodeConfig, decode_to_cn, greedy_decode, segment_line
+from .decoding import DecodeConfig, decode_line, greedy_decode
 from .loss import ctc_loss, soft_ctc_loss
 from .types import PosteriorMatrix, ValidationError, Vocabulary, check_integer
 
@@ -155,14 +155,10 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
     decode_cfg = DecodeConfig(beam_size=cfg.beam, strategy="partial")
     posteriors = [synthetic_line(rng, cfg.frames, cfg.vocab) for _ in range(cfg.batch)]
     transcripts = [greedy_decode(y, v) for y in posteriors]
-    networks = [decode_to_cn(y, v, decode_cfg) for y in posteriors]
+    decoded = [decode_line(y, v, decode_cfg) for y in posteriors]
+    networks = [line.network for line in decoded]
     targets = [compile_cn(cn, v) for cn in networks]
-    unconfident = total = 0
-    for y in posteriors:
-        for seg in segment_line(y, v, decode_cfg.confidence):
-            total += seg.end - seg.start
-            if not seg.confident:
-                unconfident += seg.end - seg.start
+    unconfident = sum(s.end - s.start for line in decoded for s in line.segments if not s.confident)
 
     def eval_ctc():
         for y, l in zip(posteriors, transcripts):
@@ -183,7 +179,7 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
     return BenchReport(
         cfg,
         tuple(rows),
-        unconfident / total,
+        unconfident / (cfg.batch * cfg.frames),
         sum(len(cn) for cn in networks) / cfg.batch,
         time.perf_counter() - started,
     )

@@ -24,24 +24,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .types import Labeling, NBestList, ValidationError
+from .types import Labeling, NBestList, ValidationError, check_symbol
 
 
 @dataclass(frozen=True, eq=True)
 class ConfusionSet:
     """One position of a confusion network.
 
-    ``alternatives`` maps symbol id to a positive finite score; ``null``
-    carries the finite, nonnegative skip mass.  A set consisting of null
-    alone is forbidden; transformations that would produce one drop the set
-    instead.
+    ``alternatives`` maps symbol id (:func:`softctc.types.check_symbol`) to
+    a positive finite score; ``null`` carries the finite, nonnegative skip
+    mass.  A set consisting of null alone is forbidden; transformations that
+    would produce one drop the set instead.
     """
 
     alternatives: dict[int, float]
     null: float = 0.0
 
     def __post_init__(self):
-        alts = {int(k): float(v) for k, v in self.alternatives.items()}
+        alts = {check_symbol(k): float(v) for k, v in self.alternatives.items()}
         object.__setattr__(self, "alternatives", alts)
         object.__setattr__(self, "null", float(self.null))
         if not alts:
@@ -88,11 +88,12 @@ class ConfusionNetwork:
 
     Set ``i`` offers ``symbols[offsets[i]:offsets[i + 1]]`` (ascending) with
     the matching ``scores`` and skip mass ``nulls[i]``.  ``total_score`` is
-    the per-set mass a raw network conserves (the sum of folded hypothesis
-    weights); it must be 1.0 for normalized networks.  Every set must total 1.0
-    (normalized) or ``total_score`` (raw) to within 1e-6 relative.  The
-    arrays are read-only; ``sets`` is a view of them as ``ConfusionSet``
-    values, built on first access.
+    the per-set mass a raw network conserves (for a folded or decoded network,
+    the line confidence of :func:`_line_network`); it must be 1.0 for
+    normalized networks.  Every set must total 1.0 (normalized) or
+    ``total_score`` (raw) to within 1e-6 relative.  The arrays are
+    read-only; ``sets`` is a view of them as ``ConfusionSet`` values, built
+    on first access.
     """
 
     def __init__(self, sets: Iterable[ConfusionSet], normalized: bool = True, total_score: float = 1.0):
@@ -191,7 +192,7 @@ def _normalized(offsets, symbols, scores, nulls) -> ConfusionNetwork:
 
 def trivial_cn(labeling: Labeling | Iterable[int], weight: float = 1.0) -> ConfusionNetwork:
     """Singleton-set network representing exactly one labeling."""
-    symbols = [int(s) for s in labeling]
+    symbols = [check_symbol(s) for s in labeling]
     return ConfusionNetwork._from_arrays(
         np.arange(len(symbols) + 1), symbols, np.full(len(symbols), float(weight)),
         np.zeros(len(symbols)), normalized=(weight == 1.0), total_score=float(weight),
@@ -202,20 +203,28 @@ def normalize_cn(cn: ConfusionNetwork) -> ConfusionNetwork:
     return _normalized(cn.offsets, cn.symbols, cn.scores, cn.nulls)
 
 
+def _first_maxima(offsets: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each set's largest of ``values`` and the index of its first maximum.
+
+    Symbols ascend within a set, so the first maximum is the smallest best
+    symbol.
+    """
+    sets = np.arange(offsets.shape[0] - 1)
+    set_of = np.repeat(sets, np.diff(offsets))
+    peak = np.maximum.reduceat(values, offsets[:-1])
+    ties = np.flatnonzero(values == peak[set_of])
+    return peak, ties[np.searchsorted(set_of[ties], sets)]
+
+
 def _best_positions(
     offsets: np.ndarray, symbols: np.ndarray, scores: np.ndarray, nulls: np.ndarray
 ) -> tuple[list[int], list[int]]:
     """Best-path symbols and the indices of the sets they come from: each
     set's highest-scoring alternative, the smaller symbol on ties, unless its
     null is strictly greater."""
-    sets = np.arange(nulls.shape[0])
-    set_of = np.repeat(sets, np.diff(offsets))
-    peak = np.maximum.reduceat(scores, offsets[:-1])
-    # symbols ascend, so a set's first maximum is its smallest best symbol
-    ties = np.flatnonzero(scores == peak[set_of])
-    best = symbols[ties[np.searchsorted(set_of[ties], sets)]]
+    peak, first = _first_maxima(offsets, scores)
     positions = np.flatnonzero(~(nulls > peak))
-    return best[positions].tolist(), positions.tolist()
+    return symbols[first[positions]].tolist(), positions.tolist()
 
 
 def best_path(cn: ConfusionNetwork) -> Labeling:
@@ -372,7 +381,11 @@ def _merge_hypothesis(
     return out
 
 
-def _fold(entries: Iterable[tuple[tuple[int, ...], float]]) -> tuple[list[_RawSet], float]:
+# a hypothesis: its symbols and its weight
+_Hypothesis = tuple[tuple[int, ...], float]
+
+
+def _fold(entries: Iterable[_Hypothesis]) -> tuple[list[_RawSet], float]:
     """Raw sets and per-set total of (symbols, weight) hypotheses, folded by descending weight.
 
     The top hypothesis seeds one singleton set per symbol, and each following
@@ -386,6 +399,30 @@ def _fold(entries: Iterable[tuple[tuple[int, ...], float]]) -> tuple[list[_RawSe
     return sets, total
 
 
+def _line_network(
+    hypothesis_lists: Sequence[Sequence[_Hypothesis]], scored: Iterable[int], normalize: bool
+) -> ConfusionNetwork:
+    """The network of a line whose segments, in order, hold ``hypothesis_lists``.
+
+    Each list is folded and the sets are concatenated.  Normalized, every
+    set is divided by its total.  Raw, every set is rescaled to the line
+    confidence: the product of the fold totals of the lists at ``scored``,
+    floored at the smallest normal double so that a line whose confidence
+    underflows keeps its per-set proportions.
+    """
+    folds = [_fold(h) for h in hypothesis_lists]
+    offsets, symbols, scores, nulls = _flatten_sets([s for sets, _ in folds for s in sets])
+    if normalize:
+        return _normalized(offsets, symbols, scores, nulls)
+    line_confidence = max(float(np.prod([folds[i][1] for i in scored])), np.finfo(float).tiny)
+    # each list's sets total its fold's mass: rescale them per set
+    factor = np.repeat([line_confidence / t for _, t in folds], [len(f) for f, _ in folds])
+    scores = np.maximum(scores * np.repeat(factor, np.diff(offsets)), 5e-324)
+    return ConfusionNetwork._from_arrays(
+        offsets, symbols, scores, nulls * factor, normalized=False, total_score=line_confidence
+    )
+
+
 def build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
     """Fold an n-best list into a confusion network.
 
@@ -393,11 +430,13 @@ def build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNetwork:
     singleton-set network, each following one is aligned against the current
     best path and accumulated, and per-set normalization runs once at the end
     (skipped when ``normalize`` is false so networks can still be merged).
+
+    This is the decoder's rule for a one-segment line (see
+    :func:`softctc.decoding.decode_line`): a raw network's ``total_score``
+    is the fold's total weight, floored at the smallest normal double, so
+    a list whose total weight is subnormal gives 2.2250738585072014e-308.
     """
-    sets, total = _fold([(labeling.symbols, weight) for labeling, weight in nbest])
-    if normalize:
-        return _normalized(*_flatten_sets(sets))
-    return ConfusionNetwork._from_arrays(*_flatten_sets(sets), normalized=False, total_score=total)
+    return _line_network([[(labeling.symbols, weight) for labeling, weight in nbest]], [0], normalize)
 
 
 # the sides an output set of a pair merge joins: one or both
@@ -511,10 +550,7 @@ def prune(cn: ConfusionNetwork, cutoff: float = 0.01) -> ConfusionNetwork:
     kept = probs > cutoff
     bare = np.bincount(set_of[kept], minlength=counts.shape[0]) == 0
     if bare.any():
-        # symbols ascend, so a set's first maximum is its smallest best symbol
-        peak = np.maximum.reduceat(probs, cn.offsets[:-1])
-        best = np.flatnonzero(bare[set_of] & (probs == peak[set_of]))
-        kept[best[np.unique(set_of[best], return_index=True)[1]]] = True
+        kept[_first_maxima(cn.offsets, probs)[1][bare]] = True
     offsets = np.concatenate(([0], np.cumsum(np.bincount(set_of[kept], minlength=counts.shape[0]))))
     return _normalized(offsets, cn.symbols[kept], probs[kept], cn.nulls / totals)
 

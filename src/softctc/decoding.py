@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .confusion import ConfusionNetwork, _flatten_sets, _fold, _normalized
+from .confusion import ConfusionNetwork, _Hypothesis, _line_network
 from .types import (
     Labeling,
     NBestList,
@@ -72,19 +72,17 @@ def _check_confidence(threshold) -> None:
 
 @dataclass(frozen=True)
 class Segment:
-    """Half-open frame range [start, end) and whether it is confident."""
+    """Half-open frame range [start, end) of integers, and whether it is confident, a bool."""
 
     start: int
     end: int
     confident: bool
 
     def __post_init__(self):
-        if not 0 <= self.start < self.end:
+        if not 0 <= check_integer(self.start, "segment start") < check_integer(self.end, "segment end"):
             raise ValidationError(f"bad segment bounds [{self.start}, {self.end})")
-
-
-# a decoder hypothesis: its symbols and its weight
-_Hypothesis = tuple[tuple[int, ...], float]
+        if not isinstance(self.confident, (bool, np.bool_)):
+            raise ValidationError(f"segment confidence must be a bool, got {self.confident!r}")
 
 
 def _collapse(path: np.ndarray, starts: Sequence[int], blank: int) -> list[tuple[int, ...]]:
@@ -417,10 +415,13 @@ def decode_line(
     but none may sum above it.
 
     With ``normalize`` off, the per-set totals of every segment are scaled to
-    the product of the segment beam masses, so the raw network conserves one
-    line-level confidence score that later merging can weight by.  That
-    product is floored at the smallest normal double, so a line whose
-    confidence underflows keeps its per-set proportions.
+    the product of the unconfident segments' fold totals (each the sum of
+    its list's weights, added in descending weight order), so the raw network
+    conserves one line-level confidence score that later merging can weight
+    by.  That product is floored at the smallest normal double, so a line
+    whose confidence underflows keeps its per-set proportions.  A one-segment
+    line's network is therefore :func:`softctc.confusion.build_cn` of its
+    list: both come from the same routine.
     """
     segments, hypotheses, network = _decode(y, v, cfg, normalize)
     return DecodedLine(segments, tuple(map(_nbest_list, hypotheses)), network)
@@ -458,17 +459,4 @@ def _decode(
             beam.append((greedy[i], min(max(float(np.prod(peak)), 5e-324), 1.0)))
         hypotheses[i] = beam
     # a confident segment is the one-entry list of weight 1: singleton sets
-    folds = [_fold(h) for h in hypotheses]
-    offsets, symbols, scores, nulls = _flatten_sets([s for sets, _ in folds for s in sets])
-    if normalize:
-        network = _normalized(offsets, symbols, scores, nulls)
-    else:
-        masses = [sum(w for _, w in h) for seg, h in zip(segments, hypotheses) if not seg.confident]
-        line_confidence = max(float(np.prod(masses)) if masses else 1.0, np.finfo(float).tiny)
-        # each segment's sets total its fold's mass: rescale them per set
-        factor = np.repeat([line_confidence / t for _, t in folds], [len(f) for f, _ in folds])
-        scores = np.maximum(scores * np.repeat(factor, np.diff(offsets)), 5e-324)
-        network = ConfusionNetwork._from_arrays(
-            offsets, symbols, scores, nulls * factor, normalized=False, total_score=line_confidence
-        )
-    return segments, hypotheses, network
+    return segments, hypotheses, _line_network(hypotheses, doubtful, normalize)

@@ -120,9 +120,7 @@ class Labeling:
     symbols: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
-        if any(s < 0 for s in self.symbols):
-            raise ValidationError("symbol ids must be nonnegative")
+        object.__setattr__(self, "symbols", tuple(map(check_symbol, self.symbols)))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -216,6 +214,16 @@ def check_integer(value, what: str) -> int:
     except TypeError:
         pass
     raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def check_symbol(value) -> int:
+    """``value`` as a symbol id: an integer (:func:`check_integer`) in ``[0, 2**63)``, the int64 range."""
+    s = check_integer(value, "symbol id")
+    if s < 0:
+        raise ValidationError(f"symbol ids must be nonnegative, got {s!r}")
+    if s >= 1 << 63:
+        raise ValidationError(f"symbol ids must be below 2**63, got {s!r}")
+    return s
 
 
 def check_finite(m: PosteriorMatrix) -> None:

@@ -18,6 +18,7 @@ from softctc import (
     ShapeMismatch,
     ValidationError,
     Vocabulary,
+    build_cn,
     compile_cn,
     ctc_loss,
     decode_line,
@@ -553,6 +554,39 @@ class TestDecodeLine:
         assert mass == pytest.approx(0.7 * 0.5, rel=1e-12)
 
 
+class TestBuildCnIsTheOneSegmentDecode:
+    """build_cn and the decoder turn folds into networks by one rule: a raw
+    network totals its fold's total weight, floored at the smallest normal
+    double."""
+
+    def test_seeded_full_lines(self):
+        v = Vocabulary.from_characters("abc")
+        rng = np.random.default_rng(5)
+        differ = []
+        for _ in range(3000):
+            y = PosteriorMatrix(rng.dirichlet(np.full(4, 0.3), size=int(rng.integers(2, 9))))
+            for beam in (1, 2, 3):
+                for normalize in (True, False):
+                    d = decode_line(y, v, DecodeConfig(beam_size=beam, strategy="full"), normalize=normalize)
+                    if build_cn(d.nbests[0], normalize=normalize) != d.network:
+                        differ.append((d.nbests[0], normalize))
+        assert differ == []
+
+    def test_weights_that_sum_below_the_smallest_normal_double(self):
+        tiny = np.finfo(float).tiny
+        raw = build_cn(NBestList(((Labeling((0,)), 5e-324),)), normalize=False)
+        assert raw.total_score == tiny
+        assert raw.scores.tolist() == [tiny]
+        # every beam prefix's mass underflows: the top prefix and the greedy
+        # labeling are listed at 5e-324 each, 1e-323 in all
+        y = PosteriorMatrix(np.full((600, 4), 0.25))
+        d = decode_line(y, Vocabulary.from_characters("abc"), DecodeConfig(beam_size=1, strategy="full"),
+                        normalize=False)
+        assert [w for _, w in d.nbests[0]] == [5e-324, 5e-324]
+        assert d.network.total_score == tiny
+        assert build_cn(d.nbests[0], normalize=False) == d.network
+
+
 class TestBadPosteriors:
     """The decoder checks its input once per call, with the texts of
     validate_posteriors; rows need not sum to one, but none may sum above it."""
@@ -672,7 +706,7 @@ def reference_decoded_network(decoded, normalize):
     folds = [reference_build_cn(nbest, normalize=False) for nbest in decoded.nbests]
     if normalize:
         return ConfusionNetwork(tuple(s.normalized() for cn in folds for s in cn.sets))
-    masses = [nb.total_weight for seg, nb in zip(decoded.segments, decoded.nbests) if not seg.confident]
+    masses = [cn.total_score for seg, cn in zip(decoded.segments, folds) if not seg.confident]
     confidence = max(float(np.prod(masses)) if masses else 1.0, np.finfo(float).tiny)
     sets = []
     for cn in folds:

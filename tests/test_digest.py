@@ -35,16 +35,27 @@ def test_digest_covers_each_output_and_diff_names_what_differs(tmp_path):
     assert b.read_text() == a.read_text()
     same = run("--diff", a, b)
     assert same.returncode == 0
-    assert same.stdout.splitlines() == [f"0 of {len(names)} entries differ"]
+    assert same.stdout.splitlines() == [f"0 of {len(names)} shared entries differ, 0 only on one side"]
 
-    # one changed digest and one missing entry are both named
+    # a changed digest is named, and a missing entry with the side that holds it
     changed = lines[:]
     changed[4] = "0" * 64 + "  " + names[4]
     del changed[-1]
     b.write_text("\n".join(changed) + "\n")
     differ = run("--diff", a, b)
     assert differ.returncode == 1
-    assert differ.stdout.splitlines() == [names[4], names[-1], f"2 of {len(names)} entries differ"]
+    assert differ.stdout.splitlines() == [
+        names[4], f"only in {a}: {names[-1]}", f"1 of {len(names) - 1} shared entries differ, 1 only on one side"
+    ]
+    # an entry only one side holds is itself a difference
+    del changed[4]
+    b.write_text("\n".join(changed) + "\n")
+    missing = run("--diff", b, a)
+    assert missing.returncode == 1
+    assert missing.stdout.splitlines() == [
+        f"only in {a}: {names[4]}", f"only in {a}: {names[-1]}",
+        f"0 of {len(names) - 2} shared entries differ, 2 only on one side",
+    ]
 
 
 def test_against_digests_a_revision_with_its_own_tool():
@@ -56,5 +67,8 @@ def test_against_digests_a_revision_with_its_own_tool():
     got = run("--limit", 1, "--against", "HEAD")
     # the working tree may differ from HEAD: the tool names what differs
     *names, summary = got.stdout.splitlines()
-    assert summary == f"{len(names)} of 71 entries differ", got.stderr
+    one_sided = [name for name in names if name.startswith("only in ")]
+    differing = len(names) - len(one_sided)
+    shared = 71 - len(one_sided)
+    assert summary == f"{differing} of {shared} shared entries differ, {len(one_sided)} only on one side", got.stderr
     assert got.returncode == (1 if names else 0)

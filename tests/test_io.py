@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -312,10 +313,14 @@ class TestCnRoundTrip:
         with pytest.raises(ValidationError, match="^set line 2: confusion sets may not contain the blank$"):
             reader(io.StringIO(text), v)
 
-    # V's blank is 3; 4 and 9 are out of range, and -1 would index from the end
+    # V's blank is 3; 4 and 9 are out of range, and -1 would index from the end.
+    # A ConfusionSet refuses -1, so the network is built from its arrays.
     @pytest.mark.parametrize("symbol", [3, 4, 9, -1])
     def test_write_rejects_a_symbol_read_cn_would_not_take(self, symbol, tmp_path):
-        cn = ConfusionNetwork((ConfusionSet({0: 1.0}), ConfusionSet({1: 0.5, symbol: 0.25}, 0.25)))
+        alts = sorted({1: 0.5, symbol: 0.25}.items())
+        cn = ConfusionNetwork._from_arrays(
+            [0, 1, 3], [0] + [k for k, _ in alts], [1.0] + [v for _, v in alts], [0.0, 0.25]
+        )
         assert_writes_nothing(
             lambda out: write_cn(out, cn, V), tmp_path, f"set 1 contains an invalid symbol {symbol}"
         )
@@ -484,6 +489,25 @@ class TestNbestRoundTrip:
         for (seg, nbest), (seg2, nbest2) in zip(groups, back):
             assert seg2 == seg
             assert tuple(nbest2) == tuple(nbest)
+
+    @pytest.mark.parametrize("segment", [Segment(0, 1, True), Segment(np.int64(2), np.int64(9), np.bool_(False))])
+    def test_valid_segments_round_trip(self, segment):
+        buf = io.StringIO()
+        write_nbest(buf, [(segment, NBestList(((Labeling((0,)), 1.0),)))], V)
+        (back, _), = read_nbest(io.StringIO(buf.getvalue()), V)
+        assert back == segment
+
+    # each would be written as a segment line read_nbest rejects, or as the wrong kind
+    @pytest.mark.parametrize("args, message", [
+        ((0.5, 2.5, False), "segment start must be an integer, got 0.5"),
+        ((0, 2.0, False), "segment end must be an integer, got 2.0"),
+        ((True, 2, False), "segment start must be an integer, got True"),
+        ((0, 2, "no"), "segment confidence must be a bool, got 'no'"),
+        ((0, 2, 1), "segment confidence must be a bool, got 1"),
+    ])
+    def test_segment_takes_only_what_read_nbest_reads(self, args, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Segment(*args)
 
     def test_headerless_single_list(self):
         text = "# nbest v1\n0.75 a b\n0.25 a\n"

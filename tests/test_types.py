@@ -1,13 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
 from softctc import (
+    ConfusionNetwork,
+    ConfusionSet,
     Labeling,
     NBestList,
     PosteriorMatrix,
     ShapeMismatch,
     ValidationError,
     Vocabulary,
+    build_cn,
+    compile_nbest,
+    ctc_loss,
+    trivial_cn,
     validate_posteriors,
 )
 from softctc.types import NegativeEntry, NonFiniteEntry, RowNotNormalized
@@ -75,6 +83,40 @@ def test_labeling_is_tuple_of_ints():
 def test_labeling_rejects_a_negative_symbol_id(symbols):
     with pytest.raises(ValidationError, match="symbol ids must be nonnegative"):
         Labeling(symbols)
+
+
+# each was coerced to a symbol id, or built and failed later as numpy's OverflowError
+BAD_SYMBOL_IDS = [
+    (1.5, "symbol id must be an integer, got 1.5"),
+    ("1", "symbol id must be an integer, got '1'"),
+    (True, "symbol id must be an integer, got True"),
+    (-3, "symbol ids must be nonnegative, got -3"),
+    (2**63, "symbol ids must be below 2**63, got 9223372036854775808"),
+    (2**70, "symbol ids must be below 2**63, got 1180591620717411303424"),
+]
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: Labeling((0, s)),
+    lambda s: ConfusionSet({0: 0.5, s: 0.5}),
+    lambda s: trivial_cn([0, s]),
+    lambda s: ConfusionNetwork([ConfusionSet({s: 1.0})]),
+    lambda s: build_cn(NBestList(((Labeling((s,)), 1.0),))),
+    lambda s: compile_nbest(NBestList(((Labeling((s,)), 1.0),)), Vocabulary.from_characters("ab")),
+    lambda s: ctc_loss(PosteriorMatrix(np.full((2, 3), 1 / 3)), Labeling((s,)), Vocabulary.from_characters("ab")),
+], ids=["Labeling", "ConfusionSet", "trivial_cn", "ConfusionNetwork", "build_cn", "compile_nbest", "ctc_loss"])
+@pytest.mark.parametrize("symbol, message", BAD_SYMBOL_IDS)
+def test_a_symbol_id_is_an_int64_range_integer(build, symbol, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build(symbol)
+
+
+def test_numpy_symbol_ids_pass_as_ints():
+    ids = (np.int64(1), np.uint8(0), 2**63 - 1)
+    assert Labeling(ids).symbols == (1, 0, 2**63 - 1)
+    assert all(type(s) is int for s in Labeling(ids).symbols)
+    assert ConfusionSet({np.int64(1): 1.0}).alternatives == {1: 1.0}
+    assert trivial_cn(Labeling(ids)).symbols.tolist() == [1, 0, 2**63 - 1]
 
 
 def test_labeling_empty():

@@ -32,7 +32,9 @@ the benchmark runs on.  Covered, for every entry:
 A network hashes its four arrays, its ``normalized`` flag and its total
 score; a target hashes every array with its dtype and shape.  ``--limit N``
 keeps the first N entries of each catalogue, for a quick check.  ``--diff``
-exits 1 when an entry differs or is missing from one side.
+prints the entries both files hold whose digests differ, then each entry
+only one file holds with that file named, then both counts, and exits 1
+when either count is nonzero.
 
 ``--against REV`` extracts ``git archive REV`` into a temporary directory
 and digests that tree with REV's own ``tools/digest.py``, since the kernel's
@@ -182,18 +184,22 @@ def read(path: str) -> dict[str, str]:
         return {name: sha for sha, name in (line.rstrip("\n").split("  ", 1) for line in f)}
 
 
-def diff(a: dict[str, str], b: dict[str, str]) -> list[str]:
-    """Every name whose digest differs or that only one side holds, in ``a``'s order."""
-    return [name for name in {**a, **b} if a.get(name) != b.get(name)]
+def report(a: dict[str, str], b: dict[str, str], sides: tuple[str, str]) -> int:
+    """Compare the digests ``a`` and ``b`` of the two ``sides``; 1 if anything differs, else 0.
 
-
-def report(a: dict[str, str], b: dict[str, str]) -> int:
-    """Print every differing entry and a count; 1 if any differs, else 0."""
-    differing = diff(a, b)
+    Prints each shared entry whose digest differs, in ``a``'s order, then
+    each entry only one side holds, with that side named, then both counts.
+    """
+    shared = [name for name in a if name in b]
+    differing = [name for name in shared if a[name] != b[name]]
+    one_sided = [(sides[0], name) for name in a if name not in b]
+    one_sided += [(sides[1], name) for name in b if name not in a]
     for name in differing:
         print(name)
-    print(f"{len(differing)} of {len(a.keys() | b.keys())} entries differ")
-    return 1 if differing else 0
+    for side, name in one_sided:
+        print(f"only in {side}: {name}")
+    print(f"{len(differing)} of {len(shared)} shared entries differ, {len(one_sided)} only on one side")
+    return 1 if differing or one_sided else 0
 
 
 def digest_revision(tree: str, rev: str, limit: int | None) -> dict[str, str]:
@@ -228,11 +234,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.paths or args.diff:
             parser.error("--against takes no digest file and no --diff")
         theirs = digest_revision(tree, args.against, args.limit)
-        return report(theirs, dict(digest(tree, args.limit)))
+        return report(theirs, dict(digest(tree, args.limit)), (args.against, args.tree))
     if args.diff:
         if len(args.paths) != 2:
             parser.error("--diff takes two digest files")
-        return report(read(args.paths[0]), read(args.paths[1]))
+        return report(read(args.paths[0]), read(args.paths[1]), tuple(args.paths))
     if len(args.paths) != 1:
         parser.error("write one digest file at a time")
     entries = digest(tree, args.limit)
