@@ -26,6 +26,10 @@ import numpy as np
 
 from .types import Labeling, NBestList, ValidationError, check_symbol
 
+# the smallest positive double: the weight a kept hypothesis or score is
+# floored at so that underflow never leaves it at 0
+WEIGHT_FLOOR = 5e-324
+
 
 @dataclass(frozen=True, eq=True)
 class ConfusionSet:
@@ -417,7 +421,7 @@ def _line_network(
     line_confidence = max(float(np.prod([folds[i][1] for i in scored])), np.finfo(float).tiny)
     # each list's sets total its fold's mass: rescale them per set
     factor = np.repeat([line_confidence / t for _, t in folds], [len(f) for f, _ in folds])
-    scores = np.maximum(scores * np.repeat(factor, np.diff(offsets)), 5e-324)
+    scores = np.maximum(scores * np.repeat(factor, np.diff(offsets)), WEIGHT_FLOOR)
     return ConfusionNetwork._from_arrays(
         offsets, symbols, scores, nulls * factor, normalized=False, total_score=line_confidence
     )

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .confusion import ConfusionNetwork, _Hypothesis, _line_network
+from .confusion import WEIGHT_FLOOR, ConfusionNetwork, _Hypothesis, _line_network
 from .types import (
     Labeling,
     NBestList,
@@ -320,7 +320,7 @@ def _beam_batch(
         weights = [(p, min(math.exp(lm), 1.0)) for p, lm in scored]
         entries = [(p, w) for p, w in weights if w > 0.0]
         # if all mass underflowed, keep the top prefix with a representable weight
-        out.append(entries or [(scored[0][0], 5e-324)])
+        out.append(entries or [(scored[0][0], WEIGHT_FLOOR)])
     return out
 
 
@@ -456,7 +456,7 @@ def _decode(
             # the beam pruned the greedy labeling mid-segment: list it with its
             # argmax-path mass, a valid under-estimate of its posterior
             peak = np.max(frames[segments[i].start : segments[i].end], axis=1)
-            beam.append((greedy[i], min(max(float(np.prod(peak)), 5e-324), 1.0)))
+            beam.append((greedy[i], min(max(float(np.prod(peak)), WEIGHT_FLOOR), 1.0)))
         hypotheses[i] = beam
     # a confident segment is the one-entry list of weight 1: singleton sets
     return segments, hypotheses, _line_network(hypotheses, doubtful, normalize)

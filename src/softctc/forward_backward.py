@@ -189,10 +189,14 @@ class _Group:
         # then its padding, in the forward half and then the backward half
         bounds = np.column_stack((starts, starts + sizes)).reshape(-1)
         self.bounds = np.concatenate((bounds, bounds + states))
+        # each target state's group state, the map every per-state array is
+        # placed through: line l's state s is l * width + s
+        state_ids = np.flatnonzero(np.arange(self.width) < sizes[:, None])
+        symbols = np.concatenate([t.state_symbols for t in targets])
         # each slot's posterior column per state; padding reads column 0
-        self.columns = [
-            np.pad(t.state_symbols, (0, self.width - t.num_states)) for t in targets
-        ]
+        columns = np.zeros(states, dtype=symbols.dtype)
+        columns[state_ids] = symbols
+        self.columns = columns.reshape(self.lines, self.width)
 
         # the targets' own index type (scipy's int32 unless a target outgrows
         # it), widened when the stacked matrix's 2 * states or 2 * nnz do not fit
@@ -200,11 +204,10 @@ class _Group:
         index = np.result_type(*(t.transition.indices.dtype for t in targets))
         if 2 * max(states, nnz) > np.iinfo(index).max:
             index = np.dtype(np.int64)
-        counts = np.zeros((self.lines, self.width), dtype=index)
-        for line, t in enumerate(targets):
-            counts[line, : t.num_states] = np.diff(t.transition.indptr)
+        counts = np.zeros(states, dtype=index)
+        counts[state_ids] = np.concatenate([np.diff(t.transition.indptr) for t in targets])
         backward_indptr = np.zeros(states + 1, dtype=index)
-        np.cumsum(counts.reshape(-1), out=backward_indptr[1:])
+        np.cumsum(counts, out=backward_indptr[1:])
         # the stacked matrix: rows [0, states) the transpose, whose CSR is the
         # matrix's CSC, then rows [states, 2 * states) the matrix, shifted
         indptr = np.empty(2 * states + 1, dtype=index)
@@ -221,8 +224,6 @@ class _Group:
 
         # binning matrix: row line * vocab + k sums the line's states of
         # symbol k, in increasing state order
-        state_ids = np.concatenate([start + np.arange(size) for start, size in zip(starts, sizes)])
-        symbols = np.concatenate([t.state_symbols for t in targets])
         rows = state_ids // self.width * self.vocab + symbols
         self.binned_rows = self.lines * self.vocab
         onehot_indptr = np.zeros(self.binned_rows + 1, dtype=index)
@@ -231,9 +232,9 @@ class _Group:
         self.onehot = (onehot_indptr, state_ids[order].astype(index), np.ones(rows.shape[0]))
 
         # the first iteration's product: the initial weights, then the final ones
-        weights = np.zeros((2, self.lines, self.width))
-        for line, t in enumerate(targets):
-            weights[:, line, : t.num_states] = t.alpha_hat, t.beta_hat
+        weights = np.zeros((2, states))
+        weights[0, state_ids] = np.concatenate([t.alpha_hat for t in targets])
+        weights[1, state_ids] = np.concatenate([t.beta_hat for t in targets])
         self.weights = weights.reshape(-1)
         self.flush = _flushes(targets[0])  # as every line of the group does
 

@@ -6,10 +6,12 @@ Symbols are display strings; ``<blank>``, ``<null>``, and ``<space>`` are the
 only reserved tokens.  A network is read into its flat arrays and written
 from them; a header key may appear once, and a ``set`` line may name each
 symbol and ``<null>`` once.  A malformed file raises the first fault a
-line-by-line reader meets.  The network and n-best writers refuse an id that
-is no letter (:meth:`Vocabulary.first_non_letter`), and every writer checks
-and renders its whole file before it writes, so a writer that raises has
-created no file and written nothing to a stream.
+line-by-line reader meets.  A network read without a vocabulary gets the
+file's own: its symbols in order of first appearance, then the blank.  The
+network and n-best writers refuse an id that is no letter
+(:meth:`Vocabulary.first_non_letter`), and every writer checks and renders
+its whole file before it writes, so a writer that raises has created no
+file and written nothing to a stream.
 """
 
 from __future__ import annotations
@@ -163,11 +165,12 @@ def read_cn(
 ) -> tuple[ConfusionNetwork, Vocabulary, dict]:
     """Parse a network file.
 
-    Without a vocabulary, one is synthesized from the symbols in order of
-    first appearance with a blank appended, which suffices for symbol-opaque
-    transforms; a network with no sets gets ``UNUSED_SYMBOL`` and the blank.
-    A repeated header key raises ValidationError naming it.  Returns
-    (network, vocabulary, metadata).
+    Without a vocabulary, the file's own is read first (see
+    :func:`_file_vocabulary`): its symbols in order of first appearance, or
+    ``UNUSED_SYMBOL`` for a network with no sets, then the blank, which
+    suffices for symbol-opaque transforms.  Either way every token resolves
+    through the vocabulary's index.  A repeated header key raises
+    ValidationError naming it.  Returns (network, vocabulary, metadata).
     """
     body = _content_lines(_read_lines(path_or_file), CN_MAGIC, "confusion network")
     meta: dict[str, str] = {}
@@ -199,10 +202,10 @@ def read_cn(
     except ValueError:
         raise ValidationError(f"bad total {total_text!r}") from None
 
-    offsets, symbols, scores, nulls, names = _parse_sets(set_lines, v)
+    split = [line.split() for line in set_lines]
     if v is None:
-        local_symbols = [_token_symbol(t) for t in names] or [UNUSED_SYMBOL]
-        v = Vocabulary(tuple(local_symbols) + (BLANK_TOKEN,), blank_index=len(local_symbols))
+        v = _file_vocabulary(split)
+    offsets, symbols, scores, nulls = _parse_sets(split, v)
     cn = ConfusionNetwork._from_arrays(offsets, symbols, scores, nulls, normalized=normalized, total_score=total)
     return cn, v, meta
 
@@ -215,19 +218,31 @@ def _parses(text: str) -> bool:
     return True
 
 
-def _parse_sets(
-    set_lines: list[str], v: Vocabulary | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """(offsets, symbols, scores, nulls, symbol tokens) of the ``set`` lines.
+def _file_vocabulary(split: list[list[str]]) -> Vocabulary:
+    """The vocabulary of a network file read without one.
 
-    Without a vocabulary, symbol ids number the tokens in order of first
-    appearance, which the returned tokens list.  Every value is parsed in one
-    pass, and each kind of fault is one test over all lines: an unpaired
-    line, a bad value, an unknown or blank symbol, a token named twice in a
-    line.  When one finds a fault, :func:`_first_set_fault` reads the lines
-    in order for the error a line-by-line reader raises.
+    Its symbols are the tokenized ``set`` lines' symbols in order of first
+    appearance, without ``<null>`` and ``<blank>``, or ``UNUSED_SYMBOL`` when
+    there are none; the blank comes last.  A ``<blank>`` token so reads as
+    the blank, which a set may not hold.
     """
-    split = [line.split() for line in set_lines]
+    tokens = dict.fromkeys(itertools.chain.from_iterable(tokens[::2] for tokens in split))
+    symbols = [_token_symbol(t) for t in tokens if t not in (NULL_TOKEN, BLANK_TOKEN)]
+    symbols = symbols or [UNUSED_SYMBOL]
+    return Vocabulary((*symbols, BLANK_TOKEN), blank_index=len(symbols))
+
+
+def _parse_sets(
+    split: list[list[str]], v: Vocabulary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, symbols, scores, nulls) of the tokenized ``set`` lines.
+
+    Every value is parsed in one pass, and each kind of fault is one test
+    over all lines: an unpaired line, a bad value, an unknown or blank
+    symbol, a token named twice in a line.  When one finds a fault,
+    :func:`_first_set_fault` reads the lines in order for the error a
+    line-by-line reader raises.
+    """
     counts = np.fromiter(map(len, split), dtype=np.int64, count=len(split))
     if ((counts == 0) | (counts % 2 == 1)).any():
         raise _first_set_fault(split, v)
@@ -237,22 +252,14 @@ def _parse_sets(
         values = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
     except ValueError:
         raise _first_set_fault(split, v) from None
-    names = dict.fromkeys(tokens)
-    names.pop(NULL_TOKEN, None)
-    if v is None:
-        ids = {tok: i for i, tok in enumerate(names)}
-        blank = ids.get(BLANK_TOKEN, len(names))  # without the blank token, an id no token has
-    else:
-        index = {s: i for i, s in enumerate(v.symbols)}
-        # an unknown symbol is a fault like the blank
-        ids = {tok: index.get(_token_symbol(tok), v.blank) for tok in names}
-        blank = v.blank
+    # an unknown symbol is a fault like the blank
+    ids = {tok: v._index.get(_token_symbol(tok), v.blank) for tok in dict.fromkeys(tokens)}
     ids[NULL_TOKEN] = -1
     keys = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     line_of = np.repeat(np.arange(len(split)), counts // 2)
     order = np.lexsort((keys, line_of))
     keys, line_of = keys[order], line_of[order]
-    if (keys == blank).any() or ((np.diff(keys) == 0) & (np.diff(line_of) == 0)).any():
+    if (keys == v.blank).any() or ((np.diff(keys) == 0) & (np.diff(line_of) == 0)).any():
         raise _first_set_fault(split, v)
     alt = keys >= 0
     offsets = np.zeros(len(split) + 1, dtype=np.int64)
@@ -260,12 +267,11 @@ def _parse_sets(
     nulls = np.zeros(len(split))
     values = values[order]
     nulls[line_of[~alt]] = values[~alt]
-    return offsets, keys[alt], values[alt], nulls, list(names)
+    return offsets, keys[alt], values[alt], nulls
 
 
-def _first_set_fault(split: list[list[str]], v: Vocabulary | None) -> ValidationError:
+def _first_set_fault(split: list[list[str]], v: Vocabulary) -> ValidationError:
     """The first fault of the tokenized ``set`` lines, read line by line and pair by pair."""
-    index = {} if v is None else {s: i for i, s in enumerate(v.symbols)}
     for line_no, tokens in enumerate(split, start=1):
         if len(tokens) % 2 != 0 or not tokens:
             return ValidationError(f"set line {line_no} must hold symbol/value pairs")
@@ -274,14 +280,10 @@ def _first_set_fault(split: list[list[str]], v: Vocabulary | None) -> Validation
             if not _parses(val):
                 return ValidationError(f"set line {line_no}: bad value {val!r}")
             if tok != NULL_TOKEN:
-                if v is None:
-                    is_blank = tok == BLANK_TOKEN
-                else:
-                    display = _token_symbol(tok)
-                    if display not in index:
-                        return ValidationError(f"symbol {display!r} not in vocabulary")
-                    is_blank = index[display] == v.blank
-                if is_blank:
+                display = _token_symbol(tok)
+                if display not in v._index:
+                    return ValidationError(f"symbol {display!r} not in vocabulary")
+                if v._index[display] == v.blank:
                     return ValidationError(f"set line {line_no}: confusion sets may not contain the blank")
             if tok in seen:
                 return ValidationError(f"set line {line_no}: repeated {tok!r}")

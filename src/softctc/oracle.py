@@ -363,14 +363,20 @@ def reference_build_cn(nbest: NBestList, normalize: bool = True) -> ConfusionNet
     The reference for :func:`softctc.confusion.build_cn`: hypotheses in
     descending weight order (symbol tuple on ties), each a one-path network
     aligned against the current best path by the full-table aligner, with
-    per-set normalization at the end.  A raw fold keeps its total as it is;
-    ``build_cn`` floors a total below the smallest normal double, as the
-    decoder does, and is compared with the decoder there.
+    per-set normalization at the end.  A raw fold whose total is below the
+    smallest normal double ``tiny`` has every score and null multiplied by
+    ``tiny / total`` and ``tiny`` as its total, the decoder's floor, so that
+    its sets keep their proportions.
     """
     entries = sorted(nbest.entries, key=lambda e: (-e[1], e[0].symbols))
     sets, total = _reference_fold(([[{s: w}, 0.0] for s in labeling], w) for labeling, w in entries)
     if normalize:
         return ConfusionNetwork(tuple(ConfusionSet(alts, null).normalized() for alts, null in sets))
+    tiny = np.finfo(float).tiny
+    if total < tiny:
+        factor = tiny / total
+        sets = [[{s: p * factor for s, p in alts.items()}, null * factor] for alts, null in sets]
+        total = tiny
     return _reference_raw_network(sets, total)
 
 

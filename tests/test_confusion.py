@@ -512,16 +512,22 @@ class TestFoldMatchesReference:
     @pytest.mark.parametrize("normalize", [True, False])
     def test_build_cn(self, normalize):
         rng = np.random.default_rng(37)
-        ties = null_ties = empty = repeats = 0
+        ties = null_ties = empty = repeats = floored = 0
         for _ in range(300):
             nb = rand_fold_nbest(rng)
-            want = reference_build_cn(nb, normalize)
-            assert float_bits(build_cn(nb, normalize)) == float_bits(want)
+            # the same list far below the smallest normal double, where a raw
+            # fold's total is floored
+            tiny_nb = NBestList(tuple((labeling, w * 1e-320) for labeling, w in nb))
+            for drawn in (nb, tiny_nb):
+                want = reference_build_cn(drawn, normalize)
+                assert float_bits(build_cn(drawn, normalize)) == float_bits(want)
             tied, at_null = fold_ties(reference_build_cn(nb, normalize=False))
             ties, null_ties = ties + tied, null_ties + at_null
             empty += any(not labeling.symbols for labeling, _ in nb)
             repeats += any(len(set(labeling.symbols)) < len(labeling) for labeling, _ in nb)
-        assert min(ties, null_ties, empty, repeats) >= 20, (ties, null_ties, empty, repeats)
+            floored += math.fsum(w for _, w in tiny_nb) < np.finfo(float).tiny
+        counts = (ties, null_ties, empty, repeats, floored)
+        assert min(counts) >= 20, counts
 
     def test_merge_cns(self):
         rng = np.random.default_rng(41)

@@ -24,7 +24,7 @@ def test_digest_covers_each_output_and_diff_names_what_differs(tmp_path):
     outputs = ("loss", "grad", "log_mass")
     assert names == (
         [f"pseudolabel/0/{o}" for o in ("cn", "cn_raw", "nbest", "target", *outputs)]
-        + [f"merge-transform/0/{o}" for o in ("merged", "pruned", "smoothed", "target", *outputs)]
+        + [f"merge-transform/0/{o}" for o in ("read_plain", "merged", "pruned", "smoothed", "target", *outputs)]
         + ["train-step/target/0"]
         + [f"train-step/0/{i}/{o}" for i in range(16) for o in outputs]
         + ["odd-frames/0/target"] + [f"odd-frames/0/{o}" for o in outputs]
@@ -69,6 +69,6 @@ def test_against_digests_a_revision_with_its_own_tool():
     *names, summary = got.stdout.splitlines()
     one_sided = [name for name in names if name.startswith("only in ")]
     differing = len(names) - len(one_sided)
-    shared = 71 - len(one_sided)
+    shared = 72 - len(one_sided)
     assert summary == f"{differing} of {shared} shared entries differ, {len(one_sided)} only on one side", got.stderr
     assert got.returncode == (1 if names else 0)

@@ -468,6 +468,23 @@ class TestReadCnMatchesReference:
 
         assert outcome(read_cn) == outcome(reference_read_cn) == read_outcome(read_cn, text, v)
 
+    # without a vocabulary the file's own is read first: its symbols in
+    # order of first appearance, then the blank
+    @pytest.mark.parametrize("body, expected", [
+        ("set <unused> 0.5 a 0.5", ("<unused>", "a", "<blank>")),
+        ("set <space> 0.5 a 0.5", (" ", "a", "<blank>")),
+        ("set <null> 1.0", "a confusion set needs at least one alternative"),
+        ("set a 1.0\nset <blank> 1.0", "set line 2: confusion sets may not contain the blank"),
+    ], ids=["real unused symbol", "space first", "null alone", "blank on line 2"])
+    def test_the_files_own_vocabulary(self, body, expected):
+        text = f"# confusion-network v1\n{body}\n"
+        got = read_outcome(read_cn, text, None)
+        assert got == read_outcome(reference_read_cn, text, None)
+        if isinstance(expected, tuple):
+            assert got[-2].symbols == expected and got[-2].blank == len(expected) - 1
+        else:
+            assert got == (ValidationError, expected)
+
 
 class TestNbestRoundTrip:
     def test_segment_groups_round_trip(self):

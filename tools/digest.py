@@ -14,9 +14,10 @@ the benchmark runs on.  Covered, for every entry:
 - the 96 ``pseudolabel`` lines: ``decode_to_cn`` normalized and raw,
   ``decode_line``'s n-best lists, the compiled target and the kernel's loss,
   gradient and ``log_mass``;
-- the 24 ``merge-transform`` lines: the merged network before and after
-  prune and smooth, its compiled target and the kernel's outputs on the
-  clean line;
+- the 24 ``merge-transform`` lines: the four networks and vocabularies
+  ``read_cn`` gives the line's texts without a vocabulary, the merged
+  network before and after prune and smooth, its compiled target and the
+  kernel's outputs on the clean line;
 - the 16 compiled ``train-step`` targets and, over them, the first
   ``TRAIN_BATCHES`` jittered batches, each line's outputs as its batch
   returns them;
@@ -143,11 +144,13 @@ def digest(tree: str, limit: int | None = None) -> list[tuple[str, str]]:
     for i in range(workloads.MERGE_CATALOGUE)[:limit]:
         entry = f"merge-transform/{i}"
         y, texts, _ = merge.serialise(Calls(), i)
+        plain = [cnio.read_cn(io.StringIO(text))[:2] for text in texts]
         merged = merge_cns([cnio.read_cn(io.StringIO(text), v)[0] for text in texts])
         pruned = prune(merged, workloads.PRUNE_CUTOFF)
         smoothed = smooth(pruned, workloads.SMOOTH_EXPONENT)
         target = compile_cn(smoothed, v)
-        out += [(f"{entry}/merged", _network(merged)), (f"{entry}/pruned", _network(pruned)),
+        out += [(f"{entry}/read_plain", _hash([(_network(cn), own.symbols) for cn, own in plain])),
+                (f"{entry}/merged", _network(merged)), (f"{entry}/pruned", _network(pruned)),
                 (f"{entry}/smoothed", _network(smoothed)), (f"{entry}/target", _target(target))]
         out += _passes(entry, one_line(y, target))
 
